@@ -273,7 +273,8 @@ def cmd_cov(rc):
             vals = [K.twoindex_cov(desc.params, t, **kw).value
                     for t in times]
         else:
-            vals = [K.tfgn_cov(rc.alpha, rc.lam, t) for t in times]
+            vals = [K.tfgn_var(rc.alpha, rc.lam) if t == 0.0
+                    else K.tfgn_cov(rc.alpha, rc.lam, t) for t in times]
         header = ("t", "value")
         rows = list(zip((float(t) for t in times), vals))
         dest = _out_path(rc, "cov.csv")
@@ -293,7 +294,7 @@ def _record(path, family):
         "seed": int(path.seed),
         "t0": path.grid.t0,
         "dt": path.grid.dt,
-        "values": [float(v) for v in path.values],
+        "values": path.values.tolist(),
         "method": path.method,
         "family": family,
     }
@@ -307,9 +308,8 @@ def cmd_sample(rc):
             raise DomainError(
                 "spectral synthesis is defined for the reduced stationary-"
                 "increment family only (tfbm)")
-        paths = [sampler.sample_tfbm_spectral(
-            desc.params, grid, sampler.derive_substream_seed(rc.seed, i))
-            for i in range(rc.paths)]
+        paths = sampler.sample_tfbm_spectral_batch(desc.params, grid,
+                                                   rc.seed, rc.paths)
     elif rc.method == "exact":
         paths = sampler.sample_exact(desc, grid, rc.seed, rc.paths)
     else:

@@ -73,18 +73,20 @@ def tmbm_gram(h: HurstProfile, lam, times):
     """Dense covariance matrix over a time grid.
 
     All four stationary-kernel terms vary with the pair (i,j) through
-    the averaged index, so each is a full matrix evaluation.
-    """
+    the averaged index, which is exactly symmetric, as is |t_i - t_j|:
+    the lag term is evaluated on the upper triangle and mirrored, the
+    C(t_j) term is the transpose of the C(t_i) term, and the matrix is
+    bitwise symmetric."""
     times = np.asarray(times, dtype=float)
     h.spot_check(times)
     al = np.array([h.alpha(t) for t in times])
     a_plus = 0.5 * (al[:, None] + al[None, :])
-    lags = times[:, None] - times[None, :]
-    shape = a_plus.shape
-    c_lag = fou.cov_alpha_grid(a_plus, lam, lags)
+    iu, ju = np.triu_indices(len(times))
+    c_lag = np.empty(a_plus.shape)
+    c_lag[iu, ju] = fou.cov_alpha_grid(a_plus[iu, ju], lam,
+                                       times[iu] - times[ju])
+    c_lag[ju, iu] = c_lag[iu, ju]
     c_ti = fou.cov_alpha_grid(a_plus, lam, np.broadcast_to(
-        times[:, None], shape))
-    c_tj = fou.cov_alpha_grid(a_plus, lam, np.broadcast_to(
-        times[None, :], shape))
+        times[:, None], a_plus.shape))
     v = fou.var_alpha_grid(a_plus, lam)
-    return c_lag - c_ti - c_tj + v
+    return c_lag - (c_ti + c_ti.T) + v

@@ -1,12 +1,12 @@
 """Exact and spectral Gaussian path synthesis with reproducible
 substream seeding.
 
-Exact sampling builds the dense Gram matrix from the kernel routines,
-Cholesky-factorizes it (with an adaptive diagonal jitter ladder for
-matrices at the edge of numerical rank), and multiplies standard-normal
-draws.  Stationary-increment paths can instead be synthesized by
-circulant embedding of the increment covariance and cumulative
-summation.
+Exact sampling assembles the dense Gram from kernel values at the grid
+lags and times where the family allows, Cholesky-factorizes it (with an
+adaptive jitter ladder for matrices at the edge of numerical rank), and
+multiplies standard-normal draws.  Stationary-increment paths can
+instead be synthesized by circulant embedding of the increment
+covariance, computed once per batch, and cumulative summation.
 
 Every path is driven by its own counter-based RNG stream keyed by a
 substream seed derived from (master seed, path index), so generation is
@@ -19,14 +19,14 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, EmbeddingFailure, EmbeddingWarning, NotPSD
-from .kernels import fou, mixed, tfbm, tfgn, tmbm, twoindex
-from .kernels.params import (FracOUParams, HurstProfile, MixtureParams,
-                             TmbmParams, TwoIndexParams)
+from .kernels import fou, tfgn, tmbm, twoindex
+from .kernels.params import (FracOUParams, MixtureParams, TmbmParams,
+                             TwoIndexParams)
 
 RNG_NAME = "philox4x64"
 MAX_EXACT_N = 4096
@@ -163,26 +163,34 @@ def _stationary_gram(cov_of_lag, grid):
     return row[idx]
 
 
+def _reduced_gram(p: FracOUParams, grid):
+    """tfbm Gram C_fou(t_i - t_j) - C_fou(t_i) - C_fou(t_j) + sigma^2
+    from the kernel at the n grid lags and the n grid times (row 0 of the
+    lag Gram when t0 = 0); bitwise symmetric."""
+    lag = _stationary_gram(lambda lg: fou.fou_cov_values(p, lg), grid)
+    c_t = lag[0] if grid.t0 == 0.0 else fou.fou_cov_values(p, grid.times())
+    return lag - (c_t[:, None] + c_t[None, :]) + fou.fou_var(p)
+
+
 def build_gram(process: ProcessDescriptor, grid: TimeGrid):
     """Dense covariance matrix of the family on the grid."""
     if process.params is None:
         raise DomainError("sampling needs parameter values, not just a "
                           "family tag")
     p = process.params
-    times = grid.times()
     if process.family == "fou":
         return _stationary_gram(lambda lg: fou.fou_cov_values(p, lg), grid)
     if process.family == "tfbm":
-        return tfbm.tfbm_gram(p, times)
+        return _reduced_gram(p, grid)
     if process.family == "mixed":
-        return mixed.mixed_gram(p, times)
+        return sum(b * b * _reduced_gram(c, grid) for b, c in p.components)
     if process.family == "tfbm2":
         def row(lags):
             return np.array([twoindex.twoindex_cov(p, lg).value
                              for lg in lags])
         return _stationary_gram(row, grid)
     if process.family == "tmbm":
-        return tmbm.tmbm_gram(p.profile, p.lam, times)
+        return tmbm.tmbm_gram(p.profile, p.lam, grid.times())
     if process.family == "tfgn":
         var = tfgn.tfgn_var(p.alpha, p.lam)
 
@@ -232,26 +240,31 @@ def sample_exact(process: ProcessDescriptor, grid: TimeGrid, seed,
     reduced families) are excluded from the factorization and set to
     exactly 0 in every path.
     """
+    if n_paths < 1:
+        raise DomainError("n_paths must be at least 1")
+    return _cholesky_paths(process, grid, [
+        derive_substream_seed(seed, i) for i in range(int(n_paths))])
+
+
+def _cholesky_paths(process, grid, subs):
+    """Paths from one Gram and factor; path k draws from stream subs[k]."""
     if grid.n > MAX_EXACT_N:
         raise DomainError(
             "exact sampling is capped at n = %d points, got %d"
             % (MAX_EXACT_N, grid.n))
-    if n_paths < 1:
-        raise DomainError("n_paths must be at least 1")
     gram = build_gram(process, grid)
     live = np.diag(gram) > 0.0
     factor, jit = _cholesky_with_jitter(gram[np.ix_(live, live)])
     n_live = int(live.sum())
 
-    def one(i):
-        sub = derive_substream_seed(seed, i)
-        z = _rng_for(sub).standard_normal(n_live)
+    def one(k):
+        z = _rng_for(subs[k]).standard_normal(n_live)
         values = np.zeros(grid.n)
         values[live] = factor @ z
-        return GaussianPath(grid, values, process, sub, "cholesky",
+        return GaussianPath(grid, values, process, subs[k], "cholesky",
                             jitter=jit)
 
-    return _indexed_map(one, int(n_paths))
+    return _indexed_map(one, len(subs))
 
 
 # --- circulant-embedding route for stationary increments ----------------
@@ -293,34 +306,48 @@ def _circulant_normal(eig, rng):
 
 
 def sample_tfbm_spectral(p: FracOUParams, grid: TimeGrid, seed):
-    """Reduced-process path via circulant embedding of the stationary
-    increment covariance, then cumulative summation from the pinned
-    origin.  Falls back to exact sampling (with a warning) if the
-    embedding is not nonnegative definite.
-    """
+    """One spectral path, drawn from derive_substream_seed(seed, 0)."""
+    return _spectral_paths(p, grid, [seed])[0]
+
+
+def sample_tfbm_spectral_batch(p: FracOUParams, grid: TimeGrid, seed,
+                               n_paths):
+    """n_paths spectral paths; path i equals
+    sample_tfbm_spectral(p, grid, derive_substream_seed(seed, i))."""
+    return _spectral_paths(p, grid, [
+        derive_substream_seed(seed, i) for i in range(int(n_paths))])
+
+
+def _spectral_paths(p, grid, seeds):
+    """Reduced-process paths via one circulant embedding of the
+    stationary increment covariance, then cumulative summation from the
+    pinned origin; path k draws from derive_substream_seed(seeds[k], 0).
+    Falls back (with one warning) to exact sampling if the embedding is
+    not nonnegative definite."""
     if grid.t0 != 0.0:
         raise DomainError("spectral synthesis needs a grid starting at "
                           "t0 = 0, got %g" % grid.t0)
     process = ProcessDescriptor("tfbm", p)
-    if grid.n == 1:
-        return GaussianPath(grid, np.zeros(1), process,
-                            derive_substream_seed(seed, 0),
-                            "spectral_increments")
+    subs = [derive_substream_seed(seed, 0) for seed in seeds]
     m = grid.n - 1
     c = fou.fou_cov_values(p, grid.dt * np.arange(m + 1))
     j = np.arange(m)
     r = 2.0 * c[j] - c[j + 1] - c[np.abs(j - 1)]
-    sub = derive_substream_seed(seed, 0)
-    if m == 1:
-        inc = np.array([math.sqrt(r[0])]) * _rng_for(sub).standard_normal(1)
-    else:
+    eig = None
+    if m >= 2:  # one increment or none needs no circulant
         try:
             eig = _embedding_eigenvalues(r)
         except EmbeddingFailure as exc:
             warnings.warn(
                 "circulant embedding failed (%s); falling back to exact "
                 "sampling" % exc, EmbeddingWarning)
-            return sample_exact(process, grid, seed, 1)[0]
-        inc = _circulant_normal(eig, _rng_for(sub))[:m]
-    values = np.concatenate([[0.0], np.cumsum(inc)])
-    return GaussianPath(grid, values, process, sub, "spectral_increments")
+            return _cholesky_paths(process, grid, subs)
+    paths = []
+    for sub in subs:
+        rng = _rng_for(sub)
+        inc = (np.sqrt(r) * rng.standard_normal(m) if eig is None
+               else _circulant_normal(eig, rng)[:m])
+        paths.append(GaussianPath(
+            grid, np.concatenate([[0.0], np.cumsum(inc)]), process, sub,
+            "spectral_increments"))
+    return paths

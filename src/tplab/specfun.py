@@ -180,7 +180,9 @@ def besselk_grid(nu, x):
     """Vectorized K_nu(x) for kernel Gram assembly; values only.
 
     nu and x broadcast to a common shape.  Raises AccuracyError if any
-    element misses the box-wide accuracy contract.
+    element misses the box-wide accuracy contract.  The trapezoid
+    refines a chunk until every element in it converges, so an
+    element's last bits (about 1e-13 relative) depend on its chunk.
     """
     nu_b, x_b = np.broadcast_arrays(np.asarray(nu, float),
                                     np.asarray(x, float))

@@ -466,10 +466,8 @@ def suite_mc(seed, n_paths):
         "mc/tfbm/increment-toeplitz-max-z", 0.0, worst, 4.0, _MC))
     # the circulant-embedding route must agree with the closed form
     spec_seed = _family_seed(seed, 17)
-    spv = np.stack([
-        sampler.sample_tfbm_spectral(
-            p, grid, sampler.derive_substream_seed(spec_seed, i)).values
-        for i in range(n_paths)])
+    spv = _stack(sampler.sample_tfbm_spectral_batch(p, grid, spec_seed,
+                                                    n_paths))
     times = grid.times()
     ratio_dev = 0.0
     for i in (_MC_N // 4, _MC_N // 2, _MC_N - 1):

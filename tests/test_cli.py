@@ -65,6 +65,25 @@ def test_cov_curve_matches_kernel(tmp_path, capsys):
         assert abs(v - kernels.fou_cov(p, t)) <= 1e-14
 
 
+def test_cov_tfgn_reads_the_variance_at_lag_zero(tmp_path, capsys):
+    argv = ["cov", "--process", "tfgn", "--alpha", "1.8", "--lambda", "1.0",
+            "--dt", "0.5", "--n", "3", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    _, rows = _read_csv(capsys.readouterr().out.strip())
+    vals = [float(r[1]) for r in rows]
+    assert vals[0] == kernels.tfgn_var(1.8, 1.0)
+    assert vals[1:] == [kernels.tfgn_cov(1.8, 1.0, t) for t in (0.5, 1.0)]
+
+
+def test_cov_tfgn_without_pointwise_variance_exits_2(tmp_path, capsys):
+    argv = ["cov", "--process", "tfgn", "--alpha", "1.2", "--lambda", "1.0",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "pointwise variance only for alpha > 3/2" in err
+    assert "tau != 0" not in err
+
+
 # --- sample ------------------------------------------------------------------
 
 def test_sample_record_schema_and_determinism(tmp_path, capsys):

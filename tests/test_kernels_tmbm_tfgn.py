@@ -89,6 +89,20 @@ def test_gram_matches_pointwise_and_is_symmetric():
     assert np.linalg.eigvalsh(g).min() >= -1e-10 * np.linalg.eigvalsh(g).max()
 
 
+@pytest.mark.parametrize("t0", (0.0, 0.3))
+def test_gram_is_bitwise_symmetric_and_matches_every_pointwise_cell(t0):
+    times = t0 + 0.45 * np.arange(9)
+    g = K.tmbm_gram(RAMP, 1.0, times)
+    assert np.array_equal(g, g.T)
+    # cells next to the pinned origin are cancellation residue, so the
+    # error is measured against the matrix scale there
+    scale = np.abs(g).max()
+    for i in range(len(times)):
+        for j in range(len(times)):
+            ref = K.tmbm_cov(RAMP, 1.0, times[i], times[j])
+            assert abs(g[i, j] - ref) <= 1e-12 * max(abs(ref), scale)
+
+
 def test_gram_constant_profile_matches_single_index_gram():
     times = np.linspace(0.0, 3.0, 7)
     got = K.tmbm_gram(HurstProfile.constant(0.9), 1.2, times)

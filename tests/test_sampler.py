@@ -12,14 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tplab import kernels as K
-from tplab import sampler
+from tplab import sampler, specfun
 from tplab.errors import (DomainError, EmbeddingFailure, EmbeddingWarning,
                           NotPSD)
 from tplab.kernels import (FracOUParams, HurstProfile, MixtureParams,
                            TmbmParams, TwoIndexParams)
 from tplab.sampler import (GaussianPath, ProcessDescriptor, TimeGrid,
                            derive_substream_seed, sample_exact,
-                           sample_tfbm_spectral)
+                           sample_tfbm_spectral, sample_tfbm_spectral_batch)
 
 
 # --- substream seeding -------------------------------------------------------
@@ -115,6 +115,44 @@ def test_every_family_samples(family, params):
                          TimeGrid(0.0, 0.25, 6), 3, 2)
     assert len(paths) == 2
     assert np.all(np.isfinite(paths[0].values))
+
+
+# --- structural Gram assembly ------------------------------------------------
+
+MIX = MixtureParams(((1.0, FracOUParams(0.7, 1.0)),
+                     (0.7, FracOUParams(1.3, 0.5))))
+
+
+@pytest.mark.parametrize("n", (1, 2, 257))
+@pytest.mark.parametrize("t0", (0.0, 0.37))
+def test_structural_reduced_grams_match_kernel_grams(t0, n):
+    grid = TimeGrid(t0, 0.05, n)
+    p = FracOUParams(0.75, 0.5)
+    for desc, ref in (
+            (ProcessDescriptor("tfbm", p), K.tfbm_gram(p, grid.times())),
+            (ProcessDescriptor("mixed", MIX),
+             K.mixed_gram(MIX, grid.times()))):
+        got = sampler.build_gram(desc, grid)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(got, got.T)
+
+
+@pytest.mark.parametrize("t0 bessel_elements".split(),
+                         ((0.0, 63), (0.5, 63 + 64)))
+def test_structural_gram_evaluates_each_argument_once(monkeypatch, t0,
+                                                      bessel_elements):
+    sizes = []
+    real = specfun.besselk_grid
+
+    def counting(nu, x):
+        sizes.append(np.size(x))
+        return real(nu, x)
+
+    monkeypatch.setattr(specfun, "besselk_grid", counting)
+    sampler.build_gram(ProcessDescriptor("tfbm", FracOUParams(0.75, 0.5)),
+                       TimeGrid(t0, 0.05, 64))
+    # lag 0 is the closed-form variance, not a Bessel value
+    assert sum(sizes) == bessel_elements
 
 
 # --- jitter ladder -----------------------------------------------------------
@@ -232,6 +270,47 @@ def test_spectral_falls_back_to_exact_on_embedding_failure(monkeypatch):
         path = sample_tfbm_spectral(p, TimeGrid(0.0, 0.25, 16), 5)
     assert path.method == "cholesky"
     assert path.values[0] == 0.0
+
+
+@pytest.mark.parametrize("n", (1, 2, 64))
+def test_spectral_batch_equals_per_path_calls(n):
+    p = FracOUParams(1.25, 0.5)
+    grid = TimeGrid(0.0, 0.25, n)
+    batch = sample_tfbm_spectral_batch(p, grid, 17, 5)
+    assert len(batch) == 5
+    for i, path in enumerate(batch):
+        one = sample_tfbm_spectral(p, grid, derive_substream_seed(17, i))
+        assert path.seed == one.seed
+        assert path.method == one.method == "spectral_increments"
+        assert path.values.tobytes() == one.values.tobytes()
+
+
+def test_spectral_batch_fallback_builds_one_gram(monkeypatch):
+    def boom(r):
+        raise EmbeddingFailure("synthetic")
+
+    grams = []
+    real = sampler.build_gram
+
+    def counting(process, grid):
+        grams.append(grid)
+        return real(process, grid)
+
+    monkeypatch.setattr(sampler, "_embedding_eigenvalues", boom)
+    monkeypatch.setattr(sampler, "build_gram", counting)
+    p = FracOUParams(1.25, 0.5)
+    grid = TimeGrid(0.0, 0.25, 16)
+    with pytest.warns(EmbeddingWarning, match="falling back") as caught:
+        batch = sample_tfbm_spectral_batch(p, grid, 5, 4)
+    assert len(grams) == 1
+    assert len(caught) == 1
+    with pytest.warns(EmbeddingWarning):
+        singles = [sample_tfbm_spectral(p, grid, derive_substream_seed(5, i))
+                   for i in range(4)]
+    for path, one in zip(batch, singles):
+        assert path.method == "cholesky"
+        assert path.seed == one.seed
+        assert np.array_equal(path.values, one.values)
 
 
 def test_spectral_single_point_grid_is_origin():
