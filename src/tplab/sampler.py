@@ -314,6 +314,8 @@ def sample_tfbm_spectral_batch(p: FracOUParams, grid: TimeGrid, seed,
                                n_paths):
     """n_paths spectral paths; path i equals
     sample_tfbm_spectral(p, grid, derive_substream_seed(seed, i))."""
+    if n_paths < 1:
+        raise DomainError("n_paths must be at least 1")
     return _spectral_paths(p, grid, [
         derive_substream_seed(seed, i) for i in range(int(n_paths))])
 

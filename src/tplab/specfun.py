@@ -71,11 +71,12 @@ def log_gamma(x):
 
 
 def _trunc_length(nu, x, decades):
-    """t_max with exp(-x(cosh t - 1)) cosh(nu t) below exp(-decades)."""
+    """t_max with exp(-x(cosh t - 1)) cosh(nu t) below 10^(-decades),
+    elementwise over arrays of orders nu >= 0 and arguments x > 0."""
     target = decades * math.log(10.0)
-    t = math.acosh(1.0 + target / x)
+    t = np.arccosh(1.0 + target / x)
     for _ in range(3):
-        t = math.acosh(1.0 + (target + abs(nu) * t) / x)
+        t = np.arccosh(1.0 + (target + nu * t) / x)
     return 1.05 * t
 
 
@@ -87,7 +88,7 @@ def _besselk_trapezoid(nu, x):
     """
     nu = np.abs(np.asarray(nu, dtype=float))
     x = np.asarray(x, dtype=float)
-    tmax = np.array([_trunc_length(n, xx, 18.0) for n, xx in zip(nu, x)])
+    tmax = _trunc_length(nu, x, 18.0)
 
     def scaled_integral(n_points):
         # composite trapezoid with n_points panels on [0, tmax]

@@ -129,6 +129,16 @@ def test_sample_spectral_runs_for_tfbm(tmp_path, capsys):
     assert all(r["values"][0] == 0.0 for r in recs)
 
 
+@pytest.mark.parametrize("method", ("exact", "spectral"))
+@pytest.mark.parametrize("paths", ("0", "-3"))
+def test_sample_without_paths_exits_2(tmp_path, capsys, method, paths):
+    argv = _sample_args(tmp_path, process="tfbm", method=method,
+                        paths=paths)
+    assert cli.main(argv) == 2
+    assert "n_paths must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "paths.jsonl").exists()
+
+
 def test_sample_mixture_from_config(tmp_path, capsys):
     cfg = tmp_path / "mix.cfg"
     cfg.write_text(

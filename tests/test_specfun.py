@@ -115,6 +115,20 @@ def test_besselk_grid_matches_scalar():
             assert grid[i, j] == specfun.bessel_k(nu, x).value
 
 
+def test_besselk_truncation_drops_integrand_below_1e_18():
+    # the trapezoid's scaled integrand e^(-x (cosh t - 1)) cosh(nu t),
+    # taken in logs at t_max, over a grid spanning the supported box
+    nu, x = np.meshgrid(np.linspace(0.0, specfun.BESSEL_NU_MAX, 41),
+                        np.geomspace(specfun.BESSEL_X_MIN,
+                                     specfun.BESSEL_X_MAX, 121))
+    nu, x = nu.ravel(), x.ravel()
+    t = specfun._trunc_length(nu, x, 18.0)
+    log_g = (-x * (np.cosh(t) - 1.0) + np.logaddexp(nu * t, -nu * t)
+             - math.log(2.0))
+    assert np.all(np.isfinite(t)) and np.all(t > 0.0)
+    assert np.max(log_g) < math.log(1e-18)
+
+
 @given(st.floats(min_value=-4.9, max_value=4.9),
        st.floats(min_value=0.05, max_value=50.0))
 @settings(max_examples=60, deadline=None)

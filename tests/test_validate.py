@@ -1,13 +1,18 @@
 """Report-format contract for the validation suites: record key order,
 absolute-tolerance semantics, JSON round trip, and the canonical payload
-used for cross-run comparison.
+used for cross-run comparison; plus the accuracy, error estimate and
+float64-only evaluation of the oracle suite's branch-cut route.
 """
 
 import json
+import math
 
+import mpmath
 import pytest
 
-from tplab import validate
+from tplab import quad, validate
+from tplab import kernels as K
+from tplab.kernels import FracOUParams
 
 
 def test_check_record_dict_keys_in_order():
@@ -55,3 +60,56 @@ def test_config_echo_is_embedded_verbatim():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         validate.run_suite("everything")
+
+
+# --- the oracle's branch-cut route ------------------------------------------
+
+_ORACLE_CELLS = [(alpha, lam, tau) for alpha in validate._ORACLE_ALPHAS
+                 for lam in validate._ORACLE_LAMS
+                 for tau in validate._ORACLE_TAUS]
+
+
+def test_branch_cut_route_matches_the_cosine_transform(monkeypatch):
+    # where the float64 lobe sum converges on its own (lam tau <= 1), the
+    # direct cosine transform of 2 S(k) is a second opinion on the route
+    def no_escalation(*args, **kwargs):
+        raise AssertionError("cosine transform escalated to mpmath")
+
+    monkeypatch.setattr(quad, "_cos_lobes_mp", no_escalation)
+    for alpha, lam, tau in _ORACLE_CELLS:
+        if lam * tau > 1.0:
+            continue
+        tol = 1e-11 * K.fou_cov(FracOUParams(alpha, lam), tau)
+        branch = validate._fou_cov_by_quadrature(FracOUParams(alpha, lam),
+                                                 tau, tol)
+        lobes = quad.fourier_cos_halfline(
+            lambda k: (k * k + lam * lam) ** -alpha / math.pi, tau, tol=tol,
+            decay_p=2.0 * alpha)
+        assert abs(branch.value - lobes.value) <= 1e-9 * abs(lobes.value)
+
+
+@pytest.mark.parametrize("lam", validate._ORACLE_LAMS)
+@pytest.mark.parametrize("tau", validate._ORACLE_TAUS)
+def test_branch_cut_route_is_the_ou_kernel_at_alpha_one(lam, tau):
+    ou = math.exp(-lam * tau) / (2.0 * lam)
+    r = validate._fou_cov_by_quadrature(FracOUParams(1.0, lam), tau,
+                                        1e-12 * ou)
+    assert abs(r.value - ou) <= 1e-12 * ou
+
+
+def test_branch_cut_error_estimate_covers_the_true_error():
+    for alpha, lam, tau in _ORACLE_CELLS:
+        p = FracOUParams(alpha, lam)
+        cf = K.fou_cov(p, tau)
+        r = validate._fou_cov_by_quadrature(p, tau, 1e-8 * cf)
+        assert r.abs_error_estimate >= abs(r.value - cf)
+
+
+def test_oracle_suite_never_needs_mpmath(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath.quad called")
+
+    monkeypatch.setattr(mpmath, "quad", refuse)
+    checks = validate.suite_oracle(validate.DEFAULT_SEED, 0)
+    assert len(checks) == 78
+    assert all(c.passed for c in checks)
