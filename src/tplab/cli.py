@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,13 +36,7 @@ from .errors import (
     PoleError,
     SlowDecay,
 )
-from .kernels.params import (
-    FracOUParams,
-    HurstProfile,
-    MixtureParams,
-    TmbmParams,
-    TwoIndexParams,
-)
+from .kernels.params import FracOUParams, HurstProfile
 
 # one record per sampled path; the keys are a stable file contract
 _PATH_KEYS = ("seed", "t0", "dt", "values", "method", "family")
@@ -52,39 +45,30 @@ _ESTIMATORS = ("variogram", "hurst", "hurst-windowed", "dimension",
                "plateau", "all")
 
 
-@dataclass
-class RunConfig:
-    """Fully serializable run description assembled from config file
-    plus flags (flags win); echoed verbatim into validation reports."""
+# config key -> reader of its config-file text.  A flag whose dest is the
+# key overrides the file; flags are echoed in this order.
+_OPTIONS = {
+    "family": str, "alpha": float, "beta": float, "lam": float,
+    "profile": str, "s": float, "t0": float, "dt": float, "n": int,
+    "paths": int, "seed": int, "suite": str, "out": str, "method": str,
+    "estimator": str, "components": str,
+    "figure1": lambda text: text.lower() in ("1", "true", "yes"),
+    "plateau_t": float, "tol": float,
+}
 
-    command: str
-    family: str = None
-    alpha: float = None
-    beta: float = None
-    lam: float = None
-    profile: str = None
-    components: str = None
-    s: float = 0.5
-    t0: float = 0.0
-    dt: float = 0.05
-    n: int = 256
-    paths: int = 2000
-    seed: int = validate.DEFAULT_SEED
-    suite: str = "all"
-    out: str = None
-    figure1: bool = False
-    method: str = "exact"
-    estimator: str = "all"
-    paths_file: str = None
-    plateau_t: float = 1.0
-    tol: float = None
-    echo: dict = field(default_factory=dict)
+_DEFAULTS = {
+    "s": 0.5, "t0": 0.0, "dt": 0.05, "n": 256, "paths": 2000,
+    "seed": validate.DEFAULT_SEED, "suite": "all", "method": "exact",
+    "estimator": "all", "figure1": False, "plateau_t": 1.0,
+}
 
 
-_FLOAT_KEYS = ("alpha", "beta", "lam", "s", "t0", "dt", "plateau_t", "tol")
-_INT_KEYS = ("n", "paths", "seed")
-_STR_KEYS = ("family", "profile", "components", "suite", "out", "method",
-             "estimator")
+def _read(key, reader, text):
+    try:
+        return reader(text)
+    except ValueError:
+        raise DomainError("%s: cannot read %r as %s"
+                          % (key, text, reader.__name__)) from None
 
 
 def _read_config_file(path):
@@ -107,50 +91,23 @@ def _read_config_file(path):
 
 
 def _build_config(args):
-    file_cfg = _read_config_file(args.config) if args.config else {}
-    rc = RunConfig(command=args.command)
+    """Run description from the config file plus flags (flags win), with
+    every key that was set echoed, in order, into validation reports."""
     echo = {}
-
-    def take(key, value):
-        setattr(rc, key, value)
-        echo[key] = value
-
-    for key, val in file_cfg.items():
-        if key in _FLOAT_KEYS:
-            take(key, float(val))
-        elif key in _INT_KEYS:
-            take(key, int(val))
-        elif key in _STR_KEYS:
-            take(key, val)
-        elif key == "figure1":
-            take(key, val.lower() in ("1", "true", "yes"))
-        else:
+    for key, text in (_read_config_file(args.config).items()
+                      if args.config else ()):
+        if key not in _OPTIONS:
             raise DomainError("unknown config key %r" % key)
-    overrides = {
-        "family": args.process,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "lam": args.lam,
-        "profile": args.profile,
-        "s": args.s,
-        "t0": args.t0,
-        "dt": args.dt,
-        "n": args.n,
-        "paths": args.paths,
-        "seed": args.seed,
-        "suite": args.suite,
-        "out": args.out,
-        "method": getattr(args, "method", None),
-        "estimator": getattr(args, "estimator", None),
-        "paths_file": getattr(args, "paths_file", None),
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            take(key, val)
-    if getattr(args, "figure1", False):
-        take("figure1", True)
-    rc.echo = echo
-    return rc
+        echo[key] = _read(key, _OPTIONS[key], text)
+    for key in _OPTIONS:
+        if getattr(args, key, None) is not None:
+            echo[key] = getattr(args, key)
+    rc = dict.fromkeys(_OPTIONS)
+    rc.update(_DEFAULTS)
+    rc.update(echo)
+    return argparse.Namespace(command=args.command, echo=echo,
+                              paths_file=getattr(args, "paths_file", None),
+                              **rc)
 
 
 # --- process construction ------------------------------------------------
@@ -159,12 +116,14 @@ def _build_config(args):
 def _parse_profile(spec):
     """constant:A | ramp:BASE,GAIN | CSV file with t,alpha rows."""
     if spec.startswith("constant:"):
-        return HurstProfile.constant(float(spec[len("constant:"):]))
+        return HurstProfile.constant(
+            _read("profile", float, spec[len("constant:"):]))
     if spec.startswith("ramp:"):
         parts = spec[len("ramp:"):].split(",")
         if len(parts) != 2:
             raise DomainError("ramp profile needs base,gain, got %r" % spec)
-        return HurstProfile.saturating_ramp(float(parts[0]), float(parts[1]))
+        return HurstProfile.saturating_ramp(
+            *(_read("profile", float, x) for x in parts))
     try:
         with open(spec) as fh:
             rows = [r for r in csv.reader(fh) if r]
@@ -172,8 +131,8 @@ def _parse_profile(spec):
         raise DomainError("cannot read profile file: %s" % exc)
     if rows and not _is_number(rows[0][0]):
         rows = rows[1:]
-    ts = [float(r[0]) for r in rows]
-    alphas = [float(r[1]) for r in rows]
+    ts = [_read("profile", float, r[0]) for r in rows]
+    alphas = [_read("profile", float, r[1]) for r in rows]
     return HurstProfile.tabulated(ts, alphas)
 
 
@@ -192,41 +151,30 @@ def _parse_components(spec):
         if len(parts) != 3:
             raise DomainError(
                 "component %r must be weight:alpha:lambda" % item)
-        b, alpha, lam = (float(x) for x in parts)
+        b, alpha, lam = (_read("components", float, x) for x in parts)
         comps.append((b, FracOUParams(alpha, lam)))
-    return MixtureParams(tuple(comps))
+    return tuple(comps)
 
 
-def _require(rc, *names):
-    for nm in names:
-        if getattr(rc, nm) is None:
-            raise DomainError(
-                "--%s is required for process %r"
-                % ("lambda" if nm == "lam" else nm, rc.family))
+# how a user sets a config key that a family needs, where not --KEY
+_SET_BY = {"lam": "--lambda",
+           "components": "the config key components=w:alpha:lam,..."}
+_PARSE = {"profile": _parse_profile, "components": _parse_components}
 
 
 def _build_descriptor(rc):
     if rc.family is None:
         raise DomainError("a process family is required (--process)")
-    fam = rc.family
-    if fam in ("fou", "tfbm", "tfgn"):
-        _require(rc, "alpha", "lam")
-        params = FracOUParams(rc.alpha, rc.lam)
-    elif fam == "tfbm2":
-        _require(rc, "alpha", "beta", "lam")
-        params = TwoIndexParams(rc.alpha, rc.beta, rc.lam)
-    elif fam == "mixed":
-        if rc.components is None:
-            raise DomainError(
-                "process 'mixed' needs components=w:alpha:lam,... in the "
-                "config file")
-        params = _parse_components(rc.components)
-    elif fam == "tmbm":
-        _require(rc, "profile", "lam")
-        params = TmbmParams(_parse_profile(rc.profile), rc.lam)
-    else:
-        raise DomainError("unknown process family %r" % fam)
-    return sampler.ProcessDescriptor(fam, params)
+    fam = sampler.FAMILIES.get(rc.family)
+    if fam is None:
+        raise DomainError("unknown process family %r" % rc.family)
+    for key in fam.needs:
+        if getattr(rc, key) is None:
+            raise DomainError("%s is required for process %r" % (
+                _SET_BY.get(key, "--" + key), rc.family))
+    params = fam.params(*(_PARSE.get(key, lambda v: v)(getattr(rc, key))
+                          for key in fam.needs))
+    return sampler.ProcessDescriptor(rc.family, params)
 
 
 def _out_path(rc, default_name):
@@ -256,27 +204,14 @@ def cmd_cov(rc):
         dest = _out_path(rc, "figure1.csv")
     else:
         desc = _build_descriptor(rc)
-        grid = sampler.TimeGrid(rc.t0, rc.dt, rc.n)
-        times = grid.times()
-        fam = rc.family
-        if fam == "fou":
-            vals = [K.fou_cov(desc.params, t) for t in times]
-        elif fam == "tfbm":
-            vals = [K.tfbm_cov(desc.params, t, rc.s) for t in times]
-        elif fam == "mixed":
-            vals = [K.mixed_cov(desc.params, t, rc.s) for t in times]
-        elif fam == "tmbm":
-            tp = desc.params
-            vals = [K.tmbm_cov(tp.profile, tp.lam, t, rc.s) for t in times]
-        elif fam == "tfbm2":
-            kw = {} if rc.tol is None else {"tol": rc.tol}
-            vals = [K.twoindex_cov(desc.params, t, **kw).value
-                    for t in times]
+        fam = sampler.FAMILIES[rc.family]
+        times = sampler.TimeGrid(rc.t0, rc.dt, rc.n).times()
+        if fam.lag is not None:
+            vals = fam.lag(desc.params, times, rc.tol)
         else:
-            vals = [K.tfgn_var(rc.alpha, rc.lam) if t == 0.0
-                    else K.tfgn_cov(rc.alpha, rc.lam, t) for t in times]
+            vals = [fam.cov(desc.params, t, rc.s) for t in times]
         header = ("t", "value")
-        rows = list(zip((float(t) for t in times), vals))
+        rows = [(float(t), float(v)) for t, v in zip(times, vals)]
         dest = _out_path(rc, "cov.csv")
     with open(dest, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -461,7 +396,8 @@ def _parser():
 
     def common(p):
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--process", choices=sampler.FAMILIES)
+        p.add_argument("--process", dest="family",
+                       choices=tuple(sampler.FAMILIES))
         p.add_argument("--alpha", type=float)
         p.add_argument("--beta", type=float)
         p.add_argument("--lambda", dest="lam", type=float)
@@ -480,7 +416,7 @@ def _parser():
 
     pc = sub.add_parser("cov", help="write a covariance curve as CSV")
     common(pc)
-    pc.add_argument("--figure1", action="store_true",
+    pc.add_argument("--figure1", action="store_true", default=None,
                     help="preset: FOU and reduced curves at s=0.5, "
                          "lambda=0.5, H=0.75 over t in [0, 10]")
 

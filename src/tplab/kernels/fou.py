@@ -25,9 +25,10 @@ _X_UNDERFLOW = 700.0
 
 
 def _gamma_arr(a):
-    flat = np.asarray(a, dtype=float).ravel()
-    out = np.array([math.gamma(v) for v in flat])
-    return out.reshape(np.shape(a))
+    """math.gamma elementwise, called once per distinct value."""
+    vals, inv = np.unique(np.asarray(a, dtype=float), return_inverse=True)
+    out = np.array([math.gamma(v) for v in vals])
+    return out[inv].reshape(np.shape(a))
 
 
 def var_alpha_grid(alpha, lam):

@@ -6,12 +6,11 @@ The stationary Y-form spectral density is
     S(k) = (1/2 pi) (|k|^(2 beta) + lambda^(2 beta))^(-alpha)
 
 whose covariance has no closed form for beta < 1; it is produced by the
-oscillatory quadrature and cached per (params, tau) within a run.  The
-beta = 1 slice collapses to the single-index family exactly.
+oscillatory quadrature.  The beta = 1 slice collapses to the
+single-index family exactly.
 """
 
 import math
-import threading
 import warnings
 
 import numpy as np
@@ -19,10 +18,6 @@ import numpy as np
 from .. import quad
 from ..errors import DegenerateExpansion, DivergenceWarning, DomainError
 from .params import TwoIndexParams
-
-_COV_CACHE = {}
-_COV_LOCK = threading.Lock()
-_SMALLTIME_CACHE = {}
 
 
 def twoindex_spectral(q: TwoIndexParams, k, variant="Y"):
@@ -62,7 +57,7 @@ def _cov_quadrature(q, tau, tol):
 
 def twoindex_cov(q: TwoIndexParams, tau, tol=None):
     """Covariance by quadrature: (1/pi) int_0^inf (k^(2b) +
-    lambda^(2b))^(-a) cos(k tau) dk, cached per (q, tau).
+    lambda^(2b))^(-a) cos(k tau) dk.
 
     tol, when given, is the absolute tolerance on the covariance value;
     the default policy targets 1e-7 relative after a first pass scaled
@@ -72,27 +67,12 @@ def twoindex_cov(q: TwoIndexParams, tau, tol=None):
     var = twoindex_var(q)
     if tau == 0.0:
         return quad.QuadResult(var, abs(var) * 1e-15, 0)
-    key = (q.alpha, q.beta, q.lam, tau)
-    with _COV_LOCK:
-        cached = _COV_CACHE.get(key)
-    if tol is None:
-        if cached is not None:
-            return cached[1]
-        r = _cov_quadrature(q, tau, max(1e-13, 1e-9 * var))
-        fine = max(1e-13, 1e-7 * abs(r.value))
-        if fine < max(1e-13, 1e-9 * var):
-            r = _cov_quadrature(q, tau, fine)
-        eff = fine
-    else:
-        tol = float(tol)
-        if cached is not None and cached[0] <= tol:
-            return cached[1]
-        r = _cov_quadrature(q, tau, tol)
-        eff = tol
-    with _COV_LOCK:
-        prev = _COV_CACHE.get(key)
-        if prev is None or eff < prev[0]:
-            _COV_CACHE[key] = (eff, r)
+    if tol is not None:
+        return _cov_quadrature(q, tau, float(tol))
+    r = _cov_quadrature(q, tau, max(1e-13, 1e-9 * var))
+    fine = max(1e-13, 1e-7 * abs(r.value))
+    if fine < max(1e-13, 1e-9 * var):
+        r = _cov_quadrature(q, tau, fine)
     return r
 
 
@@ -155,11 +135,7 @@ def twoindex_smalltime_incvar(q: TwoIndexParams, t=0.0):
         raise DegenerateExpansion(
             "small-time law degenerates at alpha*beta = 1; use the exact "
             "increment variance")
-    key = round(2.0 * ab, 15)
-    c = _SMALLTIME_CACHE.get(key)
-    if c is None:
-        c = 4.0 / math.pi * quad.power_sin2_halfline(2.0 * ab).value
-        _SMALLTIME_CACHE[key] = c
+    c = 4.0 / math.pi * quad.power_sin2_halfline(2.0 * ab).value
     return c, 2.0 * ab - 1.0
 
 

@@ -12,6 +12,9 @@ Every path is driven by its own counter-based RNG stream keyed by a
 substream seed derived from (master seed, path index), so generation is
 embarrassingly parallel and the results are independent of execution
 order and worker count.
+
+FAMILIES is the one table of process families, read by the Gram
+assembly and the CLI: a family is added there and nowhere else.
 """
 
 import math
@@ -19,28 +22,17 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, EmbeddingFailure, EmbeddingWarning, NotPSD
-from .kernels import fou, tfgn, tmbm, twoindex
+from .kernels import fou, mixed, tfbm, tfgn, tmbm, twoindex
 from .kernels.params import (FracOUParams, MixtureParams, TmbmParams,
                              TwoIndexParams)
 
 RNG_NAME = "philox4x64"
 MAX_EXACT_N = 4096
-
-FAMILIES = ("fou", "tfbm", "mixed", "tfbm2", "tmbm", "tfgn")
-
-_PARAM_TYPES = {
-    "fou": FracOUParams,
-    "tfbm": FracOUParams,
-    "mixed": MixtureParams,
-    "tfbm2": TwoIndexParams,
-    "tmbm": TmbmParams,
-    "tfgn": FracOUParams,
-}
 
 _MASK64 = (1 << 64) - 1
 
@@ -80,7 +72,7 @@ class ProcessDescriptor:
                 "unknown family %r; expected one of %s"
                 % (self.family, ", ".join(FAMILIES)))
         if self.params is not None:
-            want = _PARAM_TYPES[self.family]
+            want = FAMILIES[self.family].params
             if not isinstance(self.params, want):
                 raise DomainError(
                     "family %r needs %s parameters"
@@ -172,36 +164,61 @@ def _reduced_gram(p: FracOUParams, grid):
     return lag - (c_t[:, None] + c_t[None, :]) + fou.fou_var(p)
 
 
+def _mixed_gram(m: MixtureParams, grid):
+    return sum(b * b * _reduced_gram(c, grid) for b, c in m.components)
+
+
+def _twoindex_lag(q: TwoIndexParams, lags, tol=None):
+    return np.array([twoindex.twoindex_cov(q, lg, tol).value for lg in lags])
+
+
+def _tfgn_lag(p: FracOUParams, lags, tol=None):
+    """tfgn_cov at each lag, and the pointwise variance at lag 0."""
+    return np.array([tfgn.tfgn_var(p.alpha, p.lam) if lg == 0.0
+                     else tfgn.tfgn_cov(p.alpha, p.lam, lg) for lg in lags])
+
+
+@dataclass(frozen=True)
+class Family:
+    """Parameter type, the config keys its constructor takes in order,
+    and the covariance: lag(p, lags, tol=None) at each lag for a
+    stationary family (tol bounds the absolute error where quadrature
+    computes it; closed forms ignore it), else the Gram gram(p, grid)
+    and the two-time cov(p, t, s)."""
+
+    params: type
+    needs: tuple
+    lag: Optional[Callable] = None
+    gram: Optional[Callable] = None
+    cov: Optional[Callable] = None
+
+
+FAMILIES = {
+    "fou": Family(FracOUParams, ("alpha", "lam"),
+                  lag=lambda p, lags, tol=None: fou.fou_cov_values(p, lags)),
+    "tfbm": Family(FracOUParams, ("alpha", "lam"), gram=_reduced_gram,
+                   cov=tfbm.tfbm_cov),
+    "mixed": Family(MixtureParams, ("components",), gram=_mixed_gram,
+                    cov=mixed.mixed_cov),
+    "tfbm2": Family(TwoIndexParams, ("alpha", "beta", "lam"),
+                    lag=_twoindex_lag),
+    "tmbm": Family(TmbmParams, ("profile", "lam"),
+                   gram=lambda p, grid: tmbm.tmbm_gram(p.profile, p.lam,
+                                                       grid.times()),
+                   cov=lambda p, t, s: tmbm.tmbm_cov(p.profile, p.lam, t, s)),
+    "tfgn": Family(FracOUParams, ("alpha", "lam"), lag=_tfgn_lag),
+}
+
+
 def build_gram(process: ProcessDescriptor, grid: TimeGrid):
     """Dense covariance matrix of the family on the grid."""
     if process.params is None:
         raise DomainError("sampling needs parameter values, not just a "
                           "family tag")
-    p = process.params
-    if process.family == "fou":
-        return _stationary_gram(lambda lg: fou.fou_cov_values(p, lg), grid)
-    if process.family == "tfbm":
-        return _reduced_gram(p, grid)
-    if process.family == "mixed":
-        return sum(b * b * _reduced_gram(c, grid) for b, c in p.components)
-    if process.family == "tfbm2":
-        def row(lags):
-            return np.array([twoindex.twoindex_cov(p, lg).value
-                             for lg in lags])
-        return _stationary_gram(row, grid)
-    if process.family == "tmbm":
-        return tmbm.tmbm_gram(p.profile, p.lam, grid.times())
-    if process.family == "tfgn":
-        var = tfgn.tfgn_var(p.alpha, p.lam)
-
-        def row(lags):
-            out = np.empty(len(lags))
-            for i, lg in enumerate(lags):
-                out[i] = var if lg == 0.0 else tfgn.tfgn_cov(
-                    p.alpha, p.lam, lg)
-            return out
-        return _stationary_gram(row, grid)
-    raise DomainError("unsupported family %r" % (process.family,))
+    fam, p = FAMILIES[process.family], process.params
+    if fam.lag is None:
+        return fam.gram(p, grid)
+    return _stationary_gram(lambda lags: fam.lag(p, lags), grid)
 
 
 def _cholesky_with_jitter(gram):

@@ -454,19 +454,16 @@ def suite_mc(seed, n_paths):
     checks = []
     ramp = HurstProfile.saturating_ramp(0.8, 0.1)
     families = (
-        ("fou", sampler.ProcessDescriptor("fou", FracOUParams(0.75, 1.0)),
-         0.05),
-        ("tfbm", sampler.ProcessDescriptor("tfbm", FracOUParams(1.25, 0.5)),
-         0.05),
-        ("mixed", sampler.ProcessDescriptor("mixed", MixtureParams((
+        sampler.ProcessDescriptor("fou", FracOUParams(0.75, 1.0)),
+        sampler.ProcessDescriptor("tfbm", FracOUParams(1.25, 0.5)),
+        sampler.ProcessDescriptor("mixed", MixtureParams((
             (1.0, FracOUParams(0.7, 1.0)), (0.7, FracOUParams(1.3, 0.5))))),
-         0.05),
-        ("tmbm", sampler.ProcessDescriptor("tmbm", TmbmParams(ramp, 1.0)),
-         0.05),
+        sampler.ProcessDescriptor("tmbm", TmbmParams(ramp, 1.0)),
     )
+    grid = sampler.TimeGrid(0.0, 0.05, _MC_N)
     tfbm_paths = None
-    for k, (name, desc, dt) in enumerate(families):
-        grid = sampler.TimeGrid(0.0, dt, _MC_N)
+    for k, desc in enumerate(families):
+        name = desc.family
         paths = sampler.sample_exact(desc, grid, _family_seed(seed, k),
                                      n_paths)
         vals = _stack(paths)
@@ -479,10 +476,10 @@ def suite_mc(seed, n_paths):
             "mc/%s/mean-max-z" % name, 0.0, _max_mean_z(vals, gram), 4.0,
             _MC))
         if name == "tfbm":
-            tfbm_paths = (desc.params, grid, vals)
+            tfbm_paths = (desc.params, vals)
     # increment law of the reduced process is stationary: empirical
     # increment second moments must be Toeplitz within MC error
-    p, grid, vals = tfbm_paths
+    p, vals = tfbm_paths
     inc = np.diff(vals, axis=1)
     emp_inc = _emp_second_moment(inc)
     worst = 0.0

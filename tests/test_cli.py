@@ -5,6 +5,7 @@ Everything runs in-process through cli.main(argv) for speed; one test
 exercises the installed console script to cover packaging.
 """
 
+import argparse
 import csv
 import json
 import math
@@ -14,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from tplab import cli, kernels, validate
+from tplab import cli, kernels, sampler, validate
 from tplab.errors import NotPSD
 from tplab.kernels import FracOUParams
 
@@ -82,6 +83,38 @@ def test_cov_tfgn_without_pointwise_variance_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "pointwise variance only for alpha > 3/2" in err
     assert "tau != 0" not in err
+
+
+# one admissible point per family, as config-file text
+COV_CONFIG = {
+    "fou": "alpha=0.75\nlam=1.0\n",
+    "tfbm": "alpha=1.25\nlam=0.5\n",
+    "mixed": "components=1.0:0.7:1.0,0.7:1.3:0.5\n",
+    "tfbm2": "alpha=0.9\nbeta=0.8\nlam=1.0\n",
+    "tmbm": "profile=ramp:0.8,0.1\nlam=1.0\n",
+    "tfgn": "alpha=1.8\nlam=1.0\n",
+}
+
+
+@pytest.mark.parametrize("family", tuple(sampler.FAMILIES))
+def test_cov_runs_for_every_family(tmp_path, capsys, family):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(COV_CONFIG[family])
+    argv = ["cov", "--process", family, "--config", str(cfg), "--dt", "0.5",
+            "--n", "4", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    header, rows = _read_csv(capsys.readouterr().out.strip())
+    assert header == ["t", "value"] and len(rows) == 4
+    assert all(math.isfinite(float(r[1])) for r in rows)
+
+
+def test_process_choices_are_the_family_table():
+    subs = next(a for a in cli._parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    for sub in subs.choices.values():
+        flag = next(a for a in sub._actions
+                    if "--process" in a.option_strings)
+        assert tuple(flag.choices) == tuple(sampler.FAMILIES)
 
 
 # --- sample ------------------------------------------------------------------
@@ -345,6 +378,23 @@ def test_config_file_errors(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
     assert cli.main(["cov", "--config", str(tmp_path / "missing.cfg")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("config flags message".split(), (
+    ("alpha=abc\n", [], "alpha: cannot read 'abc' as float"),
+    ("n=1.5\n", [], "n: cannot read '1.5' as int"),
+    ("", ["--process", "tmbm", "--profile", "ramp:a,b", "--lambda", "1"],
+     "profile: cannot read 'a' as float"),
+    ("family=mixed\ncomponents=1.0:x:1\n", [],
+     "components: cannot read 'x' as float"),
+))
+def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, config,
+                                                 flags, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    argv = ["cov", "--config", str(cfg), "--out", str(tmp_path)] + flags
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():

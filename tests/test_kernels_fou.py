@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tplab import kernels as K
 from tplab import quad
+from tplab.kernels import fou
 from tplab.errors import DegenerateExpansion, DomainError
 from tplab.kernels.params import FracOUParams
 
@@ -122,6 +123,36 @@ def test_grid_evaluation_matches_scalar():
     got = K.fou_cov_values(p, taus)
     for tau, g in zip(taus, got):
         assert g == K.fou_cov(p, tau)
+
+
+def test_alpha_grids_call_gamma_once_per_distinct_index(monkeypatch):
+    # the averaged indices of a tmbm Gram: symmetric, so about half of
+    # the n x n cells repeat a value
+    times = np.linspace(0.0, 2.0, 12)
+    al = 0.8 + 0.1 * (1.0 - np.exp(-times))
+    a_plus = 0.5 * (al[:, None] + al[None, :])
+    tau = np.broadcast_to(times[:, None], a_plus.shape)
+    calls = []
+    real_gamma = math.gamma
+
+    def counting(v):
+        calls.append(v)
+        return real_gamma(v)
+
+    monkeypatch.setattr(math, "gamma", counting)
+    var = fou.var_alpha_grid(a_plus, 0.7)
+    distinct = len(np.unique(a_plus))
+    assert distinct < a_plus.size
+    assert len(calls) == 2 * distinct
+    cov = fou.cov_alpha_grid(a_plus, 0.7, tau)
+
+    def per_element(a):
+        flat = np.asarray(a, dtype=float).ravel()
+        return np.array([real_gamma(v) for v in flat]).reshape(np.shape(a))
+
+    monkeypatch.setattr(fou, "_gamma_arr", per_element)
+    assert np.array_equal(var, fou.var_alpha_grid(a_plus, 0.7))
+    assert np.array_equal(cov, fou.cov_alpha_grid(a_plus, 0.7, tau))
 
 
 @pytest.mark.parametrize("alpha lam".split(), (

@@ -155,6 +155,31 @@ def test_structural_gram_evaluates_each_argument_once(monkeypatch, t0,
     assert sum(sizes) == bessel_elements
 
 
+# one admissible parameter set per entry of the family table
+FAMILY_PARAMS = {
+    "fou": FracOUParams(0.75, 1.0),
+    "tfbm": FracOUParams(1.25, 0.5),
+    "mixed": MIX,
+    "tfbm2": TwoIndexParams(0.9, 0.8, 1.0),
+    "tmbm": TmbmParams(HurstProfile.saturating_ramp(0.8, 0.1), 1.0),
+    "tfgn": FracOUParams(1.7, 1.0),
+}
+
+
+@pytest.mark.parametrize("family", tuple(sampler.FAMILIES))
+def test_gram_agrees_with_the_family_covariance(family):
+    fam, p = sampler.FAMILIES[family], FAMILY_PARAMS[family]
+    grid = TimeGrid(0.0, 0.25, 6)
+    t = grid.times()
+    if fam.lag is not None:
+        ref = fam.lag(p, np.abs(t[:, None] - t[None, :]).ravel())
+        ref = ref.reshape(grid.n, grid.n)
+    else:
+        ref = np.array([[fam.cov(p, ti, tj) for tj in t] for ti in t])
+    got = sampler.build_gram(ProcessDescriptor(family, p), grid)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 # --- jitter ladder -----------------------------------------------------------
 
 def test_jitter_zero_for_well_conditioned_gram():
