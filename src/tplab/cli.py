@@ -131,6 +131,10 @@ def _parse_profile(spec):
         raise DomainError("cannot read profile file: %s" % exc)
     if rows and not _is_number(rows[0][0]):
         rows = rows[1:]
+    for r in rows:
+        if len(r) < 2:
+            raise DomainError("profile: row %r of %s needs t,alpha"
+                              % (",".join(r), spec))
     ts = [_read("profile", float, r[0]) for r in rows]
     alphas = [_read("profile", float, r[1]) for r in rows]
     return HurstProfile.tabulated(ts, alphas)

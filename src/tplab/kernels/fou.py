@@ -25,10 +25,14 @@ _X_UNDERFLOW = 700.0
 
 
 def _gamma_arr(a):
-    """math.gamma elementwise, called once per distinct value."""
-    vals, inv = np.unique(np.asarray(a, dtype=float), return_inverse=True)
+    """math.gamma elementwise, called once per distinct value (a single
+    value skips the sort)."""
+    a = np.asarray(a, dtype=float)
+    if a.size == 1:
+        return np.full(a.shape, math.gamma(a.item()))
+    vals, inv = np.unique(a, return_inverse=True)
     out = np.array([math.gamma(v) for v in vals])
-    return out[inv].reshape(np.shape(a))
+    return out[inv].reshape(a.shape)
 
 
 def var_alpha_grid(alpha, lam):

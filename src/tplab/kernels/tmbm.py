@@ -76,7 +76,9 @@ def tmbm_gram(h: HurstProfile, lam, times):
     the averaged index, which is exactly symmetric, as is |t_i - t_j|:
     the lag term is evaluated on the upper triangle and mirrored, the
     C(t_j) term is the transpose of the C(t_i) term, and the matrix is
-    bitwise symmetric."""
+    bitwise symmetric.  Each sum pairs equal operands at t_i = 0 (the
+    lag term with C(t_j), the variance with C(0)), so a row and column
+    at the origin are exactly 0."""
     times = np.asarray(times, dtype=float)
     h.spot_check(times)
     al = np.array([h.alpha(t) for t in times])
@@ -89,4 +91,4 @@ def tmbm_gram(h: HurstProfile, lam, times):
     c_ti = fou.cov_alpha_grid(a_plus, lam, np.broadcast_to(
         times[:, None], a_plus.shape))
     v = fou.var_alpha_grid(a_plus, lam)
-    return c_lag - (c_ti + c_ti.T) + v
+    return (c_lag + v) - (c_ti + c_ti.T)

@@ -158,10 +158,12 @@ def _stationary_gram(cov_of_lag, grid):
 def _reduced_gram(p: FracOUParams, grid):
     """tfbm Gram C_fou(t_i - t_j) - C_fou(t_i) - C_fou(t_j) + sigma^2
     from the kernel at the n grid lags and the n grid times (row 0 of the
-    lag Gram when t0 = 0); bitwise symmetric."""
+    lag Gram when t0 = 0); bitwise symmetric.  sigma^2 is the lag Gram's
+    own C_fou(0), so at t0 = 0 both sums in row and column 0 hold the
+    same two operands and cancel exactly."""
     lag = _stationary_gram(lambda lg: fou.fou_cov_values(p, lg), grid)
     c_t = lag[0] if grid.t0 == 0.0 else fou.fou_cov_values(p, grid.times())
-    return lag - (c_t[:, None] + c_t[None, :]) + fou.fou_var(p)
+    return (lag + lag[0, 0]) - (c_t[:, None] + c_t[None, :])
 
 
 def _mixed_gram(m: MixtureParams, grid):

@@ -2,18 +2,22 @@
 order, Kummer U, Whittaker W.
 
 Everything a tempered-kernel evaluation needs, on an explicitly declared
-parameter box, with per-call error estimates derived from quadrature
-refinement deltas.  No complex arguments, no arbitrary precision.
+parameter box, with per-call error estimates: rounding charged on the
+summed term magnitudes plus the last term for the remainder (Bessel K),
+quadrature refinement deltas (Kummer U).  No complex arguments, no
+arbitrary precision.
 
 Algorithms
-    bessel_k     step-halving trapezoid on K_nu(x) = int_0^inf
-                 exp(-x cosh t) cosh(nu t) dt for x >= 0.1 (the even,
-                 analytic, decaying integrand makes the trapezoid rule
-                 geometrically convergent); ascending series with the
-                 reflection pair K_nu = pi/2 (I_-nu - I_nu)/sin(nu pi)
-                 for x < 0.1, except within 0.01 of integer nu where the
-                 reflection cancels digits and the trapezoid (with a
-                 longer truncation) is used instead.
+    bessel_k     Temme's method (J. Comput. Phys. 19, 1975) for nu =
+                 n + mu, n = round(|nu|), |mu| <= 1/2: K_mu and K_(mu+1)
+                 from his series for x <= 2, whose Gamma_1 and Gamma_2
+                 are polynomials in mu (the 1/Gamma(1+mu) series, A&S
+                 6.1.34), or from Steed's algorithm on his continued
+                 fraction CF2 for x > 2; then the forward recurrence
+                 K_(mu+k+1) = K_(mu+k-1) + 2 (mu+k)/x K_(mu+k), stable
+                 for K.  One route covers the whole box, integer and
+                 half-integer orders included; each element stops on its
+                 own terms, so its value depends on (nu, x) alone.
     kummer_u     U(a,b,z) = (1/Gamma(a)) int_0^inf e^(-zt) t^(a-1)
                  (1+t)^(b-a-1) dt, mapped to [0,1) by t = u/(1-u); for
                  a < 1 the additional u = v^(1/a) substitution absorbs
@@ -69,111 +73,245 @@ def log_gamma(x):
 
 # --- modified Bessel K --------------------------------------------------
 
+# Taylor coefficients of 1/Gamma(1+mu) about mu = 0 (A&S 6.1.34 shifted by
+# one order, 1/Gamma(1+z) = sum_j c_(j+1) z^j), pinned offline at 30
+# digits with mpmath; the first omitted term is below 1e-20 for |mu| <= 1/2
+_RGAMMA1P = (
+    1.0, 5.77215664901532860606512090082e-1,
+    -6.55878071520253881077019515145e-1, -4.20026350340952355290039348754e-2,
+    1.66538611382291489501700795102e-1, -4.21977345555443367482083012892e-2,
+    -9.62197152787697356211492167235e-3, 7.21894324666309954239501034045e-3,
+    -1.16516759185906511211397108402e-3, -2.15241674114950972815729963054e-4,
+    1.28050282388116186153198626328e-4, -2.0134854780788238655689391421e-5,
+    -1.25049348214267065734535947383e-6, 1.13302723198169588237412962033e-6,
+    -2.05633841697760710345015413002e-7, 6.11609510448141581786249868286e-9,
+    5.00200764446922293005566504806e-9, -1.18127457048702014458812656544e-9,
+    1.04342671169110051049154033231e-10, 7.78226343990507125404993731136e-12,
+    -3.69680561864220570818781587809e-12, 5.10037028745447597901548132286e-13,
+)
 
-def _trunc_length(nu, x, decades):
-    """t_max with exp(-x(cosh t - 1)) cosh(nu t) below 10^(-decades),
-    elementwise over arrays of orders nu >= 0 and arguments x > 0."""
-    target = decades * math.log(10.0)
-    t = np.arccosh(1.0 + target / x)
-    for _ in range(3):
-        t = np.arccosh(1.0 + (target + nu * t) / x)
-    return 1.05 * t
+_EPS = 2.0 ** -52
+# a term below this fraction of its running sum ends a series or fraction
+_STOP = 2.0 ** -53
+# rounding charged per unit of summed term magnitude: several ulps of
+# setup and recurrence error ride on each term
+_ROUND = 16.0 * _EPS
+_MAX_STEPS = 200
+_BLOCK = 8192
 
 
-def _besselk_trapezoid(nu, x):
-    """Vectorized trapezoid on the cosh integral, scaled by e^x.
+def _iterate(step, done, state, slots):
+    """Apply state = step(i, *state) for i = 1, 2, ... to each element
+    until done(i, *state) holds for it (or i reaches _MAX_STEPS), and
+    return the final state entries listed in slots.
 
-    nu, x are equal-length 1d arrays.  Returns (value, err) arrays where
-    value = K_nu(x) and err is the last refinement delta plus rounding.
+    state is a tuple of floats, or of 1d arrays and scalars that
+    broadcast to one length.  An element stops updating as soon as it
+    is done, so its result depends on its own inputs only, never on the
+    rest of the batch.  A state of floats is iterated on Python floats:
+    the same step and the same IEEE arithmetic, without numpy's per-call
+    overhead.
     """
-    nu = np.abs(np.asarray(nu, dtype=float))
-    x = np.asarray(x, dtype=float)
-    tmax = _trunc_length(nu, x, 18.0)
-
-    def scaled_integral(n_points):
-        # composite trapezoid with n_points panels on [0, tmax]
-        s = np.linspace(0.0, 1.0, n_points + 1)
-        t = tmax[:, None] * s[None, :]
-        with np.errstate(over="ignore"):
-            g = np.exp(-x[:, None] * (np.cosh(t) - 1.0)) * np.cosh(
-                nu[:, None] * t)
-        g[:, 0] *= 0.5
-        g[:, -1] *= 0.5
-        return (tmax / n_points) * g.sum(axis=1)
-
-    n = 64
-    prev = scaled_integral(n)
-    err = np.full_like(prev, np.inf)
-    cur = prev
-    while n < 8192:
-        n *= 2
-        cur = scaled_integral(n)
-        err = np.abs(cur - prev)
-        if np.all(err <= 3e-13 * np.abs(cur) + 1e-300):
-            break
-        prev = cur
-    scale = np.exp(-x)
-    value = scale * cur
-    return value, scale * err + np.abs(value) * 5e-16
+    if isinstance(state[0], float):
+        state = tuple(float(v) for v in state)
+        i = 0
+        while i < _MAX_STEPS and not done(i, *state):
+            i += 1
+            state = step(i, *state)
+        return tuple(state[k] for k in slots)
+    state = list(np.broadcast_arrays(*state))
+    out = tuple(np.array(state[k]) for k in slots)
+    live = np.arange(out[0].size)
+    i = 0
+    while True:
+        fin = done(i, *state) | (i >= _MAX_STEPS)
+        if fin.any():
+            gone, keep = np.flatnonzero(fin), np.flatnonzero(~fin)
+            if i:                       # out already holds step 0
+                for o, k in zip(out, slots):
+                    o[live.take(gone)] = state[k].take(gone)
+            live = live.take(keep)
+            for k, v in enumerate(state):   # one spare array at a time
+                state[k] = v.take(keep)
+        if live.size == 0:
+            return out
+        i += 1
+        state = list(step(i, *state))
 
 
-def _besselk_series(nu, x):
-    """Ascending-series K via the reflection pair, x < 0.1, nu away from
-    integers.  Vectorized; returns (value, err)."""
-    nu = np.abs(np.asarray(nu, dtype=float))
-    x = np.asarray(x, dtype=float)
+def _temme_gammas(mu):
+    """Temme's Gamma_1 = (1/Gamma(1-mu) - 1/Gamma(1+mu)) / (2 mu) and
+    Gamma_2 = (1/Gamma(1-mu) + 1/Gamma(1+mu)) / 2 for |mu| <= 1/2: the
+    odd part of the 1/Gamma(1+mu) series over -mu, and its even part, so
+    nothing cancels as mu -> 0."""
+    m2 = mu * mu
+    g1 = g2 = 0.0
+    for k in range(len(_RGAMMA1P) - 2, -1, -2):
+        g2 = g2 * m2 + _RGAMMA1P[k]
+        g1 = g1 * m2 - _RGAMMA1P[k + 1]
+    return g1, g2
+
+
+def _series_step(i, mu, dd, f, p, q, c, s0, s1, a0, a1, t0, t1):
+    # t0, t1 carry the magnitudes of the last terms
+    f = (i * f + p + q) / (i * i - mu * mu)
+    c = c * dd / i
+    p = p / (i - mu)
+    q = q / (i + mu)
+    u0 = c * f
+    u1 = c * (p - i * f)
+    t0, t1 = abs(u0), abs(u1)
+    return mu, dd, f, p, q, c, s0 + u0, s1 + u1, a0 + t0, a1 + t1, t0, t1
+
+
+def _series_done(i, mu, dd, f, p, q, c, s0, s1, a0, a1, t0, t1):
+    return (t0 <= _STOP * abs(s0)) & (t1 <= _STOP * abs(s1))
+
+
+def _series_start(mu, x):
+    """The k = 0 state of Temme's series, and e = mu ln(2/x)."""
     half = 0.5 * x
-
-    def bessel_i(order):
-        # I_order(x) = sum (x/2)^(order+2m) / (m! Gamma(order+m+1))
-        total = np.zeros_like(x)
-        size = np.zeros_like(x)
-        lead = half ** order
-        term = lead / np.array(
-            [math.gamma(o + 1.0) for o in order])
-        for m in range(40):
-            total = total + term
-            size = np.maximum(size, np.abs(term))
-            if np.all(np.abs(term) <= 1e-18 * np.abs(total)):
-                break
-            term = term * half * half / ((m + 1.0) * (order + m + 1.0))
-        return total, size
-
-    ip, sp = bessel_i(-nu)
-    im, sm = bessel_i(nu)
-    s = np.sin(nu * np.pi)
-    value = 0.5 * np.pi * (ip - im) / s
-    err = 0.5 * np.pi * (sp + sm) / np.abs(s) * 1e-15 + np.abs(value) * 1e-15
-    return value, err
+    d = -np.log(half)
+    e = mu * d
+    g1, g2 = _temme_gammas(mu)
+    # pi mu / sin(pi mu) and sinh(e) / e, each 1 at 0
+    pm = np.pi * mu + 1e-20 * (mu == 0.0)
+    se = e + 1e-20 * (e == 0.0)
+    fact = pm / np.sin(pm)
+    lead = fact * g1 * np.cosh(e)
+    tail = fact * g2 * (np.sinh(se) / se) * d
+    ee = np.exp(e)
+    p = 0.5 * ee / (g2 - mu * g1)        # (x/2)^-mu Gamma(1+mu) / 2
+    q = 0.5 / (ee * (g2 + mu * g1))      # (x/2)^mu Gamma(1-mu) / 2
+    f = lead + tail
+    return (mu, half * half, f, p, q, 1.0, f, p, abs(lead) + abs(tail), p,
+            np.inf, np.inf), e
 
 
-def _besselk_array(nu, x):
-    """K_nu(x) over matching 1d arrays; routes each element by regime.
+def _temme_series(mu, x):
+    """K_mu(x) and K_(mu+1)(x) for |mu| <= 1/2 and 0 < x <= 2 by Temme's
+    series K_mu = sum_k (x^2/4)^k / k! f_k (J. Comput. Phys. 19, 1975),
+    with their absolute error estimates.
 
-    The trapezoid route is chunked: its refinement grids are dense in
-    the point axis, so large Gram-style batches are processed a few
-    thousand elements at a time.
+    The terms alternate in sign near x = 2, where their magnitudes sum
+    to about e^(2x) |K|; the estimate charges rounding on that sum, plus
+    the last term for the remainder (the term ratio is below 1/2 by
+    then).
     """
-    nu = np.asarray(nu, dtype=float).ravel()
-    x = np.asarray(x, dtype=float).ravel()
-    if np.any(x <= 0.0):
+    start, e = _series_start(mu, x)
+    s0, s1, a0, a1, t0, t1 = _iterate(_series_step, _series_done, start,
+                                      range(6, 12))
+    # the exponentials of e inherit its rounding, amplified by |e|
+    rnd = _ROUND + 2.0 * _EPS * abs(e)
+    scale = 2.0 / x
+    return s0, scale * s1, rnd * a0 + t0, scale * (rnd * a1 + t1)
+
+
+def _cf2_step(i, a, b, c, d, h, dh, q, q1, q2, s, ds):
+    a = a - 2.0 * i
+    c = -a * c / (i + 1)
+    qn = (q1 - b * q2) / a
+    q = q + c * qn
+    b = b + 2.0
+    d = 1.0 / (b + a * d)
+    dh = (b * d - 1.0) * dh
+    ds = q * dh                           # positive, as is dh
+    return a, b, c, d, h + dh, dh, q, q2, qn, s + ds, ds
+
+
+def _cf2_done(i, a, b, c, d, h, dh, q, q1, q2, s, ds):
+    return (ds <= _STOP * s) & (dh <= _STOP * h)
+
+
+def _steed_cf2(mu, x):
+    """K_mu(x) and K_(mu+1)(x) for |mu| <= 1/2 and x > 2 by Steed's
+    algorithm on Temme's continued fraction CF2 for h and his normalising
+    sum s, K_mu = sqrt(pi / 2x) e^(-x) / s, with their absolute error
+    estimates.
+
+    Both sums have positive increments and s lies in [1, 1.1].  The
+    forward q recurrence inside s loses up to about an ulp per step, so
+    the estimate charges an ulp per step plus rounding on the result,
+    and the last increment for the remainder.
+    """
+    a1 = 0.25 - mu * mu
+    b = 2.0 * (1.0 + x)
+    d = 1.0 / b
+    b_end, h, dh, s, ds = _iterate(_cf2_step, _cf2_done, (
+        -a1, b, a1, d, d, d, a1, 0.0, 1.0, 1.0 + a1 * d, np.inf),
+        (1, 4, 5, 9, 10))
+    steps = 0.5 * (b_end - b)             # b grows by 2 a step
+    k0 = np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) / s
+    k1 = k0 * (mu + x + 0.5 - a1 * h) / x
+    rel0 = _ROUND + steps * _EPS + ds / s
+    e1 = k1 * (rel0 + _ROUND) + k0 * a1 * (_ROUND * h + dh) / x
+    return k0, k1, k0 * rel0, e1
+
+
+def _recur_step(i, n, mu, x, lo, hi, elo, ehi):
+    # K_(mu+i+1) = K_(mu+i-1) + 2 (mu+i)/x K_(mu+i): all terms positive
+    g = 2.0 * (mu + i) / x
+    new = lo + g * hi
+    return n, mu, x, hi, new, ehi, elo + g * ehi + 4.0 * _EPS * new
+
+
+def _recur_done(i, n, mu, x, lo, hi, elo, ehi):
+    return n <= i
+
+
+def _check_box(nonpositive, inside):
+    # inside is false for a NaN, so no NaN value or estimate escapes
+    if nonpositive:
         raise DomainError("bessel_k requires x > 0")
-    if np.any(np.abs(nu) > BESSEL_NU_MAX) or np.any(
-            x < BESSEL_X_MIN) or np.any(x > BESSEL_X_MAX):
+    if not inside:
         raise DomainError(
             "bessel_k supported box is |nu| <= %g, %g <= x <= %g"
             % (BESSEL_NU_MAX, BESSEL_X_MIN, BESSEL_X_MAX))
-    near_int = np.abs(nu - np.round(nu)) < 0.01
-    use_series = (x < 0.1) & ~near_int
-    value = np.empty_like(x)
-    err = np.empty_like(x)
-    idx = np.flatnonzero(~use_series)
-    for lo in range(0, len(idx), 4096):
-        sel = idx[lo:lo + 4096]
-        value[sel], err[sel] = _besselk_trapezoid(nu[sel], x[sel])
-    if use_series.any():
-        value[use_series], err[use_series] = _besselk_series(
-            nu[use_series], x[use_series])
+
+
+def _besselk_block(nu, x):
+    """K_nu(x) and its absolute error estimate for nu >= 0 and x both
+    floats or both 1d arrays.
+
+    With n = round(nu) and mu = nu - n, |mu| <= 1/2: K_mu and K_(mu+1)
+    by Temme's series (x <= 2) or Steed's CF2 (x > 2), then n - 1 steps
+    of the forward recurrence, which is stable for K.
+    """
+    if isinstance(x, float):
+        n = float(round(nu))
+        pair = (_temme_series if x <= 2.0 else _steed_cf2)(nu - n, x)
+    else:
+        n = np.round(nu)
+        pair = np.empty((4, x.size))
+        series = x <= 2.0
+        for sel, route in ((series, _temme_series), (~series, _steed_cf2)):
+            if sel.any():
+                pair[:, sel] = route(nu[sel] - n[sel], x[sel])
+    return _iterate(_recur_step, _recur_done, (n, nu - n, x, *pair), (3, 5))
+
+
+def _besselk_array(nu, x):
+    """K_nu(x) and its absolute error estimate over matching 1d arrays.
+
+    A single element runs on Python floats, its transcendentals through
+    the same numpy functions, so it matches its value in any batch.
+    Larger inputs go in blocks of _BLOCK elements, which bounds the
+    working set; an element's value does not depend on its block.
+    """
+    nu = np.abs(np.asarray(nu, dtype=float).ravel())
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size == 1:
+        nu, x = float(nu[0]), float(x[0])
+        _check_box(x <= 0.0, nu <= BESSEL_NU_MAX
+                   and BESSEL_X_MIN <= x <= BESSEL_X_MAX)
+        value, err = _besselk_block(nu, x)
+        return np.array([value]), np.array([err])
+    inside = (nu <= BESSEL_NU_MAX) & (x >= BESSEL_X_MIN) & (x <= BESSEL_X_MAX)
+    _check_box((x <= 0.0).any(), inside.all())
+    value, err = np.empty_like(x), np.empty_like(x)
+    for lo in range(0, x.size, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        value[blk], err[blk] = _besselk_block(nu[blk], x[blk])
     return value, err
 
 
@@ -181,9 +319,9 @@ def besselk_grid(nu, x):
     """Vectorized K_nu(x) for kernel Gram assembly; values only.
 
     nu and x broadcast to a common shape.  Raises AccuracyError if any
-    element misses the box-wide accuracy contract.  The trapezoid
-    refines a chunk until every element in it converges, so an
-    element's last bits (about 1e-13 relative) depend on its chunk.
+    element misses the box-wide accuracy contract.  Each element's value
+    depends on its own (nu, x) only: it is bitwise the same in any
+    batch, in any order, and from bessel_k.
     """
     nu_b, x_b = np.broadcast_arrays(np.asarray(nu, float),
                                     np.asarray(x, float))
@@ -201,8 +339,8 @@ def besselk_grid(nu, x):
 def bessel_k(nu, x):
     """Modified Bessel function of the second kind, real order.
 
-    Supported box: |nu| <= 5, 1e-6 <= x <= 700.  Symmetric in nu by the
-    evenness of cosh(nu t).  Returns SpecFunResult.
+    Supported box: |nu| <= 5, 1e-6 <= x <= 700.  Even in nu, so only
+    |nu| is used.  Returns SpecFunResult.
     """
     value, err = _besselk_array([nu], [x])
     v, e = float(value[0]), float(err[0])

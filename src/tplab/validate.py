@@ -195,11 +195,12 @@ def _fou_cov_by_quadrature(p, tau, tol):
 
     a positive, exponentially decaying integrand: nothing cancels, so
     float64 adaptive quadrature meets tol with no extended precision.
-    The route shares nothing with specfun._besselk_trapezoid, which sums
-    the analytic e^(-x cosh t) cosh(nu t) on a truncated uniform grid: here
-    the integrand is algebraic with an endpoint singularity v^(1-alpha),
-    the rule is adaptive 15/7-point Gauss-Legendre, and the half-line
-    is covered by geometric panels with tail extrapolation, not cut.
+    The route shares nothing with specfun.bessel_k, which sums Temme's
+    series or Steed's continued fraction for K at the reduced order and
+    recurs upward in the order: here no series, fraction or recurrence
+    is summed; the integrand is algebraic with an endpoint singularity
+    v^(1-alpha), the rule is adaptive 15/7-point Gauss-Legendre, and the
+    half-line is covered by geometric panels with tail extrapolation.
     Returns a QuadResult for C; NonConvergence propagates.
     """
     s = 1.0 - p.alpha

@@ -206,6 +206,16 @@ def test_sample_tabulated_profile_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_profile_row_without_alpha_exits_2_naming_the_row(tmp_path, capsys):
+    prof = tmp_path / "short.csv"
+    prof.write_text("t,alpha\n0.0,0.8\n1.0\n")
+    argv = ["cov", "--process", "tmbm", "--profile", str(prof), "--lambda",
+            "1", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "profile: row '1.0'" in err and "Traceback" not in err
+
+
 def test_sample_missing_parameter_exits_2(tmp_path, capsys):
     argv = _sample_args(tmp_path)
     del argv[argv.index("--lambda"):argv.index("--lambda") + 2]

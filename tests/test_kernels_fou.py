@@ -155,6 +155,20 @@ def test_alpha_grids_call_gamma_once_per_distinct_index(monkeypatch):
     assert np.array_equal(cov, fou.cov_alpha_grid(a_plus, 0.7, tau))
 
 
+def test_gamma_arr_of_one_value_skips_the_sort(monkeypatch):
+    values = [np.array(a) for a in (1.3, [0.7], [[2.5]])]
+    before = [fou._gamma_arr(a) for a in values]
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.unique called for a single value")
+
+    monkeypatch.setattr(fou.np, "unique", no_sort)
+    for a, ref in zip(values, before):
+        got = fou._gamma_arr(a)
+        assert got.shape == a.shape and np.array_equal(got, ref)
+        assert got.item() == math.gamma(a.item())
+
+
 @pytest.mark.parametrize("alpha lam".split(), (
     (0.5, 1.0), (0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -0.5),
 ))

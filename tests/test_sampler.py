@@ -155,6 +155,21 @@ def test_structural_gram_evaluates_each_argument_once(monkeypatch, t0,
     assert sum(sizes) == bessel_elements
 
 
+@pytest.mark.parametrize("family params dt n".split(), (
+    ("tfbm", FracOUParams(0.75, 0.05), 0.01, 512),
+    ("tmbm", TmbmParams(HurstProfile.saturating_ramp(0.8, 0.1), 1.0),
+     0.005, 256),
+))
+def test_reduced_gram_origin_row_and_column_are_exactly_zero(family, params,
+                                                             dt, n):
+    # the sizes the benchmark samples at; each sum in the assembly pairs
+    # the same two operands at t = 0, so nothing is left to rounding luck
+    gram = sampler.build_gram(ProcessDescriptor(family, params),
+                              TimeGrid(0.0, dt, n))
+    assert not gram[0].any() and not gram[:, 0].any()
+    assert np.array_equal(gram, gram.T)
+
+
 # one admissible parameter set per entry of the family table
 FAMILY_PARAMS = {
     "fou": FracOUParams(0.75, 1.0),

@@ -100,6 +100,8 @@ def test_besselk_recurrence(nu, x):
     (0.5, 701.0),
     (0.5, 0.0),
     (0.5, -1.0),
+    (0.5, math.nan),
+    (math.nan, 1.0),
 ))
 def test_besselk_box(nu, x):
     with pytest.raises(DomainError):
@@ -115,18 +117,108 @@ def test_besselk_grid_matches_scalar():
             assert grid[i, j] == specfun.bessel_k(nu, x).value
 
 
-def test_besselk_truncation_drops_integrand_below_1e_18():
-    # the trapezoid's scaled integrand e^(-x (cosh t - 1)) cosh(nu t),
-    # taken in logs at t_max, over a grid spanning the supported box
+def _box_grid():
+    # 41 x 121 (nu, x) grid spanning the supported box
     nu, x = np.meshgrid(np.linspace(0.0, specfun.BESSEL_NU_MAX, 41),
                         np.geomspace(specfun.BESSEL_X_MIN,
                                      specfun.BESSEL_X_MAX, 121))
-    nu, x = nu.ravel(), x.ravel()
-    t = specfun._trunc_length(nu, x, 18.0)
-    log_g = (-x * (np.cosh(t) - 1.0) + np.logaddexp(nu * t, -nu * t)
-             - math.log(2.0))
-    assert np.all(np.isfinite(t)) and np.all(t > 0.0)
-    assert np.max(log_g) < math.log(1e-18)
+    return nu.ravel(), x.ravel()
+
+
+def test_besselk_stopping_rule_leaves_a_remainder_below_the_estimate(
+        monkeypatch):
+    # the remainder a series or fraction leaves when it stops, measured
+    # against the same route run on to a 2^11 times tighter stop
+    nu, x = _box_grid()
+    steps = []
+    for name in ("_series_step", "_cf2_step"):
+        def counting(i, *state, _step=getattr(specfun, name)):
+            steps.append(i)
+            return _step(i, *state)
+        monkeypatch.setattr(specfun, name, counting)
+    value, err = specfun._besselk_array(nu, x)
+    assert np.all(err <= specfun.TOL_BOX * np.maximum(1.0, value))
+    taken = len(steps)
+    monkeypatch.setattr(specfun, "_STOP", specfun._STOP / 2048.0)
+    longer, _ = specfun._besselk_array(nu, x)
+    assert len(steps) > 2 * taken
+    assert np.all(np.abs(longer - value) <= err)
+
+
+# orders near an integer (mu ~ 0), near a half-integer (mu ~ +-1/2) and
+# at the box edges; arguments at the box edges and either side of x = 2,
+# where the series switches to the continued fraction
+ESTIMATE_NUS = (0.0, 1e-12, -3e-9, 0.37, 0.5, 0.5 - 1e-9, 0.5 + 1e-9,
+                -1.5 + 1e-12, 1.4999999, 2.0 + 1e-7, 2.5, 3.7, -4.2, 5.0,
+                -5.0)
+ESTIMATE_XS = (1e-6, 3e-4, 0.05, 0.7, 1.5, 1.9999999, 2.0,
+               float(np.nextafter(2.0, 3.0)), 2.0000001, 2.5, 9.0, 60.0,
+               300.0, 700.0)
+
+
+def _estimate_grid():
+    return (a.ravel() for a in np.meshgrid(ESTIMATE_NUS, ESTIMATE_XS))
+
+
+def test_besselk_error_estimate_covers_mpmath_across_the_box():
+    mpmath = pytest.importorskip("mpmath")
+    nu, x = _estimate_grid()
+    value, err = specfun._besselk_array(nu, x)
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.besselk(a, b))
+                        for a, b in zip(nu, x)])
+    assert np.all(np.abs(value - ref) <= err)
+    assert np.all(err <= specfun.TOL_BOX * np.maximum(1.0, ref))
+    # the series' terms cancel near x = 2, and the estimate says so
+    near_two = (x > 1.9) & (x <= 2.0)
+    assert np.min(err[near_two] / ref[near_two]) > 50 * np.finfo(float).eps
+    r = specfun.bessel_k(nu[-1], x[-1])
+    assert (r.value, r.abs_error_estimate) == (value[-1], err[-1])
+
+
+def test_besselk_grid_is_bitwise_invariant_under_permuting_and_splitting(
+        monkeypatch):
+    rng = np.random.default_rng(5)
+    grid_nu, grid_x = _estimate_grid()
+    nu = np.concatenate([rng.uniform(-5.0, 5.0, 300), grid_nu])
+    x = np.concatenate([np.exp(rng.uniform(math.log(1e-6), math.log(700.0),
+                                           300)), grid_x])
+    whole = specfun.besselk_grid(nu, x)
+    perm = rng.permutation(nu.size)
+    assert np.array_equal(specfun.besselk_grid(nu[perm], x[perm]),
+                          whole[perm])
+    for size in (1, 2, 7, 64):
+        parts = [specfun.besselk_grid(nu[k:k + size], x[k:k + size])
+                 for k in range(0, nu.size, size)]
+        assert np.array_equal(np.concatenate(parts), whole)
+    monkeypatch.setattr(specfun, "_BLOCK", 5)
+    assert np.array_equal(specfun.besselk_grid(nu, x), whole)
+
+
+def test_reciprocal_gamma_coefficients_match_mpmath():
+    # 1/Gamma(1+mu) = sum_j c_j mu^j, the series Temme's Gamma_1 and
+    # Gamma_2 are built from.  By log Gamma(1+z) = -gamma z +
+    # sum_k>=2 (-1)^k zeta(k) z^k / k, its coefficients obey
+    # j c_j = sum_k=1..j (-1)^(k+1) zeta(k) c_(j-k), zeta(1) -> gamma
+    mpmath = pytest.importorskip("mpmath")
+    pinned = specfun._RGAMMA1P
+    with mpmath.workdps(40):
+        z = [mpmath.euler] + [mpmath.zeta(k) for k in range(2, 24)]
+        coeffs = [mpmath.mpf(1)]
+        for j in range(1, len(pinned) + 1):
+            coeffs.append(sum((-1) ** (k + 1) * z[k - 1] * coeffs[j - k]
+                              for k in range(1, j + 1)) / j)
+        assert abs(coeffs[4] - mpmath.taylor(
+            lambda t: mpmath.rgamma(1 + t), 0, 4)[4]) < 1e-30
+    assert [float(c) for c in coeffs[:-1]] == list(pinned)
+    # the first omitted term is negligible at |mu| = 1/2
+    assert abs(float(coeffs[-1])) * 0.5 ** len(pinned) < 1e-20
+    eps = np.finfo(float).eps
+    for mu in (-0.5, -0.1, 0.0, 1e-9, 0.3, 0.5):
+        g1, g2 = specfun._temme_gammas(mu)
+        for got, ref in ((g2 - mu * g1, mpmath.rgamma(1 + mu)),
+                         (g2 + mu * g1, mpmath.rgamma(1 - mu))):
+            assert abs(got - float(ref)) <= 4 * eps * abs(got)
 
 
 @given(st.floats(min_value=-4.9, max_value=4.9),
