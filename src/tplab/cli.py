@@ -6,8 +6,10 @@ and the validation harness.
     tplab estimate PATHS.jsonl --estimator NAME              -> CSV table
     tplab validate --suite NAME [--seed S]                   -> JSON report
 
-Every command is deterministic given its configuration; the worker
-count (TPLAB_THREADS) never changes results.  Options may come from a
+Every command is deterministic given its configuration, and each
+sampled path is a pure function of (seed, path index).  TPLAB_THREADS
+is not read; the last bits of exact paths may differ between BLAS
+thread counts.  Options may come from a
 `key=value` config file (`--config`), with command-line flags taking
 precedence over file entries.
 
@@ -344,18 +346,16 @@ def cmd_estimate(rc):
         header = ("tau", "correlation", "se")
         rows = _plateau_rows(rc, paths)
     elif name in ("hurst", "dimension", "all"):
+        # all rows come from one variogram fit: fractal_dimension is
+        # 2 - H_hat, and the slope is 2 H_hat (exact, as H_hat = slope/2)
         header = ("estimator", "estimate", "se")
+        h, se = estimators.hurst_local(paths, lam=rc.lam)
         if name in ("hurst", "all"):
-            h, se = estimators.hurst_local(paths, lam=rc.lam)
-            rows.append(("hurst", float(h), float(se)))
+            rows.append(("hurst", h, se))
         if name in ("dimension", "all"):
-            d, se = estimators.fractal_dimension(paths, lam=rc.lam)
-            rows.append(("dimension", float(d), float(se)))
+            rows.append(("dimension", 2.0 - h, se))
         if name == "all":
-            lags = grid.dt * np.arange(1, 9)
-            est = estimators.variogram(paths, lags)
-            rows.append(("variogram_slope", float(est.slope),
-                         float(est.slope_stderr)))
+            rows.append(("variogram_slope", 2.0 * h, 2.0 * se))
     else:
         raise DomainError("unknown estimator %r; choose from %s"
                           % (name, ", ".join(_ESTIMATORS)))

@@ -9,18 +9,18 @@ instead be synthesized by circulant embedding of the increment
 covariance, computed once per batch, and cumulative summation.
 
 Every path is driven by its own counter-based RNG stream keyed by a
-substream seed derived from (master seed, path index), so generation is
-embarrassingly parallel and the results are independent of execution
-order and worker count.
+substream seed derived from (master seed, path index), so each path is
+a pure function of (seed, index), whatever the number of paths drawn.
+Exact draws are stacked into fixed-width blocks with one BLAS product
+per block; TPLAB_THREADS is not read, and the last bits of a path may
+differ between BLAS thread counts.
 
 FAMILIES is the one table of process families, read by the Gram
 assembly and the CLI: a family is added there and nowhere else.
 """
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -33,6 +33,11 @@ from .kernels.params import (FracOUParams, MixtureParams, TmbmParams,
 
 RNG_NAME = "philox4x64"
 MAX_EXACT_N = 4096
+
+# paths per factor @ Z product; the last block is zero-padded to full
+# width, so a path's column position and the GEMM shape depend only on
+# its index and its bits do not depend on the batch size
+_BLOCK = 64
 
 _MASK64 = (1 << 64) - 1
 
@@ -47,6 +52,10 @@ class TimeGrid:
         object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "n", int(self.n))
+        for name in ("t0", "dt"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError("%s must be finite, got %g"
+                                  % (name, getattr(self, name)))
         if not self.dt > 0.0:
             raise DomainError("dt must be positive, got %g" % self.dt)
         if self.n < 1:
@@ -118,30 +127,6 @@ def derive_substream_seed(master, path_index):
 
 def _rng_for(seed):
     return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
-
-
-def _worker_count():
-    raw = os.environ.get("TPLAB_THREADS", "")
-    try:
-        w = int(raw)
-    except ValueError:
-        w = 0
-    if w < 1:
-        w = min(8, os.cpu_count() or 1)
-    return w
-
-
-def _indexed_map(fn, count):
-    """fn(i) for i in range(count), order-stable, optionally threaded.
-
-    Worker count changes scheduling only; the output list is assembled
-    by index, so results are identical for any TPLAB_THREADS.
-    """
-    workers = _worker_count()
-    if workers == 1 or count < 2:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 # --- Gram assembly ------------------------------------------------------
@@ -266,7 +251,13 @@ def sample_exact(process: ProcessDescriptor, grid: TimeGrid, seed,
 
 
 def _cholesky_paths(process, grid, subs):
-    """Paths from one Gram and factor; path k draws from stream subs[k]."""
+    """Paths from one Gram and factor; path k draws from stream subs[k].
+
+    The draws go in fixed-width blocks of _BLOCK columns, one column per
+    path, and each block is one factor @ Z product.  Path k is a pure
+    function of (subs[k], k), whatever len(subs) is.  Its last bits may
+    differ between BLAS thread counts, as any BLAS product's may.
+    """
     if grid.n > MAX_EXACT_N:
         raise DomainError(
             "exact sampling is capped at n = %d points, got %d"
@@ -274,16 +265,18 @@ def _cholesky_paths(process, grid, subs):
     gram = build_gram(process, grid)
     live = np.diag(gram) > 0.0
     factor, jit = _cholesky_with_jitter(gram[np.ix_(live, live)])
+    del gram  # the draws need only the factor; frees n^2 floats for them
     n_live = int(live.sum())
-
-    def one(k):
-        z = _rng_for(subs[k]).standard_normal(n_live)
-        values = np.zeros(grid.n)
-        values[live] = factor @ z
-        return GaussianPath(grid, values, process, subs[k], "cholesky",
-                            jitter=jit)
-
-    return _indexed_map(one, len(subs))
+    values = np.zeros((len(subs), grid.n))
+    z = np.zeros((_BLOCK, n_live))
+    for start in range(0, len(subs), _BLOCK):
+        block = subs[start:start + _BLOCK]
+        for j, sub in enumerate(block):
+            z[j] = _rng_for(sub).standard_normal(n_live)
+        z[len(block):] = 0.0
+        values[start:start + len(block), live] = (factor @ z.T).T[:len(block)]
+    return [GaussianPath(grid, row, process, sub, "cholesky", jitter=jit)
+            for row, sub in zip(values, subs)]
 
 
 # --- circulant-embedding route for stationary increments ----------------

@@ -39,7 +39,7 @@ from . import quad
 from .errors import AccuracyError, DomainError, NonConvergence, PoleError
 
 BESSEL_NU_MAX = 5.0
-BESSEL_X_MIN = 1e-6
+BESSEL_X_MIN = 1e-15
 BESSEL_X_MAX = 700.0
 
 # abs_error_estimate must stay below TOL_BOX * max(1, |value|)
@@ -339,7 +339,7 @@ def besselk_grid(nu, x):
 def bessel_k(nu, x):
     """Modified Bessel function of the second kind, real order.
 
-    Supported box: |nu| <= 5, 1e-6 <= x <= 700.  Even in nu, so only
+    Supported box: |nu| <= 5, 1e-15 <= x <= 700.  Even in nu, so only
     |nu| is used.  Returns SpecFunResult.
     """
     value, err = _besselk_array([nu], [x])

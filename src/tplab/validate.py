@@ -23,9 +23,10 @@ Routes used as the second opinion, named in each record's provenance:
   * "Monte Carlo with analytic SE": seed-pinned ensembles scored in
     standard-error units.
 
-The Monte Carlo suite is deterministic for a given master seed and
-independent of the worker count (TPLAB_THREADS): every path draws from
-its own counter-based substream and aggregation is order-fixed.
+The Monte Carlo suite is deterministic for a given master seed: every
+path is a pure function of (seed, path index), drawn from its own
+counter-based substream, and aggregation is order-fixed.  TPLAB_THREADS
+is not read; the last bits may differ between BLAS thread counts.
 """
 
 import json

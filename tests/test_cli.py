@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from tplab import cli, kernels, sampler, validate
+from tplab import cli, estimators, kernels, sampler, validate
 from tplab.errors import NotPSD
 from tplab.kernels import FracOUParams
 
@@ -249,6 +249,32 @@ def test_estimate_all_table(tfbm_paths_file, tmp_path, capsys):
     assert abs(byname["variogram_slope"][0] - 2.0 * h) <= 1e-12
 
 
+def test_estimate_all_fits_one_variogram(tmp_path, capsys, monkeypatch):
+    # spectral paths at a fixed seed; the three rows come from one fit
+    # and equal, byte for byte, the rows of the three estimators called
+    # on their own
+    argv = ["sample", "--process", "tfbm", "--alpha", "0.75", "--lambda",
+            "0.05", "--dt", "0.1", "--n", "64", "--paths", "120", "--seed",
+            "11", "--method", "spectral", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    paths_file = str(tmp_path / "paths.jsonl")
+    paths = cli._load_paths(paths_file)
+    h, se = estimators.hurst_local(paths, lam=0.05)
+    d, d_se = estimators.fractal_dimension(paths, lam=0.05)
+    est = estimators.variogram(paths, 0.1 * np.arange(1, 9))
+    want = [["hurst", repr(h), repr(se)], ["dimension", repr(d), repr(d_se)],
+            ["variogram_slope", repr(est.slope), repr(est.slope_stderr)]]
+    fits = []
+    real = estimators.variogram
+    monkeypatch.setattr(estimators, "variogram",
+                        lambda *a: fits.append(a) or real(*a))
+    assert cli.main(["estimate", paths_file, "--estimator", "all",
+                     "--lambda", "0.05", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(fits) == 1
+    assert _read_csv(str(tmp_path / "estimate.csv"))[1] == want
+
+
 def test_estimate_variogram_stdout_and_fit(tfbm_paths_file, tmp_path,
                                            capsys):
     assert cli.main(["estimate", tfbm_paths_file, "--estimator",
@@ -405,6 +431,37 @@ def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, config,
     argv = ["cov", "--config", str(cfg), "--out", str(tmp_path)] + flags
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ("t0", "dt"))
+@pytest.mark.parametrize("text", ("nan", "inf", "-inf"))
+def test_non_finite_grid_field_exits_2_naming_it(tmp_path, capsys, field,
+                                                 text):
+    argv = ["cov", "--process", "tfbm", "--alpha", "0.75", "--lambda", "1",
+            "--t0", "0", "--dt", "0.1", "--n", "4", "--out", str(tmp_path),
+            "--%s=%s" % (field, text)]
+    assert cli.main(argv) == 2
+    assert ("%s must be finite, got %s" % (field, text)
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("process", ("fou", "tfbm"))
+def test_cov_at_tiny_tempering_rate(tmp_path, capsys, process):
+    # lambda * dt = 5e-11 needs Bessel K below x = 1e-6
+    assert cli.main(["cov", "--process", process, "--alpha", "0.75",
+                     "--lambda", "1e-9", "--out", str(tmp_path)]) == 0
+    dest = capsys.readouterr().out.strip()
+    _, rows = _read_csv(dest)
+    assert len(rows) == 256
+    assert all(math.isfinite(float(r[1])) for r in rows)
+
+
+def test_overflowing_grid_extent_exits_2(tmp_path, capsys):
+    argv = ["cov", "--process", "tfbm", "--alpha", "0.75", "--lambda", "1",
+            "--t0", "1e308", "--dt", "1e308", "--n", "4",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert "grid extent overflows floating range" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():

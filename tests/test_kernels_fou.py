@@ -66,7 +66,7 @@ def test_scaling_identity(alpha, r, tau):
 @pytest.mark.parametrize("alpha lam".split(), ((0.7, 0.5), (1.3, 2.0)))
 def test_short_range_dependence_integral(alpha, lam):
     # int_0^inf C(tau) dtau = 1 / (2 lam^(2 alpha)); the kernel is only
-    # evaluable for lam * tau >= 1e-6, so the head [0, eps] is supplied
+    # evaluable for lam * tau >= 1e-15, so the head [0, eps] is supplied
     # by the local expansion var + coeff |tau|^(2 alpha - 1)
     p = FracOUParams(alpha, lam)
     eps = 2e-6 / lam

@@ -63,6 +63,44 @@ def test_exact_results_do_not_depend_on_worker_count(monkeypatch):
         assert np.array_equal(pa.values, pb.values)
 
 
+@pytest.mark.parametrize("t0", (0.0, 0.37))
+def test_exact_path_depends_only_on_seed_and_index(t0):
+    # a path's bytes must not depend on how many paths are drawn with it,
+    # including across the edge of a block of stacked draws
+    p = ProcessDescriptor("tfbm", FracOUParams(0.75, 0.05))
+    grid = TimeGrid(t0, 0.01, 512)
+    many = sample_exact(p, grid, 11, 500)
+    assert (sample_exact(p, grid, 11, 1)[0].values.tobytes()
+            == many[0].values.tobytes())
+    assert (sample_exact(p, grid, 11, 70)[65].values.tobytes()
+            == sample_exact(p, grid, 11, 130)[65].values.tobytes())
+    for path in many:
+        assert (path.values[0] == 0.0) == (t0 == 0.0)
+        assert np.all(path.values[1:] != 0.0)
+
+
+@pytest.mark.parametrize("family params".split(), (
+    ("tfbm", FracOUParams(0.75, 0.05)),
+    ("tmbm", TmbmParams(HurstProfile.saturating_ramp(0.8, 0.1), 1.0)),
+))
+def test_blocked_draws_match_one_product_per_path(family, params):
+    # reference: factor @ z for each path alone; the blocked product sums
+    # in another order, so allow n_live rounding errors of the largest
+    # value
+    p = ProcessDescriptor(family, params)
+    grid = TimeGrid(0.0, 0.01, 128)
+    gram = sampler.build_gram(p, grid)
+    live = np.diag(gram) > 0.0
+    factor, _ = sampler._cholesky_with_jitter(gram[np.ix_(live, live)])
+    for path in sample_exact(p, grid, 5, 150):
+        want = np.zeros(grid.n)
+        want[live] = factor @ sampler._rng_for(path.seed).standard_normal(
+            int(live.sum()))
+        tol = live.sum() * np.finfo(float).eps * np.abs(want).max()
+        assert np.all(np.abs(path.values - want) <= tol)
+        assert path.values[0] == 0.0
+
+
 def test_paths_carry_their_own_substream_seeds():
     p = ProcessDescriptor("fou", FracOUParams(0.75, 1.0))
     paths = sample_exact(p, TimeGrid(0.0, 0.1, 4), 7, 3)

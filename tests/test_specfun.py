@@ -96,7 +96,7 @@ def test_besselk_recurrence(nu, x):
 @pytest.mark.parametrize("nu x".split(), (
     (5.5, 1.0),
     (-5.1, 1.0),
-    (0.5, 5e-7),
+    (0.5, 5e-16),
     (0.5, 701.0),
     (0.5, 0.0),
     (0.5, -1.0),
@@ -174,6 +174,27 @@ def test_besselk_error_estimate_covers_mpmath_across_the_box():
     assert np.min(err[near_two] / ref[near_two]) > 50 * np.finfo(float).eps
     r = specfun.bessel_k(nu[-1], x[-1])
     assert (r.value, r.abs_error_estimate) == (value[-1], err[-1])
+
+
+def test_besselk_small_argument_edge_against_mpmath():
+    # 23 orders, near-integer and near-half-integer ones included, at 16
+    # arguments from the box's lower edge up to 1e-6
+    mpmath = pytest.importorskip("mpmath")
+    nus = (0.0, 1e-12, -3e-9, 0.1, 0.37, 0.5, 0.5 - 1e-9, -0.5 + 1e-12,
+           1.0, 1.0 + 1e-10, -1.5, 1.4999999, 2.0 - 1e-7, 2.25, 2.5, 3.0,
+           3.0 + 1e-12, 3.7, -4.2, 4.5, 4.9999999, 5.0, -5.0)
+    nu, x = (a.ravel() for a in np.meshgrid(
+        nus, np.geomspace(specfun.BESSEL_X_MIN, 9.9e-7, 16)))
+    value, err = specfun._besselk_array(nu, x)
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.besselk(a, b))
+                        for a, b in zip(nu, x)])
+    assert np.all(np.abs(value - ref) <= err)
+    assert np.all(np.abs(value - ref) <= 1e-14 * ref)
+    assert np.all(err <= specfun.TOL_BOX * np.maximum(1.0, ref))
+    assert specfun.BESSEL_X_MIN == 1e-15
+    with pytest.raises(DomainError):
+        specfun.bessel_k(0.5, 0.9e-15)
 
 
 def test_besselk_grid_is_bitwise_invariant_under_permuting_and_splitting(
