@@ -9,9 +9,8 @@ and the validation harness.
 Every command is deterministic given its configuration, and each
 sampled path is a pure function of (seed, path index).  TPLAB_THREADS
 is not read; the last bits of exact paths may differ between BLAS
-thread counts.  Options may come from a
-`key=value` config file (`--config`), with command-line flags taking
-precedence over file entries.
+thread counts.  Options may come from a `key=value` config file
+(`--config`); command-line flags take precedence over file entries.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or config error,
 3 numerical failure.
@@ -28,16 +27,9 @@ import numpy as np
 
 from . import estimators, sampler, validate
 from . import kernels as K
-from .errors import (
-    AccuracyError,
-    DomainError,
-    EmbeddingFailure,
-    InsufficientData,
-    NonConvergence,
-    NotPSD,
-    PoleError,
-    SlowDecay,
-)
+from .errors import (AccuracyError, DomainError, EmbeddingFailure,
+                     InsufficientData, NonConvergence, NotPSD, PoleError,
+                     SlowDecay)
 from .kernels.params import FracOUParams, HurstProfile
 
 # one record per sampled path; the keys are a stable file contract

@@ -16,12 +16,29 @@ import math
 import numpy as np
 
 from .. import specfun
-from ..errors import DegenerateExpansion
+from ..errors import DegenerateExpansion, DomainError
 from .params import FracOUParams
 
 # lambda*|tau| beyond which K underflows double precision entirely;
 # the kernel is exactly 0 at that resolution
 _X_UNDERFLOW = 700.0
+
+# The reduced families subtract C(tau) from sigma^2 ~ lambda^-(2 alpha - 1),
+# keeping about eps (lambda |tau|)^-(2 alpha - 1) relative accuracy, 1e-4 at
+# worst at this floor; the kernel alone goes down to specfun.BESSEL_X_MIN.
+REDUCED_X_MIN = 1e-6
+
+
+def require_reduced_lags(lam, *taus):
+    """DomainError unless lambda |tau| >= REDUCED_X_MIN at nonzero lags."""
+    for tau in taus:
+        x = lam * np.abs(tau)
+        low = (x < REDUCED_X_MIN) & (x != 0.0)
+        if low.any():
+            raise DomainError(
+                "reduced covariance needs lambda*|tau| >= %g at nonzero "
+                "lags (sigma^2 - C(tau) cancels below it), got %g"
+                % (REDUCED_X_MIN, np.min(np.where(low, x, np.inf))))
 
 
 def _gamma_arr(a):

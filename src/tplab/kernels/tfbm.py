@@ -24,6 +24,7 @@ from .params import FracOUParams
 
 def tfbm_cov(p: FracOUParams, t, s):
     """Covariance of the reduced process; 0 whenever t or s is 0."""
+    fou.require_reduced_lags(p.lam, t, s, t - s)
     c = (fou.fou_cov(p, t - s) - fou.fou_cov(p, t) - fou.fou_cov(p, s)
          + fou.fou_var(p))
     return c
@@ -32,6 +33,7 @@ def tfbm_cov(p: FracOUParams, t, s):
 def tfbm_var(p: FracOUParams, t):
     """Variance 2(sigma^2 - C_fou(t)); 0 at t=0, to 2 sigma^2 at
     infinity, crossing sigma^2 where C_fou(t) = sigma^2/2."""
+    fou.require_reduced_lags(p.lam, t)
     return 2.0 * (fou.fou_var(p) - fou.fou_cov(p, t))
 
 
@@ -48,6 +50,7 @@ def tfbm_ct_coefficient(p: FracOUParams, t):
     p.require_hurst_in_unit()
     if t == 0.0:
         raise DomainError("c_t is undefined at t = 0")
+    fou.require_reduced_lags(p.lam, t)
     h = p.hurst
     x = 2.0 * p.lam * abs(t)
     lead = 2.0 * math.gamma(2.0 * h) / (math.gamma(h + 0.5) ** 2 * x ** (2.0 * h))
@@ -76,6 +79,7 @@ def tfbm_increment_cov(p: FracOUParams, lag_tau, t_minus_s):
     increment variance 2(sigma^2 - C_fou(tau)).
     """
     d = t_minus_s
+    fou.require_reduced_lags(p.lam, lag_tau, d, d + lag_tau, d - lag_tau)
     return (2.0 * fou.fou_cov(p, d) - fou.fou_cov(p, d + lag_tau)
             - fou.fou_cov(p, d - lag_tau))
 
@@ -117,6 +121,7 @@ def tfbm_gram(p: FracOUParams, times):
     """Dense covariance matrix over a time grid, vectorized."""
     times = np.asarray(times, dtype=float)
     lags = times[:, None] - times[None, :]
+    fou.require_reduced_lags(p.lam, np.diff(np.sort(times)), times)
     c_lag = fou.cov_alpha_grid(p.alpha, p.lam, lags)
     c_t = fou.fou_cov_values(p, times)
     return c_lag - c_t[:, None] - c_t[None, :] + fou.fou_var(p)

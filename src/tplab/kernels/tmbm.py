@@ -84,6 +84,7 @@ def tmbm_gram(h: HurstProfile, lam, times):
     al = np.array([h.alpha(t) for t in times])
     a_plus = 0.5 * (al[:, None] + al[None, :])
     iu, ju = np.triu_indices(len(times))
+    fou.require_reduced_lags(lam, np.diff(np.sort(times)), times)
     c_lag = np.empty(a_plus.shape)
     c_lag[iu, ju] = fou.cov_alpha_grid(a_plus[iu, ju], lam,
                                        times[iu] - times[ju])

@@ -146,6 +146,7 @@ def _reduced_gram(p: FracOUParams, grid):
     lag Gram when t0 = 0); bitwise symmetric.  sigma^2 is the lag Gram's
     own C_fou(0), so at t0 = 0 both sums in row and column 0 hold the
     same two operands and cancel exactly."""
+    fou.require_reduced_lags(p.lam, grid.dt * (grid.n > 1), grid.times())
     lag = _stationary_gram(lambda lg: fou.fou_cov_values(p, lg), grid)
     c_t = lag[0] if grid.t0 == 0.0 else fou.fou_cov_values(p, grid.times())
     return (lag + lag[0, 0]) - (c_t[:, None] + c_t[None, :])
@@ -325,7 +326,9 @@ def sample_tfbm_spectral(p: FracOUParams, grid: TimeGrid, seed):
 def sample_tfbm_spectral_batch(p: FracOUParams, grid: TimeGrid, seed,
                                n_paths):
     """n_paths spectral paths; path i equals
-    sample_tfbm_spectral(p, grid, derive_substream_seed(seed, i))."""
+    sample_tfbm_spectral(p, grid, derive_substream_seed(seed, i)), on the
+    exact fallback only where the BLAS gives a block product's columns
+    (i % 64 here, 0 there) the same bits in every position."""
     if n_paths < 1:
         raise DomainError("n_paths must be at least 1")
     return _spectral_paths(p, grid, [
@@ -344,6 +347,7 @@ def _spectral_paths(p, grid, seeds):
     process = ProcessDescriptor("tfbm", p)
     subs = [derive_substream_seed(seed, 0) for seed in seeds]
     m = grid.n - 1
+    fou.require_reduced_lags(p.lam, grid.dt * (m > 0))
     c = fou.fou_cov_values(p, grid.dt * np.arange(m + 1))
     j = np.arange(m)
     r = 2.0 * c[j] - c[j + 1] - c[np.abs(j - 1)]

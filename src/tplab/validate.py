@@ -32,7 +32,7 @@ is not read; the last bits may differ between BLAS thread counts.
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,14 +69,7 @@ class CheckRecord:
     provenance: str
 
     def as_dict(self):
-        return {
-            "check_id": self.check_id,
-            "expected": self.expected,
-            "actual": self.actual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -88,13 +81,7 @@ class ValidationReport:
     wall_clock_seconds: float
 
     def as_dict(self):
-        return {
-            "suite": self.suite,
-            "config": self.config,
-            "checks": [c.as_dict() for c in self.checks],
-            "passed": self.passed,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.as_dict(), indent=2) + "\n"

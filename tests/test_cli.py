@@ -445,15 +445,43 @@ def test_non_finite_grid_field_exits_2_naming_it(tmp_path, capsys, field,
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("process", ("fou", "tfbm"))
-def test_cov_at_tiny_tempering_rate(tmp_path, capsys, process):
+@pytest.mark.parametrize("alpha", ("0.75", "1.25"))
+def test_fou_cov_at_tiny_tempering_rate(tmp_path, capsys, alpha):
     # lambda * dt = 5e-11 needs Bessel K below x = 1e-6
-    assert cli.main(["cov", "--process", process, "--alpha", "0.75",
+    mpmath = pytest.importorskip("mpmath")
+    assert cli.main(["cov", "--process", "fou", "--alpha", alpha,
                      "--lambda", "1e-9", "--out", str(tmp_path)]) == 0
-    dest = capsys.readouterr().out.strip()
-    _, rows = _read_csv(dest)
+    _, rows = _read_csv(capsys.readouterr().out.strip())
     assert len(rows) == 256
-    assert all(math.isfinite(float(r[1])) for r in rows)
+    a = mpmath.mpf(alpha)
+    with mpmath.workdps(30):
+        for t, v in (map(float, rows[k]) for k in (1, 100, 255)):
+            tau, lam = mpmath.mpf(t), mpmath.mpf(1e-9)
+            ref = float((tau / (2 * lam)) ** (a - 0.5)
+                        * mpmath.besselk(a - 0.5, lam * tau)
+                        / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(a)))
+            assert abs(v - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("argv", (
+    ["cov", "--process", "tfbm", "--alpha", "1.25"],
+    ["cov", "--process", "tfbm", "--alpha", "0.75"],
+    ["cov", "--process", "tmbm", "--profile", "constant:1.25"],
+    ["sample", "--process", "tfbm", "--alpha", "1.25", "--n", "16",
+     "--paths", "2"],
+    ["sample", "--process", "tfbm", "--alpha", "1.25", "--n", "16",
+     "--paths", "2", "--method", "spectral"],
+    ["sample", "--process", "tmbm", "--profile", "constant:1.25",
+     "--n", "16", "--paths", "2"],
+), ids=("cov-tfbm-1.25", "cov-tfbm-0.75", "cov-tmbm", "sample-exact",
+        "sample-spectral", "sample-tmbm"))
+def test_reduced_process_below_the_lag_floor_exits_2(tmp_path, capsys,
+                                                      argv):
+    # at lambda = 1e-9, sigma^2 ~ 1e13 against a variance ~ 1e-2 at
+    # t = 0.05 for alpha = 1.25: sigma^2 - C(t) would be rounding noise
+    assert cli.main(argv + ["--lambda", "1e-9", "--out", str(tmp_path)]) == 2
+    assert ("reduced covariance needs lambda*|tau| >= 1e-06"
+            in capsys.readouterr().err)
 
 
 def test_overflowing_grid_extent_exits_2(tmp_path, capsys):

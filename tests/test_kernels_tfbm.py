@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tplab import kernels as K
 from tplab.errors import DomainError
-from tplab.kernels.params import FracOUParams, MixtureParams
+from tplab.kernels.params import FracOUParams, HurstProfile, MixtureParams
 
 PARAM_SETS = ((0.75, 0.5), (1.25, 1.0), (0.6, 2.0), (1.4, 0.25))
 
@@ -185,6 +185,47 @@ def test_gram_matches_pointwise_and_is_psd():
             assert abs(g[i, j] - K.tfbm_cov(p, times[i], times[j])) <= 1e-12
     w = np.linalg.eigvalsh(g)
     assert w.min() >= -1e-10 * w.max()
+
+
+# --- the lag floor of the reduced routes -------------------------------------
+
+_BELOW = FracOUParams(1.25, 1e-9)
+_T = 0.5e-6 / _BELOW.lam
+
+
+@pytest.mark.parametrize("call", (
+    lambda: K.tfbm_cov(_BELOW, _T, 1.0 / _BELOW.lam),
+    lambda: K.tfbm_var(_BELOW, _T),
+    lambda: K.tfbm_ct_coefficient(_BELOW, _T),
+    lambda: K.tfbm_increment_cov(_BELOW, _T, 0.0),
+    lambda: K.tfbm_gram(_BELOW, [0.0, _T]),
+    lambda: K.mixed_cov(MixtureParams(((1.0, _BELOW),)), _T, _T),
+    lambda: K.tmbm_gram(HurstProfile.constant(1.25), _BELOW.lam, [0.0, _T]),
+), ids=("cov", "var", "ct", "increment", "gram", "mixed", "tmbm"))
+def test_reduced_routes_refuse_lags_below_the_floor(call):
+    # sigma^2 - C(tau) would keep no digit here (sigma^2 ~ 1e13, the
+    # variance ~ 1e-10); the kernel alone has nothing to cancel
+    with pytest.raises(DomainError, match=r"lambda\*\|tau\| >= 1e-06"):
+        call()
+    assert K.fou_cov(_BELOW, _T) > 0.0
+
+
+@pytest.mark.parametrize("alpha", (0.75, 1.25, 1.45))
+@pytest.mark.parametrize("lam", (1.0, 1e-9))
+def test_variance_at_the_lag_floor_against_mpmath(alpha, lam):
+    # the cancellation loss eps (lambda t)^-(2 alpha - 1) peaks near
+    # 1e-4 as alpha -> 3/2 at the floor lambda t = 1e-6
+    mpmath = pytest.importorskip("mpmath")
+    t = 1e-6 / lam
+    with mpmath.workdps(50):
+        a, lm, tt = mpmath.mpf(alpha), mpmath.mpf(lam), mpmath.mpf(t)
+        sig2 = mpmath.gamma(2 * a - 1) / (mpmath.gamma(a) ** 2
+                                          * (2 * lm) ** (2 * a - 1))
+        c = ((tt / (2 * lm)) ** (a - 0.5) * mpmath.besselk(a - 0.5, lm * tt)
+             / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(a)))
+        ref = float(2 * (sig2 - c))
+    v = K.tfbm_var(FracOUParams(alpha, lam), t)
+    assert abs(v - ref) <= 1e-4 * ref
 
 
 # --- mixtures ----------------------------------------------------------------

@@ -391,6 +391,22 @@ def test_spectral_batch_fallback_builds_one_gram(monkeypatch):
         assert np.array_equal(path.values, one.values)
 
 
+def test_spectral_batch_fallback_across_block_columns(monkeypatch):
+    # at the benchmark's size, batch paths 63 and 65 sit in columns 63
+    # and 1 of their blocks, each single call's path in column 0
+    def boom(r):
+        raise EmbeddingFailure("synthetic")
+
+    monkeypatch.setattr(sampler, "_embedding_eigenvalues", boom)
+    p = FracOUParams(0.75, 0.05)
+    grid = TimeGrid(0.0, 0.01, 512)
+    with pytest.warns(EmbeddingWarning):
+        batch = sample_tfbm_spectral_batch(p, grid, 11, 70)
+        for i in (63, 65):
+            one = sample_tfbm_spectral(p, grid, derive_substream_seed(11, i))
+            assert batch[i].values.tobytes() == one.values.tobytes()
+
+
 def test_spectral_single_point_grid_is_origin():
     path = sample_tfbm_spectral(FracOUParams(0.75, 1.0),
                                 TimeGrid(0.0, 0.1, 1), 2)
