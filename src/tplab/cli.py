@@ -207,6 +207,8 @@ def cmd_cov(rc):
         if fam.lag is not None:
             vals = fam.lag(desc.params, times, rc.tol)
         else:
+            if not math.isfinite(rc.s):
+                raise DomainError("s must be finite, got %g" % rc.s)
             vals = [fam.cov(desc.params, t, rc.s) for t in times]
         header = ("t", "value")
         rows = [(float(t), float(v)) for t, v in zip(times, vals)]

@@ -64,10 +64,12 @@ def cov_alpha_grid(alpha, lam, tau):
 
     The time-varying index families evaluate their Gram matrices through
     this path, so it handles tau = 0 cells (variance) and underflow
-    cells (0) inline.
+    cells (0) inline.  A NaN or infinite lag is a DomainError.
     """
     alpha_b, tau_b = np.broadcast_arrays(
         np.asarray(alpha, dtype=float), np.abs(np.asarray(tau, dtype=float)))
+    if not np.isfinite(tau_b).all():
+        raise DomainError("covariance lags must be finite")
     x = lam * tau_b
     out = np.zeros(alpha_b.shape)
     at_zero = tau_b == 0.0

@@ -16,7 +16,7 @@ from ..errors import DomainError
 
 @dataclass(frozen=True)
 class FracOUParams:
-    """Index alpha > 1/2 and tempering rate lambda > 0.
+    """Index alpha > 1/2 and finite tempering rate lambda > 0.
 
     The associated Hurst parameter is H = alpha - 1/2; operations that
     need H in (0,1) additionally require alpha < 3/2 and check it via
@@ -33,8 +33,8 @@ class FracOUParams:
             raise DomainError(
                 "alpha must exceed 1/2 for a finite variance, got %g"
                 % self.alpha)
-        if not self.lam > 0.0:
-            raise DomainError("lambda must be positive, got %g" % self.lam)
+        if not 0.0 < self.lam < math.inf:
+            raise DomainError("lambda must be finite > 0, got %g" % self.lam)
 
     @property
     def hurst(self):
@@ -50,8 +50,8 @@ class FracOUParams:
 
 @dataclass(frozen=True)
 class TwoIndexParams:
-    """Smoothness index alpha, Riesz index beta in (0,1], tempering
-    lambda > 0, with alpha*beta > 1/2 for a finite variance."""
+    """Smoothness index alpha, Riesz index beta in (0,1], finite
+    tempering lambda > 0, with alpha*beta > 1/2 for a finite variance."""
 
     alpha: float
     beta: float
@@ -65,8 +65,8 @@ class TwoIndexParams:
             raise DomainError("alpha must be positive, got %g" % self.alpha)
         if not 0.0 < self.beta <= 1.0:
             raise DomainError("beta must lie in (0, 1], got %g" % self.beta)
-        if not self.lam > 0.0:
-            raise DomainError("lambda must be positive, got %g" % self.lam)
+        if not 0.0 < self.lam < math.inf:
+            raise DomainError("lambda must be finite > 0, got %g" % self.lam)
         if not self.alpha * self.beta > 0.5:
             raise DomainError(
                 "alpha*beta must exceed 1/2 for a finite variance, "
@@ -120,8 +120,8 @@ class TmbmParams:
         object.__setattr__(self, "lam", float(self.lam))
         if not isinstance(self.profile, HurstProfile):
             raise DomainError("profile must be a HurstProfile")
-        if not self.lam > 0.0:
-            raise DomainError("lambda must be positive, got %g" % self.lam)
+        if not 0.0 < self.lam < math.inf:
+            raise DomainError("lambda must be finite > 0, got %g" % self.lam)
 
 
 @dataclass(frozen=True)

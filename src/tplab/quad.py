@@ -2,12 +2,13 @@
 
 Two public entry points:
 
-    integrate_adaptive(f, a, b, tol)
+    integrate_adaptive(f, a, b, tol, points, rel)
         globally adaptive quadrature with a 15/7-point Gauss-Legendre
-        rule pair (not nested: the two rules share only the node 0),
-        b may be math.inf (geometric panel extension with an empirical
-        tail extrapolation).  Every error indicator carries QUADPACK's
-        rounding floor, so no result claims more than float64 certifies.
+        rule pair (not nested: the two rules share only the node 0) over
+        the panels between a, points and b; b may be math.inf (geometric
+        panel extension, empirical tail extrapolation).  Every error
+        indicator carries QUADPACK's rounding floor, so no result claims
+        more than float64 certifies.
 
     fourier_cos_halfline(g, tau, tol, decay_p)
         I(tau) = int_0^inf g(k) cos(k tau) dk for a nonnegative amplitude
@@ -17,12 +18,11 @@ Two public entry points:
 
 Tempered amplitudes make I(tau) exponentially small in tau while the
 individual lobe integrals stay polynomially large, so for large tau the
-float64 path is cancellation-limited.  When the requested tolerance lies
-below that floor the same lobe/acceleration scheme is re-run in mpmath
-with working precision sized to the observed cancellation, and the error
-estimate comes from a second run at higher precision.
+lobe sum cancels; a tolerance below its rounding floor raises
+NonConvergence with the partial (kernels rotate such transforms onto the
+imaginary axis instead, where they are Laplace integrals).
 
-Both routines are pure and reentrant.
+Both routines are pure, reentrant and float64 throughout.
 """
 
 import math
@@ -76,39 +76,43 @@ def _rule_pair(f, a, b):
     return i15, max(diff, floor), diff <= floor
 
 
-def _adaptive_finite(f, a, b, tol, cap):
-    """Globally adaptive bisection on a finite interval.
-
-    Panels whose indicator sits at its rounding floor are settled and
-    never bisected.  Returns (value, err, n_intervals); raises
-    NonConvergence past cap, or as soon as the settled panels alone
-    exceed tol and the open ones add no more than that floor again.
+def _adaptive_finite(f, points, tol, cap, rel=0.0):
+    """Globally adaptive bisection over the panels between points under
+    one error budget max(tol, rel * |value|).  Panels whose indicator
+    sits at its rounding floor are settled and never bisected.  Returns
+    (value, err, n_intervals); raises NonConvergence past cap, or as soon
+    as the settled panels alone exceed the budget and the open ones add
+    no more than that again.
     """
-    val, err, settled = _rule_pair(f, a, b)
-    if err <= tol or b - a == 0.0:
-        return val, err, 1
     # max-heap of the open panels on the error indicator; the counter
     # breaks ties deterministically
-    heap = [] if settled else [(-err, 0, a, b, val, err)]
-    done = [val] if settled else []
-    floor_err = err if settled else 0.0
-    tick = 1
-    total_err = err
-    nseg = 1
+    heap, done = [], []
+    floor_err = total_err = total = 0.0
+    for tick, (lo, hi) in enumerate(zip(points[:-1], points[1:])):
+        v, e, s = _rule_pair(f, lo, hi)
+        total += v
+        total_err += e
+        if s:
+            done.append(v)
+            floor_err += e
+        else:
+            heappush(heap, (-e, tick, lo, hi, v, e))
+    tick = nseg = len(points) - 1
+    a, b = points[0], points[-1]
 
     def failure(reason):
         return NonConvergence(reason, partial=QuadResult(
             math.fsum(done + [seg[4] for seg in heap]), total_err, nseg))
 
-    while total_err > tol:
-        if not heap or (floor_err > tol and total_err <= 2.0 * floor_err):
+    budget = max(tol, rel * abs(total))
+    while total_err > budget:
+        if not heap or (floor_err > budget and total_err <= 2.0 * floor_err):
             # bisection can only shrink the open panels' share, which is
-            # already within the float64 floor that tol lies below
+            # already within the float64 floor that the budget lies below
             raise failure("tol=%g is below float64 resolution on [%g, %g]:"
-                          " rounding floor %g" % (tol, a, b, floor_err))
+                          " rounding floor %g" % (budget, a, b, floor_err))
         if nseg >= cap:
-            raise failure("subdivision cap %d hit on [%g, %g]"
-                          % (cap, a, b))
+            raise failure("subdivision cap %d hit on [%g, %g]" % (cap, a, b))
         neg_e, _, lo, hi, v, e = heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -116,9 +120,10 @@ def _adaptive_finite(f, a, b, tol, cap):
             # further cannot reduce the estimate
             heappush(heap, (neg_e, tick, lo, hi, v, e))
             raise failure("interval at floating resolution with err=%g > "
-                          "tol=%g" % (total_err, tol))
+                          "tol=%g" % (total_err, budget))
         v1, e1, s1 = _rule_pair(f, lo, mid)
         v2, e2, s2 = _rule_pair(f, mid, hi)
+        total += v1 + v2 - v
         total_err += e1 + e2 - e
         for vi, ei, si, lo_i, hi_i in ((v1, e1, s1, lo, mid),
                                        (v2, e2, s2, mid, hi)):
@@ -129,6 +134,7 @@ def _adaptive_finite(f, a, b, tol, cap):
                 heappush(heap, (-ei, tick, lo_i, hi_i, vi, ei))
             tick += 1
         nseg += 1
+        budget = max(tol, rel * abs(total))
     return math.fsum(done + [seg[4] for seg in heap]), total_err, nseg
 
 
@@ -150,7 +156,7 @@ def _adaptive_to_inf(f, a, tol, cap):
     def panel(lo, hi, panel_tol):
         nonlocal nseg, failure
         try:
-            v, e, n = _adaptive_finite(f, lo, hi, panel_tol, cap - nseg)
+            v, e, n = _adaptive_finite(f, (lo, hi), panel_tol, cap - nseg)
         except NonConvergence as exc:
             failure = failure or str(exc)
             v, e, n = (exc.partial.value, exc.partial.abs_error_estimate,
@@ -187,31 +193,38 @@ def _adaptive_to_inf(f, a, tol, cap):
     return finish(abs(v))
 
 
-def integrate_adaptive(f, a, b, tol=1e-10):
+def integrate_adaptive(f, a, b, tol=1e-10, points=(), rel=0.0):
     """Integrate f over [a, b], b possibly math.inf.
 
     f must be finite on the open interval; integrable endpoint
     singularities are tolerated because the rules are open, but the
     caller is responsible for substituting away anything stronger.
 
+    On a finite interval the panels between a, points and b share one
+    budget max(tol, rel * |value|).  For b = inf the tail is extrapolated
+    from two doubling panels, which assumes it keeps one sign.
+
     abs_error_estimate is never below the rounding floor of the panels,
     ROUNDING_FLOOR * int |f| in effect.  Raises NonConvergence, with a
     .partial over the whole of [a, b], when the subdivision cap is hit
-    or when tol lies below that floor (float64 cannot certify it).  The
-    second case gives up as soon as the panels at their floor alone
-    exceed tol and the others add at most as much again, far short of
-    the cap.
+    or when the budget lies below that floor (float64 cannot certify
+    it).  The second case gives up as soon as the panels at their floor
+    alone exceed the budget and the others add at most as much again,
+    far short of the cap.
     """
-    if not tol > 0.0:
+    if not (tol > 0.0 or rel > 0.0):
         raise DomainError("tol must be positive")
     if math.isinf(a):
         raise DomainError("lower limit must be finite")
     if b == a:
         return QuadResult(0.0, 0.0, 0)
     if math.isinf(b):
+        if points or rel:
+            raise DomainError("points and rel need a finite upper limit")
         v, e, n = _adaptive_to_inf(f, a, tol, SUBDIVISION_CAP)
     else:
-        v, e, n = _adaptive_finite(f, a, b, tol, SUBDIVISION_CAP)
+        v, e, n = _adaptive_finite(f, (a, *points, b), tol,
+                                   SUBDIVISION_CAP, rel)
     return QuadResult(v, e, n)
 
 
@@ -238,10 +251,10 @@ def _euler_diagonal(partials):
 def _cos_lobes_float(g, tau, tol, decay_p, start, max_lobes):
     """Between-zeros lobe integrals of g(k)cos(k tau) from k=start.
 
-    Returns (value, err, nseg, amp, floor, converged): amp is the
-    largest lobe magnitude, floor the rounding floor ROUNDING_FLOOR *
-    sum |lobe| of the lobe sum (g >= 0, so a lobe's magnitude is its
-    integral of |g cos|); the caller uses both to judge cancellation.
+    Returns (value, err, nseg, floor, converged): floor is the rounding
+    floor ROUNDING_FLOOR * sum |lobe| of the lobe sum (g >= 0, so a
+    lobe's magnitude is its integral of |g cos|); the caller uses it to
+    judge cancellation.
     """
     h = lambda k: g(k) * math.cos(k * tau)
     edges_gap = math.pi / tau
@@ -251,7 +264,6 @@ def _cos_lobes_float(g, tau, tol, decay_p, start, max_lobes):
     lo = start
     hi = first_zero
     partials = []
-    lobes = []
     errs = []
     nseg = 0
     running = 0.0
@@ -264,7 +276,7 @@ def _cos_lobes_float(g, tau, tol, decay_p, start, max_lobes):
         # usable partial and the caller's cancellation logic takes over
         lobe_tol = max(tol / (8.0 * (m + 2.0) ** 1.2), ROUNDING_FLOOR * amp)
         try:
-            v, e, n = _adaptive_finite(h, lo, hi, lobe_tol, 512)
+            v, e, n = _adaptive_finite(h, (lo, hi), lobe_tol, 512)
         except NonConvergence as exc:
             if exc.partial is None:
                 raise
@@ -272,7 +284,6 @@ def _cos_lobes_float(g, tau, tol, decay_p, start, max_lobes):
             e = exc.partial.abs_error_estimate
             n = exc.partial.subdivisions
         nseg += n
-        lobes.append(v)
         errs.append(e)
         running += v
         partials.append(running)
@@ -284,49 +295,13 @@ def _cos_lobes_float(g, tau, tol, decay_p, start, max_lobes):
             tail_bound = tail_c * hi ** (1.0 - decay_p) / (decay_p - 1.0)
             est = delta + math.fsum(errs)
             if est < 0.5 * tol or (tail_bound < 0.5 * tol and delta < tol):
-                return value, est, nseg, amp, floor, True
+                return value, est, nseg, floor, True
             # cancellation floor of float64: no point piling on lobes
             if floor > 0.5 * tol and m >= 16:
-                return value, est, nseg, amp, floor, False
+                return value, est, nseg, floor, False
         lo, hi = hi, hi + edges_gap
     value, delta = _euler_diagonal(partials)
-    return value, delta + math.fsum(errs), nseg, amp, floor, False
-
-
-def _cos_lobes_mp(g, tau, tol, start, dps, max_lobes):
-    """Same lobe/averaging scheme in mpmath working precision."""
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        mtau = mp.mpf(tau)
-        hfun = lambda k: g(k) * mp.cos(k * mtau)
-        gap = mp.pi / mtau
-        first_zero = gap / 2
-        while first_zero <= start:
-            first_zero += gap
-        lo = mp.mpf(start)
-        hi = first_zero
-        partials = []
-        running = mp.mpf(0)
-        target = mp.mpf(tol) / 4
-        value = None
-        for m in range(max_lobes):
-            v = mp.quad(hfun, [lo, hi])
-            running += v
-            partials.append(running)
-            if m >= 10:
-                row = partials
-                while len(row) > 1:
-                    row = [(row[i] + row[i + 1]) / 2
-                           for i in range(len(row) - 1)]
-                prev_value = value
-                value = row[0]
-                if prev_value is not None and abs(value - prev_value) < target:
-                    return float(value), m + 1
-            lo, hi = hi, hi + gap
-        raise NonConvergence(
-            "oscillatory acceleration stalled at %d lobes (mp dps=%d)"
-            % (max_lobes, dps))
+    return value, delta + math.fsum(errs), nseg, floor, False
 
 
 def fourier_cos_halfline(g, tau, tol=1e-10, decay_p=2.0, start=0.0):
@@ -334,12 +309,11 @@ def fourier_cos_halfline(g, tau, tol=1e-10, decay_p=2.0, start=0.0):
 
     g must be a nonnegative amplitude decaying at least like k^(-decay_p)
     with decay_p > 1 (needed both for the tau=0 reduction and for the
-    analytic tail bound).  Even in tau: |tau| is used.  g is also called
-    with mpmath arguments on the high-precision path, so it should be
-    written with generic arithmetic (**, +, abs), not numpy-only ops.
+    analytic tail bound).  Even in tau: |tau| is used.  Float64 only.
 
-    Raises SlowDecay when the tail bound cannot meet tol, NonConvergence
-    when acceleration stalls.
+    Raises SlowDecay when the tail bound cannot meet tol, and
+    NonConvergence when tol lies below the rounding floor of the
+    cancelling lobe sum; both carry the partial result.
     """
     if not tol > 0.0:
         raise DomainError("tol must be positive")
@@ -349,27 +323,18 @@ def fourier_cos_halfline(g, tau, tol=1e-10, decay_p=2.0, start=0.0):
     if tau == 0.0:
         return integrate_adaptive(g, start, math.inf, tol)
 
-    value, est, nseg, amp, floor, ok = _cos_lobes_float(
+    value, est, nseg, floor, ok = _cos_lobes_float(
         g, tau, tol, decay_p, start, max_lobes=160)
     # the lobe sum's rounding floor alone keeps est >= floor, so float64
     # can certify tol only while floor stays below tol/2
-    if ok and floor <= 0.5 * tol:
-        return QuadResult(value, est, nseg)
-    if floor <= 0.5 * tol:
-        # decay too slow for the lobe budget rather than cancellation
-        raise SlowDecay(
-            "tail bound still above tol=%g after 160 lobes" % tol,
-            partial=QuadResult(value, est, nseg))
-
-    # cancellation-limited: re-run in mpmath with precision covering the
-    # observed amplitude-to-value ratio, estimate error from a second,
-    # higher-precision run
-    digits_lost = math.log10(amp / tol) if amp > 0 else 0.0
-    dps = int(math.ceil(digits_lost)) + 12
-    v1, n1 = _cos_lobes_mp(g, tau, tol, start, dps, max_lobes=700)
-    v2, n2 = _cos_lobes_mp(g, tau, tol, start, dps + 8, max_lobes=700)
-    err = abs(v1 - v2) + abs(v2) * 1e-15
-    return QuadResult(v2, max(err, 0.25 * tol * 1e-3), nseg + n1 + n2)
+    partial = QuadResult(value, est, nseg)
+    if floor > 0.5 * tol:
+        raise NonConvergence("lobe sum's rounding floor %g exceeds tol=%g"
+                             % (floor, tol), partial=partial)
+    if not ok:
+        raise SlowDecay("tail bound still above tol=%g after 160 lobes"
+                        % tol, partial=partial)
+    return partial
 
 
 def power_sin2_halfline(exponent, tol=1e-10):

@@ -19,7 +19,8 @@ Routes used as the second opinion, named in each record's provenance:
     that hold exactly in real arithmetic;
   * "dual special-function route": the same kernel through two distinct
     special-function representations;
-  * "series vs quadrature": asymptotic series against direct numerics;
+  * "series vs quadrature": asymptotic series against direct numerics (the
+    two-index tail series is Watson's lemma on twoindex_cov's integral);
   * "Monte Carlo with analytic SE": seed-pinned ensembles scored in
     standard-error units.
 

@@ -9,12 +9,14 @@ import argparse
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import tplab
 from tplab import cli, estimators, kernels, sampler, validate
 from tplab.errors import NotPSD
 from tplab.kernels import FracOUParams
@@ -445,6 +447,30 @@ def test_non_finite_grid_field_exits_2_naming_it(tmp_path, capsys, field,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv", (
+    ["--process", "fou", "--alpha", "0.75"],
+    ["--process", "tfbm2", "--alpha", "0.9", "--beta", "0.6"],
+    ["--process", "tmbm", "--profile", "ramp:0.8,0.1"],
+), ids=("fou", "tfbm2", "tmbm"))
+def test_infinite_tempering_rate_exits_2_naming_lambda(tmp_path, capsys,
+                                                       argv):
+    argv = ["cov", *argv, "--lambda", "inf", "--n", "4",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert "lambda must be finite > 0, got inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", (
+    ["--process", "tfbm", "--alpha", "0.75"],
+    ["--process", "tmbm", "--profile", "ramp:0.8,0.1"],
+), ids=("tfbm", "tmbm"))
+def test_nan_second_time_exits_2_naming_s(tmp_path, capsys, argv):
+    argv = ["cov", *argv, "--lambda", "1", "--s", "nan", "--n", "4",
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert "s must be finite, got nan" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("alpha", ("0.75", "1.25"))
 def test_fou_cov_at_tiny_tempering_rate(tmp_path, capsys, alpha):
     # lambda * dt = 5e-11 needs Bessel K below x = 1e-6
@@ -505,3 +531,23 @@ def test_console_script_runs():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+# the library's runtime needs numpy only: mpmath is a test dependency
+_WITHOUT_MPMATH = ("import sys; sys.modules['mpmath'] = None; "
+                   "from tplab.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("argv", (
+    ["validate", "--suite", "asymptotics"],
+    ["cov", "--process", "tfbm2", "--alpha", "0.9", "--beta", "0.8",
+     "--lambda", "1", "--n", "8"],
+), ids=("validate-asymptotics", "cov-tfbm2"))
+def test_runs_where_mpmath_cannot_be_imported(tmp_path, argv):
+    src = os.path.dirname(os.path.dirname(tplab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_MPMATH, *argv, "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr

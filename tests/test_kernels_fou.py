@@ -50,6 +50,17 @@ def test_far_tail_underflows_to_zero():
     assert K.fou_cov(FracOUParams(0.8, 100.0), 10.0) == 0.0
 
 
+@pytest.mark.parametrize("lag", (math.nan, math.inf, -math.inf))
+def test_non_finite_lag_is_a_domain_error(lag):
+    # a NaN lag must not pass for an underflowed one (C = 0); the reduced
+    # covariance would then read sigma^2 - C(t) at a NaN second time
+    p = FracOUParams(0.75, 1.0)
+    with pytest.raises(DomainError, match="lags must be finite"):
+        K.fou_cov(p, lag)
+    with pytest.raises(DomainError, match="lags must be finite"):
+        K.tfbm_cov(p, 0.05, lag)
+
+
 @given(st.floats(min_value=0.55, max_value=1.45),
        st.floats(min_value=0.3, max_value=4.0),
        st.floats(min_value=0.05, max_value=5.0))
@@ -171,6 +182,7 @@ def test_gamma_arr_of_one_value_skips_the_sort(monkeypatch):
 
 @pytest.mark.parametrize("alpha lam".split(), (
     (0.5, 1.0), (0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -0.5),
+    (1.0, math.inf), (1.0, math.nan),
 ))
 def test_parameter_domain(alpha, lam):
     with pytest.raises(DomainError):

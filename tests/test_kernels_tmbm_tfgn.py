@@ -16,7 +16,7 @@ import pytest
 from tplab import kernels as K
 from tplab import quad
 from tplab.errors import DomainError
-from tplab.kernels import FracOUParams, HurstProfile
+from tplab.kernels import FracOUParams, HurstProfile, TmbmParams
 
 
 RAMP = HurstProfile.saturating_ramp(0.8, 0.1)
@@ -135,6 +135,12 @@ def test_profile_constructor_domain():
         HurstProfile(lambda t: 1.0, -1.0, 1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         HurstProfile(lambda t: 1.0, 0.0, 1.5, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("lam", (0.0, -1.0, math.inf, math.nan))
+def test_tmbm_params_need_a_positive_finite_rate(lam):
+    with pytest.raises(DomainError):
+        TmbmParams(RAMP, lam)
 
 
 def test_tabulated_profile_interpolates_and_validates():
