@@ -1,7 +1,7 @@
 """Exception and warning types shared across the library.
 
 Numerical failures are split into caller mistakes (DomainError and
-subclasses: bad arguments, poles, refused degenerate expansions) and
+subclasses: bad arguments, poles) and
 internal breakdowns (NonConvergence, AccuracyError, NotPSD,
 EmbeddingFailure: the inputs were legal but a numerical contract could
 not be met).  Warnings never abort a computation; they flag results that
@@ -19,15 +19,6 @@ class DomainError(TplabError, ValueError):
 
 class PoleError(DomainError):
     """Function evaluated exactly at a pole."""
-
-
-class DegenerateExpansion(DomainError):
-    """Asymptotic expansion requested at a parameter where its form changes.
-
-    Raised instead of returning a formula whose coefficient has a pole
-    (e.g. a 1/cos factor at the boundary value).  The exact, non-expanded
-    routine remains valid there; the message names it.
-    """
 
 
 class AccuracyError(TplabError, ArithmeticError):

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .. import specfun
-from ..errors import DegenerateExpansion, DomainError
+from ..errors import DomainError
 from .params import FracOUParams
 
 # lambda*|tau| beyond which K underflows double precision entirely;
@@ -116,14 +116,10 @@ def fou_local_expansion(p: FracOUParams, tau=0.0):
     C(tau) = sigma^2 + |tau|^(2 alpha - 1) / (2 Gamma(2 alpha)
     cos(alpha pi)) + O(tau^2); returns (constant_term,
     power_term_coeff).  The power coefficient is negative throughout
-    1/2 < alpha < 3/2, alpha != 1; at alpha = 1 exactly the expansion
-    changes form (cos pole) and the OU closed form should be used.
+    1/2 < alpha < 3/2; at alpha = 1 it is -1/2, the OU expansion
+    e^(-lambda |tau|)/(2 lambda) = 1/(2 lambda) - |tau|/2 + O(tau^2).
     """
     p.require_hurst_in_unit()
-    if p.alpha == 1.0:
-        raise DegenerateExpansion(
-            "local expansion degenerates at alpha = 1; use the OU "
-            "closed form e^(-lambda|tau|)/(2 lambda)")
     coeff = 1.0 / (2.0 * math.gamma(2.0 * p.alpha)
                    * math.cos(p.alpha * math.pi))
     return fou_var(p), coeff

@@ -160,9 +160,6 @@ class HurstProfile:
     def alpha_plus(self, t, s):
         return 0.5 * (self.alpha(t) + self.alpha(s))
 
-    def alpha_minus(self, t, s):
-        return 0.5 * (self.alpha(t) - self.alpha(s))
-
     def spot_check(self, ts):
         """Bounds plus the declared Holder modulus on a grid of times."""
         ts = np.asarray(ts, dtype=float)

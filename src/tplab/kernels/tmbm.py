@@ -19,7 +19,7 @@ import numpy as np
 
 from .. import specfun
 from ..errors import DomainError
-from . import fou, tfbm
+from . import fou, tfbm, tfgn
 from .params import FracOUParams, HurstProfile
 
 
@@ -28,7 +28,7 @@ def tmbm_mou_cov(h: HurstProfile, lam, t, s, route="kummer"):
     unequal times, by either special-function route.
 
     kummer:    e^(-lam d) d^(2 a_plus - 1) U(a_lo, 2 a_plus, 2 lam d)
-               / Gamma(a_hi)
+               / Gamma(a_hi), the noise block tfgn_cross_cov(a_hi, a_lo)
     whittaker: d^(a_plus - 1) / (Gamma(a_hi) (2 lam)^a_plus)
                * W_{a_minus, 1/2 - a_plus}(2 lam d)
 
@@ -43,16 +43,13 @@ def tmbm_mou_cov(h: HurstProfile, lam, t, s, route="kummer"):
             "equal-time displays are singular; use the variance route")
     hi, lo = (t, s) if t > s else (s, t)
     a_hi, a_lo = h.alpha(hi), h.alpha(lo)
-    a_plus = 0.5 * (a_hi + a_lo)
-    a_minus = 0.5 * (a_hi - a_lo)
     d = hi - lo
-    z = 2.0 * lam * d
     if route == "kummer":
-        u = specfun.kummer_u(a_lo, 2.0 * a_plus, z).value
-        return (math.exp(-lam * d) * d ** (2.0 * a_plus - 1.0) * u
-                / math.gamma(a_hi))
+        return tfgn.tfgn_cross_cov(a_hi, a_lo, lam, d)
     if route == "whittaker":
-        w = specfun.whittaker_w(a_minus, 0.5 - a_plus, z).value
+        a_plus = 0.5 * (a_hi + a_lo)
+        w = specfun.whittaker_w(0.5 * (a_hi - a_lo), 0.5 - a_plus,
+                                2.0 * lam * d).value
         return (d ** (a_plus - 1.0)
                 / (math.gamma(a_hi) * (2.0 * lam) ** a_plus) * w)
     raise DomainError("route must be 'kummer' or 'whittaker', got %r"

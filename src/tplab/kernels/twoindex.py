@@ -17,8 +17,9 @@ import warnings
 import numpy as np
 
 from .. import quad
-from ..errors import DegenerateExpansion, DivergenceWarning, DomainError
-from .params import TwoIndexParams
+from ..errors import DivergenceWarning, DomainError
+from . import fou
+from .params import FracOUParams, TwoIndexParams
 
 
 def twoindex_spectral(q: TwoIndexParams, k, variant="Y"):
@@ -154,18 +155,19 @@ def twoindex_smalltime_incvar(q: TwoIndexParams, t=0.0):
     leading_coeff * |dt|^exponent with exponent = 2 alpha beta - 1 and
 
         leading_coeff = (4/pi) int_0^inf k^(-2 alpha beta) sin^2(k/2) dk
+                      = -1 / (Gamma(2 alpha beta) cos(alpha beta pi))
 
-    The coefficient depends only on the product alpha*beta and carries
-    no lambda: tempering is invisible at vanishing scales.
+    At large k the density is the fou density of index alpha*beta, so
+    the coefficient is -2 times fou_local_expansion's power coefficient
+    there (the increment variance is 2 (C(0) - C(dt))).  It depends only
+    on the product alpha*beta and carries no lambda: tempering is
+    invisible at vanishing scales.  At alpha*beta = 1 it is 1, the
+    Brownian law.
     """
     q.require_asymptotic_range()
     ab = q.alpha * q.beta
-    if abs(ab - 1.0) < 1e-12:
-        raise DegenerateExpansion(
-            "small-time law degenerates at alpha*beta = 1; use the exact "
-            "increment variance")
-    c = 4.0 / math.pi * quad.power_sin2_halfline(2.0 * ab).value
-    return c, 2.0 * ab - 1.0
+    _, coeff = fou.fou_local_expansion(FracOUParams(ab, q.lam))
+    return -2.0 * coeff, 2.0 * ab - 1.0
 
 
 def twoindex_increment_var(q: TwoIndexParams, t):

@@ -19,8 +19,10 @@ Two public entry points:
 Tempered amplitudes make I(tau) exponentially small in tau while the
 individual lobe integrals stay polynomially large, so for large tau the
 lobe sum cancels; a tolerance below its rounding floor raises
-NonConvergence with the partial (kernels rotate such transforms onto the
-imaginary axis instead, where they are Laplace integrals).
+NonConvergence with the partial.  No kernel calls it: the kernels use
+closed forms or rotate such transforms onto the imaginary axis, where
+they are Laplace integrals, and the lobe sum is the independent
+reference that tests hold them against.
 
 Both routines are pure, reentrant and float64 throughout.
 """
@@ -248,8 +250,8 @@ def _euler_diagonal(partials):
     return last, delta
 
 
-def _cos_lobes_float(g, tau, tol, decay_p, start, max_lobes):
-    """Between-zeros lobe integrals of g(k)cos(k tau) from k=start.
+def _cos_lobes_float(g, tau, tol, decay_p, max_lobes):
+    """Between-zeros lobe integrals of g(k)cos(k tau) from k=0.
 
     Returns (value, err, nseg, floor, converged): floor is the rounding
     floor ROUNDING_FLOOR * sum |lobe| of the lobe sum (g >= 0, so a
@@ -258,11 +260,8 @@ def _cos_lobes_float(g, tau, tol, decay_p, start, max_lobes):
     """
     h = lambda k: g(k) * math.cos(k * tau)
     edges_gap = math.pi / tau
-    first_zero = 0.5 * math.pi / tau
-    while first_zero <= start:
-        first_zero += edges_gap
-    lo = start
-    hi = first_zero
+    lo = 0.0
+    hi = 0.5 * math.pi / tau
     partials = []
     errs = []
     nseg = 0
@@ -304,8 +303,8 @@ def _cos_lobes_float(g, tau, tol, decay_p, start, max_lobes):
     return value, delta + math.fsum(errs), nseg, floor, False
 
 
-def fourier_cos_halfline(g, tau, tol=1e-10, decay_p=2.0, start=0.0):
-    """int_start^inf g(k) cos(k tau) dk, default start=0.
+def fourier_cos_halfline(g, tau, tol=1e-10, decay_p=2.0):
+    """int_0^inf g(k) cos(k tau) dk.
 
     g must be a nonnegative amplitude decaying at least like k^(-decay_p)
     with decay_p > 1 (needed both for the tau=0 reduction and for the
@@ -321,10 +320,10 @@ def fourier_cos_halfline(g, tau, tol=1e-10, decay_p=2.0, start=0.0):
         raise DomainError("decay_p must exceed 1 for an integrable tail")
     tau = abs(tau)
     if tau == 0.0:
-        return integrate_adaptive(g, start, math.inf, tol)
+        return integrate_adaptive(g, 0.0, math.inf, tol)
 
     value, est, nseg, floor, ok = _cos_lobes_float(
-        g, tau, tol, decay_p, start, max_lobes=160)
+        g, tau, tol, decay_p, max_lobes=160)
     # the lobe sum's rounding floor alone keeps est >= floor, so float64
     # can certify tol only while floor stays below tol/2
     partial = QuadResult(value, est, nseg)
@@ -335,35 +334,3 @@ def fourier_cos_halfline(g, tau, tol=1e-10, decay_p=2.0, start=0.0):
         raise SlowDecay("tail bound still above tol=%g after 160 lobes"
                         % tol, partial=partial)
     return partial
-
-
-def power_sin2_halfline(exponent, tol=1e-10):
-    """int_0^inf k^(-exponent) sin^2(k/2) dk for 1 < exponent < 3.
-
-    Near k=0 the sin^2 factor regularizes the power; the [0,1] piece is
-    summed exactly from the sine power series (no cancellation), the
-    [1, inf) piece splits sin^2(k/2) = (1 - cos k)/2 into a closed-form
-    power tail and an oscillatory lobe sum.
-    """
-    p = float(exponent)
-    if not 1.0 < p < 3.0:
-        raise DomainError("exponent must lie in (1, 3), got %g" % p)
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
-    # [0,1]: sin^2(k/2) = (1 - cos k)/2 = sum_{m>=1} (-1)^(m+1) k^(2m)/(2 (2m)!)
-    head = 0.0
-    m = 1
-    while True:
-        term = (-1.0) ** (m + 1) / (2.0 * math.factorial(2 * m)
-                                    * (2.0 * m - p + 1.0))
-        head += term
-        if abs(term) < 1e-17:
-            break
-        m += 1
-    # [1,inf): (1/2) int k^-p dk  -  (1/2) int k^-p cos k dk
-    flat = 0.5 / (p - 1.0)
-    osc = fourier_cos_halfline(lambda k: k ** (-p), 1.0, tol=tol,
-                               decay_p=p, start=1.0)
-    return QuadResult(head + flat - 0.5 * osc.value,
-                      0.5 * osc.abs_error_estimate + 1e-16,
-                      osc.subdivisions)

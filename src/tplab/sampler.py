@@ -160,12 +160,6 @@ def _twoindex_lag(q: TwoIndexParams, lags, tol=None):
     return np.array([twoindex.twoindex_cov(q, lg, tol).value for lg in lags])
 
 
-def _tfgn_lag(p: FracOUParams, lags, tol=None):
-    """tfgn_cov at each lag, and the pointwise variance at lag 0."""
-    return np.array([tfgn.tfgn_var(p.alpha, p.lam) if lg == 0.0
-                     else tfgn.tfgn_cov(p.alpha, p.lam, lg) for lg in lags])
-
-
 @dataclass(frozen=True)
 class Family:
     """Parameter type, the config keys its constructor takes in order,
@@ -194,7 +188,9 @@ FAMILIES = {
                    gram=lambda p, grid: tmbm.tmbm_gram(p.profile, p.lam,
                                                        grid.times()),
                    cov=lambda p, t, s: tmbm.tmbm_cov(p.profile, p.lam, t, s)),
-    "tfgn": Family(FracOUParams, ("alpha", "lam"), lag=_tfgn_lag),
+    "tfgn": Family(FracOUParams, ("alpha", "lam"),
+                   lag=lambda p, lags, tol=None: tfgn.tfgn_cov_values(
+                       p.alpha, p.lam, lags)),
 }
 
 

@@ -87,6 +87,25 @@ def test_cov_tfgn_without_pointwise_variance_exits_2(tmp_path, capsys):
     assert "tau != 0" not in err
 
 
+def test_cov_tfgn_makes_no_kummer_call(tmp_path, monkeypatch):
+    def kummer_u(*args):
+        raise AssertionError("kummer_u called")
+
+    monkeypatch.setattr(tplab.specfun, "kummer_u", kummer_u)
+    argv = ["cov", "--process", "tfgn", "--alpha", "1.8", "--lambda", "1.0",
+            "--dt", "0.5", "--n", "3", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("process", ("fou", "tfgn"))
+def test_cov_outside_the_bessel_box_exits_2(process, tmp_path, capsys):
+    # tfgn is two fou kernels, so it shares fou's box alpha - 1/2 <= 5
+    argv = ["cov", "--process", process, "--alpha", "6", "--lambda", "1.0",
+            "--n", "3", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert "bessel_k supported box" in capsys.readouterr().err
+
+
 # one admissible point per family, as config-file text
 COV_CONFIG = {
     "fou": "alpha=0.75\nlam=1.0\n",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from tplab import kernels as K
 from tplab import quad
 from tplab.kernels import fou
-from tplab.errors import DegenerateExpansion, DomainError
+from tplab.errors import DomainError
 from tplab.kernels.params import FracOUParams
 
 # pinned offline at 30 significant digits
@@ -123,9 +123,15 @@ def test_local_expansion_coefficient_is_negative(alpha):
     assert coeff < 0.0
 
 
-def test_local_expansion_degenerate_at_markov_point():
-    with pytest.raises(DegenerateExpansion):
-        K.fou_local_expansion(FracOUParams(1.0, 1.0))
+def test_local_expansion_at_markov_point_is_the_ou_expansion():
+    # cos(pi) = -1 is no pole: the coefficient is -1/2, and e^(-tau)/2 =
+    # 1/2 - tau/2 + O(tau^2), so the residual is tau/2 of the power term
+    p = FracOUParams(1.0, 1.0)
+    var, coeff = K.fou_local_expansion(p)
+    assert coeff == -0.5
+    for tau in (1e-4, 1e-3):
+        exact = K.fou_cov(p, tau)
+        assert abs(var + coeff * tau - exact) <= 1e-3 * abs(exact - var)
 
 
 def test_grid_evaluation_matches_scalar():

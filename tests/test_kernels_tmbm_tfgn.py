@@ -3,9 +3,10 @@
 The moving-average pair covariance has two genuinely independent
 special-function routes (Kummer U vs Whittaker W); their agreement is a
 numerical identity, not a tautology.  Constant profiles must collapse
-exactly onto the single-index family.  The noise kernel is checked
-against a frozen high-precision block value, its sign structure, and
-its continuity to the pointwise variance where that exists.
+exactly onto the single-index family.  The noise kernel, two fou
+kernels, is checked against its four-block Kummer-U route, a frozen
+high-precision block value, its sign structure, and its continuity to
+the pointwise variance where that exists.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from tplab import kernels as K
-from tplab import quad
+from tplab import quad, sampler, specfun
 from tplab.errors import DomainError
 from tplab.kernels import FracOUParams, HurstProfile, TmbmParams
 
@@ -221,3 +222,62 @@ def test_noise_domain_errors():
         K.tfgn_cross_cov(0.0, 1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         K.tfgn_cross_cov(1.0, 1.0, 1.0, -2.0)
+
+
+def _four_block_cov(alpha, lam, tau):
+    # the moving-average route: four Kummer-U cross-covariance blocks
+    a, b = alpha - 1.0, alpha
+    return (K.tfgn_cross_cov(a, a, lam, tau)
+            - lam * K.tfgn_cross_cov(a, b, lam, tau)
+            - lam * K.tfgn_cross_cov(b, a, lam, tau)
+            + lam * lam * K.tfgn_cross_cov(b, b, lam, tau))
+
+
+def _four_block_var(alpha, lam):
+    # tau -> 0+ limits of the four blocks, each Gamma(mu+nu-1) /
+    # (Gamma(mu) Gamma(nu) (2 lam)^(mu+nu-1))
+    def limit(mu, nu):
+        return (math.gamma(mu + nu - 1.0) / (math.gamma(mu) * math.gamma(nu)
+                * (2.0 * lam) ** (mu + nu - 1.0)))
+    a, b = alpha - 1.0, alpha
+    return limit(a, a) - 2.0 * lam * limit(a, b) + lam * lam * limit(b, b)
+
+
+NOISE_LAGS = (1e-3, 0.1, 1.0, 6.0)
+
+
+@pytest.mark.parametrize("alpha", (1.05, 1.45, 2.5, 5.4))
+@pytest.mark.parametrize("lam", (0.5, 2.0))
+def test_cov_matches_the_four_block_route(alpha, lam):
+    ref = [_four_block_cov(alpha, lam, tau) for tau in NOISE_LAGS]
+    scale = max(map(abs, ref))
+    for tau, r in zip(NOISE_LAGS, ref):
+        assert abs(K.tfgn_cov(alpha, lam, tau) - r) <= 1e-11 * scale
+    if alpha > 1.5:
+        var = _four_block_var(alpha, lam)
+        assert abs(K.tfgn_var(alpha, lam) - var) <= 1e-13 * abs(var)
+
+
+def test_gram_matches_the_four_block_route_lag_by_lag():
+    alpha, lam, n = 1.8, 1.0, 8
+    gram = sampler.build_gram(
+        sampler.ProcessDescriptor("tfgn", FracOUParams(alpha, lam)),
+        sampler.TimeGrid(0.0, 0.25, n))
+    ref = [_four_block_var(alpha, lam)] + [
+        _four_block_cov(alpha, lam, 0.25 * k) for k in range(1, n)]
+    scale = max(map(abs, ref))
+    for i in range(n):
+        for j in range(n):
+            assert abs(gram[i, j] - ref[abs(i - j)]) <= 1e-11 * scale
+
+
+def test_noise_makes_no_kummer_call(monkeypatch):
+    def kummer_u(*args):
+        raise AssertionError("kummer_u called")
+
+    monkeypatch.setattr(specfun, "kummer_u", kummer_u)
+    gram = sampler.build_gram(
+        sampler.ProcessDescriptor("tfgn", FracOUParams(1.8, 1.0)),
+        sampler.TimeGrid(0.0, 0.25, 4))
+    assert gram[0, 0] == K.tfgn_var(1.8, 1.0)
+    assert gram[0, 2] == K.tfgn_cov(1.8, 1.0, 0.5)

@@ -12,8 +12,7 @@ import pytest
 
 from tplab import kernels as K
 from tplab import quad
-from tplab.errors import (DegenerateExpansion, DivergenceWarning,
-                          DomainError, NonConvergence)
+from tplab.errors import DivergenceWarning, DomainError, NonConvergence
 from tplab.kernels import FracOUParams, TwoIndexParams
 
 
@@ -246,6 +245,7 @@ def test_tail_series_preconditions():
     (1.5, 0.5, 1.5957691216057307),
     (1.05, 1.0, 0.96749051010307811),
     (1.25, 1.0, 1.0638460810704871),
+    (2.0, 0.5, 1.0),
 ))
 def test_smalltime_coefficient_frozen(alpha, beta, coeff):
     q = TwoIndexParams(alpha, beta, 2.0)
@@ -262,9 +262,14 @@ def test_smalltime_coefficient_ignores_lambda_and_factorization():
     assert a == b
 
 
-def test_smalltime_degenerates_at_unit_product():
-    with pytest.raises(DegenerateExpansion):
-        K.twoindex_smalltime_incvar(TwoIndexParams(2.0, 0.5, 1.0))
+@pytest.mark.parametrize("alpha beta".split(), ((2.0, 0.5), (1.0, 1.0)))
+def test_smalltime_law_holds_at_unit_product(alpha, beta):
+    # alpha*beta = 1 is the Brownian law var ~ |dt|, not a degeneracy
+    q = TwoIndexParams(alpha, beta, 1.0)
+    c, exponent = K.twoindex_smalltime_incvar(q)
+    assert (c, exponent) == (1.0, 1.0)
+    t = 1e-4
+    assert abs(K.twoindex_increment_var(q, t) / t - 1.0) <= 1e-3
 
 
 def test_smalltime_needs_asymptotic_range():

@@ -11,9 +11,6 @@ from tplab.errors import DomainError, NonConvergence, SlowDecay
 # pinned offline at 30 significant digits
 PI_OVER_2E = 0.57786367489546086
 PI_TIMES_EXP_M1 = 1.1557273497909217
-SIN2_P_15 = 1.2533141373155003
-SIN2_P_25 = 0.8355427582103335
-SIN2_P_21 = 0.75986526973941796
 
 
 # --- finite and half-line adaptive integration ---------------------------
@@ -182,27 +179,3 @@ def test_cosine_transform_extreme_cancellation():
 def test_cosine_transform_requires_integrable_tail():
     with pytest.raises(DomainError):
         quad.fourier_cos_halfline(lambda k: 1.0, 1.0, decay_p=1.0)
-
-
-# --- sin^2 weighted power transform --------------------------------------
-
-@pytest.mark.parametrize("exponent expected".split(), (
-    (1.5, SIN2_P_15),
-    (2.5, SIN2_P_25),
-    (2.1, SIN2_P_21),
-))
-def test_power_sin2_frozen_values(exponent, expected):
-    r = quad.power_sin2_halfline(exponent)
-    assert abs(r.value - expected) < 1e-10 * expected
-
-
-def test_power_sin2_quadratic_case_is_pi_over_4():
-    # int_0^inf k^(-2) sin^2(k/2) dk = pi/4
-    r = quad.power_sin2_halfline(2.0)
-    assert abs(r.value - 0.25 * math.pi) < 1e-10
-
-
-@pytest.mark.parametrize("exponent", (1.0, 3.0, 0.5, 3.5))
-def test_power_sin2_domain(exponent):
-    with pytest.raises(DomainError):
-        quad.power_sin2_halfline(exponent)
