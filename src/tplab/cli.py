@@ -238,18 +238,11 @@ def _record(path, family):
 def cmd_sample(rc):
     desc = _build_descriptor(rc)
     grid = sampler.TimeGrid(rc.t0, rc.dt, rc.n)
-    if rc.method == "spectral":
-        if rc.family != "tfbm":
-            raise DomainError(
-                "spectral synthesis is defined for the reduced stationary-"
-                "increment family only (tfbm)")
-        paths = sampler.sample_tfbm_spectral_batch(desc.params, grid,
-                                                   rc.seed, rc.paths)
-    elif rc.method == "exact":
-        paths = sampler.sample_exact(desc, grid, rc.seed, rc.paths)
-    else:
-        raise DomainError("unknown method %r; use exact or spectral"
-                          % rc.method)
+    sample = sampler.METHODS.get(rc.method)
+    if sample is None:
+        raise DomainError("unknown method %r; use %s"
+                          % (rc.method, " or ".join(sampler.METHODS)))
+    paths = sample(desc, grid, rc.seed, rc.paths)
     dest = _out_path(rc, "paths.jsonl")
     with open(dest, "w") as fh:
         for p in paths:
@@ -420,7 +413,7 @@ def _parser():
 
     ps = sub.add_parser("sample", help="write sampled paths as JSON lines")
     common(ps)
-    ps.add_argument("--method", choices=("exact", "spectral"))
+    ps.add_argument("--method", choices=tuple(sampler.METHODS))
 
     pe = sub.add_parser("estimate", help="run estimators on a paths file")
     pe.add_argument("paths_file")

@@ -4,7 +4,7 @@ substream seeding.
 Exact sampling assembles the dense Gram from kernel values at the grid
 lags and times where the family allows, Cholesky-factorizes it (with an
 adaptive jitter ladder for matrices at the edge of numerical rank), and
-multiplies standard-normal draws.  Stationary-increment paths can
+multiplies standard-normal draws.  A reduced family's paths can
 instead be synthesized by circulant embedding of the increment
 covariance, computed once per batch, and cumulative summation.
 
@@ -16,7 +16,8 @@ per block; TPLAB_THREADS is not read, and the last bits of a path may
 differ between BLAS thread counts.
 
 FAMILIES is the one table of process families, read by the Gram
-assembly and the CLI: a family is added there and nowhere else.
+assembly, both samplers and the CLI: a family is added there and
+nowhere else.  METHODS names the samplers.
 """
 
 import math
@@ -93,8 +94,9 @@ class ProcessDescriptor:
         p = self.params
         if p is None:
             return None
-        if isinstance(p, MixtureParams):
-            return max(c.lam for _, c in p.components)
+        parts = FAMILIES[self.family].parts
+        if parts is not None:
+            return max(c.lam for _, c in parts(p))
         return p.lam
 
 
@@ -152,10 +154,6 @@ def _reduced_gram(p: FracOUParams, grid):
     return (lag + lag[0, 0]) - (c_t[:, None] + c_t[None, :])
 
 
-def _mixed_gram(m: MixtureParams, grid):
-    return sum(b * b * _reduced_gram(c, grid) for b, c in m.components)
-
-
 def _twoindex_lag(q: TwoIndexParams, lags, tol=None):
     return np.array([twoindex.twoindex_cov(q, lg, tol).value for lg in lags])
 
@@ -165,23 +163,26 @@ class Family:
     """Parameter type, the config keys its constructor takes in order,
     and the covariance: lag(p, lags, tol=None) at each lag for a
     stationary family (tol bounds the absolute error where quadrature
-    computes it; closed forms ignore it), else the Gram gram(p, grid)
-    and the two-time cov(p, t, s)."""
+    computes it; closed forms ignore it), else the two-time cov(p, t, s)
+    and either the Gram gram(p, grid) or, for a reduced family, the
+    independent reduced fOU processes it sums, as
+    parts(p) = ((weight, FracOUParams), ...)."""
 
     params: type
     needs: tuple
     lag: Optional[Callable] = None
     gram: Optional[Callable] = None
     cov: Optional[Callable] = None
+    parts: Optional[Callable] = None
 
 
 FAMILIES = {
     "fou": Family(FracOUParams, ("alpha", "lam"),
                   lag=lambda p, lags, tol=None: fou.fou_cov_values(p, lags)),
-    "tfbm": Family(FracOUParams, ("alpha", "lam"), gram=_reduced_gram,
-                   cov=tfbm.tfbm_cov),
-    "mixed": Family(MixtureParams, ("components",), gram=_mixed_gram,
-                    cov=mixed.mixed_cov),
+    "tfbm": Family(FracOUParams, ("alpha", "lam"), cov=tfbm.tfbm_cov,
+                   parts=lambda p: ((1.0, p),)),
+    "mixed": Family(MixtureParams, ("components",), cov=mixed.mixed_cov,
+                    parts=lambda m: m.components),
     "tfbm2": Family(TwoIndexParams, ("alpha", "beta", "lam"),
                     lag=_twoindex_lag),
     "tmbm": Family(TmbmParams, ("profile", "lam"),
@@ -194,12 +195,18 @@ FAMILIES = {
 }
 
 
-def build_gram(process: ProcessDescriptor, grid: TimeGrid):
-    """Dense covariance matrix of the family on the grid."""
+def _params(process):
     if process.params is None:
         raise DomainError("sampling needs parameter values, not just a "
                           "family tag")
-    fam, p = FAMILIES[process.family], process.params
+    return process.params
+
+
+def build_gram(process: ProcessDescriptor, grid: TimeGrid):
+    """Dense covariance matrix of the family on the grid."""
+    fam, p = FAMILIES[process.family], _params(process)
+    if fam.parts is not None:
+        return sum(b * b * _reduced_gram(c, grid) for b, c in fam.parts(p))
     if fam.lag is None:
         return fam.gram(p, grid)
     return _stationary_gram(lambda lags: fam.lag(p, lags), grid)
@@ -213,6 +220,8 @@ def _cholesky_with_jitter(gram):
     genuinely indefinite matrix, which is a bug, not a user error.
     """
     n = gram.shape[0]
+    if n == 0:  # every grid point is pinned: nothing to factor
+        return gram, 0.0
     mean_diag = float(np.trace(gram)) / n
     if mean_diag <= 0.0:
         raise NotPSD("Gram trace is not positive")
@@ -314,39 +323,49 @@ def _circulant_normal(eig, rng):
     return np.fft.fft(spec).real / math.sqrt(big)
 
 
-def sample_tfbm_spectral(p: FracOUParams, grid: TimeGrid, seed):
-    """One spectral path, drawn from derive_substream_seed(seed, 0)."""
-    return _spectral_paths(p, grid, [seed])[0]
-
-
-def sample_tfbm_spectral_batch(p: FracOUParams, grid: TimeGrid, seed,
-                               n_paths):
-    """n_paths spectral paths; path i equals
+def sample_spectral(process: ProcessDescriptor, grid: TimeGrid, seed,
+                    n_paths):
+    """n_paths reduced-family paths; for tfbm path i equals
     sample_tfbm_spectral(p, grid, derive_substream_seed(seed, i)), on the
     exact fallback only where the BLAS gives a block product's columns
     (i % 64 here, 0 there) the same bits in every position."""
     if n_paths < 1:
         raise DomainError("n_paths must be at least 1")
-    return _spectral_paths(p, grid, [
+    return _spectral_paths(process, grid, [
         derive_substream_seed(seed, i) for i in range(int(n_paths))])
 
 
-def _spectral_paths(p, grid, seeds):
-    """Reduced-process paths via one circulant embedding of the
-    stationary increment covariance, then cumulative summation from the
-    pinned origin; path k draws from derive_substream_seed(seeds[k], 0).
-    Falls back (with one warning) to exact sampling if the embedding is
-    not nonnegative definite."""
+def sample_tfbm_spectral(p: FracOUParams, grid: TimeGrid, seed):
+    """One tfbm spectral path, drawn from derive_substream_seed(seed, 0)."""
+    return _spectral_paths(ProcessDescriptor("tfbm", p), grid, [seed])[0]
+
+
+def _increment_cov(p: FracOUParams, dt, m):
+    """Covariance of a reduced fOU process's dt-increments, lags 0..m-1."""
+    fou.require_reduced_lags(p.lam, dt * (m > 0))
+    c = fou.fou_cov_values(p, dt * np.arange(m + 1))
+    j = np.arange(m)
+    return 2.0 * c[j] - c[j + 1] - c[np.abs(j - 1)]
+
+
+def _spectral_paths(process, grid, seeds):
+    """Reduced-family paths via one circulant embedding of the
+    increment covariance, summed over the family's fOU parts, then
+    cumulative summation from the pinned origin; path k draws from
+    derive_substream_seed(seeds[k], 0).  Falls back (with one warning) to
+    exact sampling if the embedding is not nonnegative definite."""
+    parts = FAMILIES[process.family].parts
+    if parts is None:
+        raise DomainError("spectral synthesis is defined for the reduced "
+                          "families only (%s)" % ", ".join(
+                              n for n, f in FAMILIES.items() if f.parts))
     if grid.t0 != 0.0:
         raise DomainError("spectral synthesis needs a grid starting at "
                           "t0 = 0, got %g" % grid.t0)
-    process = ProcessDescriptor("tfbm", p)
     subs = [derive_substream_seed(seed, 0) for seed in seeds]
     m = grid.n - 1
-    fou.require_reduced_lags(p.lam, grid.dt * (m > 0))
-    c = fou.fou_cov_values(p, grid.dt * np.arange(m + 1))
-    j = np.arange(m)
-    r = 2.0 * c[j] - c[j + 1] - c[np.abs(j - 1)]
+    r = sum(b * b * _increment_cov(c, grid.dt, m)
+            for b, c in parts(_params(process)))
     eig = None
     if m >= 2:  # one increment or none needs no circulant
         try:
@@ -365,3 +384,7 @@ def _spectral_paths(p, grid, seeds):
             grid, np.concatenate([[0.0], np.cumsum(inc)]), process, sub,
             "spectral_increments"))
     return paths
+
+
+# method name -> sampler(process, grid, seed, n_paths)
+METHODS = {"exact": sample_exact, "spectral": sample_spectral}

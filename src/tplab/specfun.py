@@ -354,34 +354,26 @@ def bessel_k(nu, x):
 
 
 def _kummer_integrand(a, b, z):
-    """Integrand on [0,1] after t = u/(1-u) (and u = v^(1/a) if a < 1)."""
-    if a < 1.0:
-        inv_a = 1.0 / a
+    """Integrand over [-1/2, v(1/2)] of int_0^1 e^(-zu/(1-u)) u^(a-1)
+    (1-u)^(-b) du, U's integral after t = u/(1-u), and the prefactor.
+    x >= 0 is v = u^c, c = min(a, 1), for u in [0, 1/2]; x < 0 is
+    w = 1 - u = -x, whose nodes resolve 1 - u down to the boundary layer
+    of a tiny z."""
+    c = min(a, 1.0)
+    inv_c = 1.0 / c
 
-        def f(v):
-            if v <= 0.0:
-                return 1.0
-            w = v ** inv_a
-            one_minus = 1.0 - w
-            if one_minus <= 1e-305:
-                return 0.0
-            arg = z * w / one_minus
+    def f(x):
+        if x < 0.0:
+            arg = z * (1.0 + x) / -x
             if arg > 708.0:
                 return 0.0
-            return math.exp(-arg) * one_minus ** (-b)
+            return c * (math.exp(-arg) * (1.0 + x) ** (a - 1.0)
+                        * (-x) ** (-b))
+        u = x ** inv_c
+        return (math.exp(-z * u / (1.0 - u)) * u ** (a - c)
+                * (1.0 - u) ** (-b))
 
-        return f, 1.0 / (a * math.gamma(a))
-
-    def f(u):
-        one_minus = 1.0 - u
-        if one_minus <= 1e-305:
-            return 0.0
-        arg = z * u / one_minus
-        if arg > 708.0:
-            return 0.0
-        return math.exp(-arg) * u ** (a - 1.0) * one_minus ** (-b)
-
-    return f, 1.0 / math.gamma(a)
+    return f, 0.5 ** c, 1.0 / (c * math.gamma(a))
 
 
 def kummer_u(a, b, z):
@@ -395,11 +387,11 @@ def kummer_u(a, b, z):
         raise DomainError("kummer_u requires a > 0, got a=%g" % a)
     if z <= 0.0:
         raise DomainError("kummer_u requires z > 0, got z=%g" % z)
-    f, pref = _kummer_integrand(a, b, z)
-    probe = quad._rule_pair(f, 0.0, 1.0)[0]
+    f, top, pref = _kummer_integrand(a, b, z)
+    probe = quad._rule_pair(f, -0.5, top)[0]
     tol = max(1e-13, 1e-12 * abs(probe))
     try:
-        res = quad.integrate_adaptive(f, 0.0, 1.0, tol=tol)
+        res = quad.integrate_adaptive(f, -0.5, top, tol=tol, points=(0.0,))
     except NonConvergence as exc:
         # the probe can miss a boundary layer at u -> 1 when z is tiny and
         # the integral is huge, leaving tol unattainable; the partial is

@@ -49,17 +49,6 @@ from .kernels.params import (
 
 DEFAULT_SEED = 20260815
 
-SUITES = (
-    "specfun",
-    "oracle",
-    "identities",
-    "scaling",
-    "asymptotics",
-    "tmbm-equivalence",
-    "mc",
-)
-
-
 @dataclass(frozen=True)
 class CheckRecord:
     check_id: str
@@ -443,15 +432,15 @@ def _stack(paths):
 def suite_mc(seed, n_paths):
     checks = []
     ramp = HurstProfile.saturating_ramp(0.8, 0.1)
+    tfbm = sampler.ProcessDescriptor("tfbm", FracOUParams(1.25, 0.5))
     families = (
         sampler.ProcessDescriptor("fou", FracOUParams(0.75, 1.0)),
-        sampler.ProcessDescriptor("tfbm", FracOUParams(1.25, 0.5)),
+        tfbm,
         sampler.ProcessDescriptor("mixed", MixtureParams((
             (1.0, FracOUParams(0.7, 1.0)), (0.7, FracOUParams(1.3, 0.5))))),
         sampler.ProcessDescriptor("tmbm", TmbmParams(ramp, 1.0)),
     )
     grid = sampler.TimeGrid(0.0, 0.05, _MC_N)
-    tfbm_paths = None
     for k, desc in enumerate(families):
         name = desc.family
         paths = sampler.sample_exact(desc, grid, _family_seed(seed, k),
@@ -465,12 +454,12 @@ def suite_mc(seed, n_paths):
         checks.append(_check(
             "mc/%s/mean-max-z" % name, 0.0, _max_mean_z(vals, gram), 4.0,
             _MC))
-        if name == "tfbm":
-            tfbm_paths = (desc.params, vals)
+        if desc is tfbm:
+            tfbm_vals = vals
     # increment law of the reduced process is stationary: empirical
     # increment second moments must be Toeplitz within MC error
-    p, vals = tfbm_paths
-    inc = np.diff(vals, axis=1)
+    p = tfbm.params
+    inc = np.diff(tfbm_vals, axis=1)
     emp_inc = _emp_second_moment(inc)
     worst = 0.0
     for d in _MC_DIAGS:
@@ -483,8 +472,7 @@ def suite_mc(seed, n_paths):
         "mc/tfbm/increment-toeplitz-max-z", 0.0, worst, 4.0, _MC))
     # the circulant-embedding route must agree with the closed form
     spec_seed = _family_seed(seed, 17)
-    spv = _stack(sampler.sample_tfbm_spectral_batch(p, grid, spec_seed,
-                                                    n_paths))
+    spv = _stack(sampler.sample_spectral(tfbm, grid, spec_seed, n_paths))
     times = grid.times()
     ratio_dev = 0.0
     for i in (_MC_N // 4, _MC_N // 2, _MC_N - 1):
@@ -505,6 +493,8 @@ _SUITE_FNS = {
     "tmbm-equivalence": suite_tmbm,
     "mc": suite_mc,
 }
+
+SUITES = tuple(_SUITE_FNS)
 
 
 def run_suite(suite, seed=DEFAULT_SEED, n_paths=2000, config_echo=None):

@@ -6,15 +6,22 @@ exercises the installed console script to cover packaging.
 """
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tplab
 from tplab import cli, estimators, kernels, sampler, validate
@@ -181,6 +188,67 @@ def test_sample_spectral_runs_for_tfbm(tmp_path, capsys):
             (tmp_path / "paths.jsonl").read_text().splitlines()]
     assert all(r["method"] == "spectral_increments" for r in recs)
     assert all(r["values"][0] == 0.0 for r in recs)
+
+
+def _sample_config(tmp_path, family, **over):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family=%s\n" % family + COV_CONFIG[family] + "".join(
+        "%s=%s\n" % kv for kv in over.items()))
+    return ["sample", "--config", str(cfg), "--dt", "0.1", "--n", "16",
+            "--paths", "3", "--seed", "42", "--out", str(tmp_path)]
+
+
+def _values(tmp_path):
+    return [json.loads(line)["values"] for line in
+            (tmp_path / "paths.jsonl").read_text().splitlines()]
+
+
+def test_sample_spectral_runs_for_a_copied_table_entry(tmp_path, capsys,
+                                                       monkeypatch):
+    argv = _sample_config(tmp_path, "tfbm", method="spectral")
+    assert cli.main(argv) == 0
+    want = _values(tmp_path)
+    monkeypatch.setitem(sampler.FAMILIES, "copy", sampler.FAMILIES["tfbm"])
+    assert cli.main(argv + ["--process", "copy"]) == 0
+    capsys.readouterr()
+    assert _values(tmp_path) == want
+
+
+def test_sample_spectral_runs_for_mixed(tmp_path, capsys):
+    assert cli.main(_sample_config(tmp_path, "mixed", method="spectral")) == 0
+    capsys.readouterr()
+    recs = [json.loads(line) for line in
+            (tmp_path / "paths.jsonl").read_text().splitlines()]
+    assert len(recs) == 3
+    for rec in recs:
+        assert rec["family"] == "mixed"
+        assert rec["method"] == "spectral_increments"
+        assert rec["values"][0] == 0.0
+        assert all(math.isfinite(v) for v in rec["values"])
+
+
+@pytest.mark.parametrize("family", ("fou", "tfgn", "tfbm2", "tmbm"))
+def test_sample_spectral_names_the_reduced_families(tmp_path, capsys,
+                                                    family):
+    argv = _sample_config(tmp_path, family) + ["--method", "spectral"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(tfbm, mixed)" in err
+    assert not (tmp_path / "paths.jsonl").exists()
+
+
+def test_unknown_method_in_config_exits_2(tmp_path, capsys):
+    assert cli.main(_sample_config(tmp_path, "tfbm", method="foo")) == 2
+    assert "unknown method 'foo'" in capsys.readouterr().err
+
+
+def test_method_choices_are_the_sampler_table():
+    subs = next(a for a in cli._parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    flag = next(a for a in subs.choices["sample"]._actions
+                if "--method" in a.option_strings)
+    assert tuple(flag.choices) == tuple(sampler.METHODS) == ("exact",
+                                                            "spectral")
 
 
 @pytest.mark.parametrize("method", ("exact", "spectral"))
@@ -570,3 +638,64 @@ def test_runs_where_mpmath_cannot_be_imported(tmp_path, argv):
         [sys.executable, "-c", _WITHOUT_MPMATH, *argv, "--out", str(tmp_path)],
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+# --- the documented input domain of `tplab sample` ---------------------------
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_log_lam = _floats(-4.0, 2.0).map(lambda e: 10.0 ** e)
+_component = st.tuples(_floats(0.1, 2.0), _floats(0.51, 6.0), _log_lam).map(
+    lambda c: "%r:%r:%r" % c)
+
+# one strategy per config key a family needs, as config-file text
+_NEEDS = {
+    "alpha": _floats(0.51, 6.0).map(repr),
+    "beta": _floats(0.05, 1.0).map(repr),
+    "lam": _log_lam.map(repr),
+    "profile": st.one_of(
+        _floats(0.55, 1.45).map(lambda a: "constant:%r" % a),
+        st.tuples(_floats(0.55, 1.2), _floats(-0.3, 0.3)).map(
+            lambda bg: "ramp:%r,%r" % bg)),
+    "components": st.lists(_component, min_size=1, max_size=3).map(",".join),
+}
+
+
+@st.composite
+def _sample_runs(draw):
+    family = draw(st.sampled_from(tuple(sampler.FAMILIES)))
+    cfg = {"family": family}
+    for key in sampler.FAMILIES[family].needs:
+        cfg[key] = draw(_NEEDS[key])
+    cfg["method"] = draw(st.sampled_from(tuple(sampler.METHODS)))
+    cfg["n"] = draw(st.integers(1, 16))
+    cfg["paths"] = draw(st.integers(1, 4))
+    cfg["t0"] = draw(st.sampled_from((0.0, 0.5)))
+    cfg["dt"] = draw(st.sampled_from((0.01, 0.1, 1.0)))
+    return cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sample_runs())
+def test_sample_inputs_in_the_documented_domain_keep_the_exit_contract(cfg):
+    # a run works, or refuses the input (2), or reports a numerical
+    # failure (3), in one line and within its time budget
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w") as fh:
+            fh.writelines("%s=%s\n" % kv for kv in cfg.items())
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["sample", "--config", path, "--out", tmp])
+        assert time.perf_counter() - start < 2.0
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert len(_values(pathlib.Path(tmp))) == cfg["paths"]
+            return
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(
+        "error: " if code == 2 else "numerical failure: ")

@@ -4,6 +4,7 @@ jitter ladder, and the circulant-embedding route with its clamp /
 fallback behavior.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from tplab.kernels import (FracOUParams, HurstProfile, MixtureParams,
                            TmbmParams, TwoIndexParams)
 from tplab.sampler import (GaussianPath, ProcessDescriptor, TimeGrid,
                            derive_substream_seed, sample_exact,
-                           sample_tfbm_spectral, sample_tfbm_spectral_batch)
+                           sample_spectral, sample_tfbm_spectral)
 
 
 # --- substream seeding -------------------------------------------------------
@@ -115,6 +116,15 @@ def test_pinned_origin_is_exactly_zero():
     for path in sample_exact(p, TimeGrid(0.0, 0.5, 8), 11, 5):
         assert path.values[0] == 0.0
         assert np.all(path.values[1:] != 0.0)
+
+
+@pytest.mark.parametrize("family", ("tfbm", "mixed", "tmbm"))
+def test_exact_single_point_reduced_grid_is_origin(family):
+    # every point is pinned, so there is nothing to factor
+    desc = ProcessDescriptor(family, FAMILY_PARAMS[family])
+    for path in sample_exact(desc, TimeGrid(0.0, 0.1, 1), 2, 3):
+        assert np.array_equal(path.values, np.zeros(1))
+        assert path.jitter == 0.0
 
 
 def test_two_point_factor_matches_closed_form_cholesky():
@@ -354,7 +364,7 @@ def test_spectral_falls_back_to_exact_on_embedding_failure(monkeypatch):
 def test_spectral_batch_equals_per_path_calls(n):
     p = FracOUParams(1.25, 0.5)
     grid = TimeGrid(0.0, 0.25, n)
-    batch = sample_tfbm_spectral_batch(p, grid, 17, 5)
+    batch = sample_spectral(ProcessDescriptor("tfbm", p), grid, 17, 5)
     assert len(batch) == 5
     for i, path in enumerate(batch):
         one = sample_tfbm_spectral(p, grid, derive_substream_seed(17, i))
@@ -379,7 +389,7 @@ def test_spectral_batch_fallback_builds_one_gram(monkeypatch):
     p = FracOUParams(1.25, 0.5)
     grid = TimeGrid(0.0, 0.25, 16)
     with pytest.warns(EmbeddingWarning, match="falling back") as caught:
-        batch = sample_tfbm_spectral_batch(p, grid, 5, 4)
+        batch = sample_spectral(ProcessDescriptor("tfbm", p), grid, 5, 4)
     assert len(grams) == 1
     assert len(caught) == 1
     with pytest.warns(EmbeddingWarning):
@@ -401,7 +411,7 @@ def test_spectral_batch_fallback_across_block_columns(monkeypatch):
     p = FracOUParams(0.75, 0.05)
     grid = TimeGrid(0.0, 0.01, 512)
     with pytest.warns(EmbeddingWarning):
-        batch = sample_tfbm_spectral_batch(p, grid, 11, 70)
+        batch = sample_spectral(ProcessDescriptor("tfbm", p), grid, 11, 70)
         for i in (63, 65):
             one = sample_tfbm_spectral(p, grid, derive_substream_seed(11, i))
             assert batch[i].values.tobytes() == one.values.tobytes()
@@ -419,3 +429,44 @@ def test_spectral_two_point_grid_matches_manual_draw():
     z = sampler._rng_for(path.seed).standard_normal(1)
     ref = math.sqrt(K.tfbm_var(p, 0.3)) * z[0]
     assert abs(path.values[1] - ref) <= 1e-13 * abs(ref)
+
+
+# --- reduced families read from the table ------------------------------------
+
+@pytest.mark.parametrize("family", ("tfbm", "mixed"))
+def test_a_table_entry_is_all_a_reduced_family_needs(monkeypatch, family):
+    # a copy of the entry under a new name samples, by both routes, the
+    # bytes the original does, with no edit anywhere but the table
+    monkeypatch.setitem(sampler.FAMILIES, "copy",
+                        dataclasses.replace(sampler.FAMILIES[family]))
+    p = FAMILY_PARAMS[family]
+    orig, copy = ProcessDescriptor(family, p), ProcessDescriptor("copy", p)
+    grid = TimeGrid(0.0, 0.25, 17)
+    assert np.array_equal(sampler.build_gram(copy, grid),
+                          sampler.build_gram(orig, grid))
+    assert copy.tempering_rate() == orig.tempering_rate()
+    for sample in sampler.METHODS.values():
+        for a, b in zip(sample(copy, grid, 4, 3), sample(orig, grid, 4, 3)):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.process is copy
+
+
+def test_mixed_spectral_embeds_the_gram_increment_covariance(monkeypatch):
+    embedded = []
+    real = sampler._embedding_eigenvalues
+
+    def recording(r):
+        embedded.append(r)
+        return real(r)
+
+    monkeypatch.setattr(sampler, "_embedding_eigenvalues", recording)
+    desc = ProcessDescriptor("mixed", MIX)
+    grid = TimeGrid(0.0, 0.05, 65)
+    paths = sample_spectral(desc, grid, 3, 2)
+    (r,) = embedded
+    inc = np.diff(np.diff(sampler.build_gram(desc, grid), axis=0), axis=1)
+    lag = np.abs(np.arange(grid.n - 1)[:, None] - np.arange(grid.n - 1))
+    assert np.abs(r[lag] - inc).max() <= 1e-12 * np.abs(inc).max()
+    for path in paths:
+        assert path.method == "spectral_increments"
+        assert path.values[0] == 0.0

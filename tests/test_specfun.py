@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -276,6 +277,21 @@ def test_kummer_boundary_layer_small_z():
             * (1.0 + (a - b + 1.0) / (2.0 - b) * z))
     r = specfun.kummer_u(a, b, z)
     assert abs(r.value - lead) <= 1e-7 * lead
+
+
+@pytest.mark.parametrize("a b z".split(), ((0.7, 2.4, 2e-6),
+                                           (0.9, 1.7, 1e-7),
+                                           (2.5, 3.5, 3e-6)))
+def test_kummer_tiny_z_is_quick_and_accurate(a, b, z):
+    # the O(z) layer at u -> 1 is integrated in w = 1 - u, where float64
+    # resolves it, so the rounding floor stops the bisection early
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ref = float(mpmath.hyperu(a, b, z))
+    start = time.perf_counter()
+    r = specfun.kummer_u(a, b, z)
+    assert time.perf_counter() - start < 0.05
+    assert abs(r.value - ref) <= 1e-12 * ref
 
 
 def test_kummer_against_direct_quadrature():
