@@ -3,8 +3,7 @@ asymptotic expansions for the tempered process families."""
 
 from .params import (FracOUParams, HurstProfile, MixtureParams,
                      TmbmParams, TwoIndexParams)
-from .fou import (fou_cov, fou_cov_values, fou_local_expansion,
-                  fou_spectral, fou_var)
+from .fou import fou_cov, fou_local_expansion, fou_spectral, fou_var
 from .tfbm import (ms_normalization_factor, tfbm_cov, tfbm_cov_from_ct,
                    tfbm_ct_coefficient, tfbm_gram, tfbm_increment_cov,
                    tfbm_increment_spectral, tfbm_lrd_plateau, tfbm_var)
@@ -18,7 +17,7 @@ from .tfgn import tfgn_cov, tfgn_cross_cov, tfgn_var
 __all__ = [
     "FracOUParams", "HurstProfile", "MixtureParams", "TmbmParams",
     "TwoIndexParams",
-    "fou_cov", "fou_cov_values", "fou_local_expansion", "fou_spectral",
+    "fou_cov", "fou_local_expansion", "fou_spectral",
     "fou_var", "ms_normalization_factor", "tfbm_cov", "tfbm_cov_from_ct",
     "tfbm_ct_coefficient", "tfbm_gram", "tfbm_increment_cov",
     "tfbm_increment_spectral", "tfbm_lrd_plateau", "tfbm_var",

@@ -24,8 +24,10 @@ from .params import FracOUParams
 _X_UNDERFLOW = 700.0
 
 # The reduced families subtract C(tau) from sigma^2 ~ lambda^-(2 alpha - 1),
-# keeping about eps (lambda |tau|)^-(2 alpha - 1) relative accuracy, 1e-4 at
-# worst at this floor; the kernel alone goes down to specfun.BESSEL_X_MIN.
+# keeping about eps (lambda |tau|)^-(2 alpha - 1) relative accuracy.  The
+# floor does not scale with alpha: at it, tfbm_var is off by 4.9e-4
+# relative at alpha = 2 and by 9.3e-3 at alpha = 3 (lambda = 1e-4,
+# t = 0.01).  The kernel alone goes down to specfun.BESSEL_X_MIN.
 REDUCED_X_MIN = 1e-6
 
 
@@ -93,14 +95,10 @@ def fou_var(p: FracOUParams):
 
 
 def fou_cov(p: FracOUParams, tau):
-    """Stationary covariance C(tau); C(0) = fou_var(p)."""
-    return float(cov_alpha_grid(p.alpha, p.lam, tau))
-
-
-def fou_cov_values(p: FracOUParams, taus):
-    """Vectorized C over a lag array."""
-    taus = np.asarray(taus, dtype=float)
-    return cov_alpha_grid(np.full(taus.shape, p.alpha), p.lam, taus)
+    """Stationary covariance C(tau); C(0) = fou_var(p).  Broadcasts over
+    an array of lags; a scalar lag gives a float."""
+    out = cov_alpha_grid(p.alpha, p.lam, tau)
+    return float(out) if out.ndim == 0 else out
 
 
 def fou_spectral(p: FracOUParams, k):

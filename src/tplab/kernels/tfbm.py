@@ -23,7 +23,9 @@ from .params import FracOUParams
 
 
 def tfbm_cov(p: FracOUParams, t, s):
-    """Covariance of the reduced process; 0 whenever t or s is 0."""
+    """Covariance of the reduced process; 0 whenever t or s is 0.
+    Broadcasts over arrays of t and s; scalars give a float."""
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
     fou.require_reduced_lags(p.lam, t, s, t - s)
     c = (fou.fou_cov(p, t - s) - fou.fou_cov(p, t) - fou.fou_cov(p, s)
          + fou.fou_var(p))
@@ -45,29 +47,42 @@ def tfbm_ct_coefficient(p: FracOUParams, t):
 
     As lambda|t| -> 0 this tends to Gamma(1-2H) cos(H pi) / (H pi), the
     untempered self-similarity constant; as lambda|t| -> infinity the
-    Bessel term dies and c_t |t|^(2H) -> 2 sigma^2.
+    Bessel term dies and c_t |t|^(2H) -> 2 sigma^2.  Broadcasts over an
+    array of t; a scalar gives a float.
     """
     p.require_hurst_in_unit()
-    if t == 0.0:
+    t = np.abs(np.asarray(t, dtype=float))
+    if (t == 0.0).any():
         raise DomainError("c_t is undefined at t = 0")
     fou.require_reduced_lags(p.lam, t)
     h = p.hurst
-    x = 2.0 * p.lam * abs(t)
-    lead = 2.0 * math.gamma(2.0 * h) / (math.gamma(h + 0.5) ** 2 * x ** (2.0 * h))
-    bes = specfun.bessel_k(h, p.lam * abs(t)).value
-    tail = 2.0 / (math.sqrt(math.pi) * math.gamma(h + 0.5)) * x ** -h * bes
-    return lead - tail
+    x = 2.0 * p.lam * t
+    # np.power, not **: a numpy scalar's ** is libm's pow, which can
+    # differ in the last bit from the array loop
+    lead = (2.0 * math.gamma(2.0 * h)
+            / (math.gamma(h + 0.5) ** 2 * np.power(x, 2.0 * h)))
+    bes = specfun.besselk_grid(h, p.lam * t)
+    tail = (2.0 / (math.sqrt(math.pi) * math.gamma(h + 0.5))
+            * np.power(x, -h) * bes)
+    out = lead - tail
+    return float(out) if out.ndim == 0 else out
 
 
 def tfbm_cov_from_ct(p: FracOUParams, t, s):
-    """Secondary covariance route through the c_t decomposition."""
+    """Secondary covariance route through the c_t decomposition;
+    broadcasts like tfbm_cov."""
+    t, s = np.broadcast_arrays(np.asarray(t, dtype=float),
+                               np.asarray(s, dtype=float))
 
     def piece(u):
-        if u == 0.0:
-            return 0.0
-        return tfbm_ct_coefficient(p, u) * abs(u) ** (2.0 * p.hurst)
+        out = np.zeros(u.shape)
+        live = u != 0.0
+        u = u[live]
+        out[live] = tfbm_ct_coefficient(p, u) * np.abs(u) ** (2.0 * p.hurst)
+        return out
 
-    return 0.5 * (piece(t) + piece(s) - piece(t - s))
+    out = 0.5 * (piece(t) + piece(s) - piece(t - s))
+    return float(out) if out.ndim == 0 else out
 
 
 def tfbm_increment_cov(p: FracOUParams, lag_tau, t_minus_s):
@@ -123,5 +138,5 @@ def tfbm_gram(p: FracOUParams, times):
     lags = times[:, None] - times[None, :]
     fou.require_reduced_lags(p.lam, np.diff(np.sort(times)), times)
     c_lag = fou.cov_alpha_grid(p.alpha, p.lam, lags)
-    c_t = fou.fou_cov_values(p, times)
+    c_t = fou.fou_cov(p, times)
     return c_lag - c_t[:, None] - c_t[None, :] + fou.fou_var(p)

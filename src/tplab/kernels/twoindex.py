@@ -10,7 +10,6 @@ as a Laplace integral on the imaginary axis.  The beta = 1 slice
 collapses to the single-index family exactly.
 """
 
-import cmath
 import math
 import warnings
 
@@ -80,19 +79,32 @@ def twoindex_cov(q: TwoIndexParams, tau, tol=None):
     d = math.pi * (1.0 - q.beta)
     rot = complex(-math.cos(d), math.sin(d))
 
+    a, two_b = q.alpha, 2.0 * q.beta
+
+    def axis(v):
+        return scale * (((1.0 + (v / c) ** two_b * rot) ** -a).imag
+                        * np.exp(-v))
+
+    def dip(s):
+        t = (s - c) / rho
+        v = s - 1j * (rho * (1.0 - t * t))
+        dv = 1.0 + 2j * t
+        return scale * ((1.0 + (v / c) ** two_b * rot) ** -a
+                        * np.exp(-v) * dv).imag
+
+    def log_axis(s):
+        # v = hi e^(s - hi) > c, h in a form that cannot overflow
+        v = hi * np.exp(s - hi)
+        y = (v / c) ** -two_b
+        return scale * v * np.exp(-v) * (y ** a * (y + rot) ** -a).imag
+
     def f(s):
-        if s < lo:
-            v, dv = s, 1.0
-        elif s < hi:
-            t = (s - c) / rho
-            v, dv = complex(s, -rho * (1.0 - t * t)), complex(1.0, 2.0 * t)
-        else:   # v = hi e^(s - hi) > c, h in a form that cannot overflow
-            v = hi * math.exp(s - hi)
-            y = (v / c) ** (-2.0 * q.beta)
-            return scale * v * math.exp(-v) * (
-                y ** q.alpha * (y + rot) ** -q.alpha).imag
-        return scale * ((1.0 + (v / c) ** (2.0 * q.beta) * rot) ** -q.alpha
-                        * cmath.exp(-v) * dv).imag
+        out = np.empty_like(s)
+        for sel, segment in ((s < lo, axis), ((s >= lo) & (s < hi), dip),
+                             (s >= hi, log_axis)):
+            if sel.any():
+                out[sel] = segment(s[sel])
+        return out
 
     # e^(-v) is 0 in float64 past v = 746, so the contour ends there; a
     # panel per doubling of log v keeps each rule pair from reading zeros

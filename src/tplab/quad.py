@@ -24,6 +24,12 @@ closed forms or rotate such transforms onto the imaginary axis, where
 they are Laplace integrals, and the lobe sum is the independent
 reference that tests hold them against.
 
+Integrands take a 1-d float64 array of nodes and return their values
+at those nodes as an array of the same shape.  Each call of the rule
+pair evaluates every node of a batch of panels (the initial panels, or
+the two halves of a bisected one) in one call, so an integrand written
+with numpy pays the interpreter once per batch, not once per node.
+
 Both routines are pure, reentrant and float64 throughout.
 """
 
@@ -50,8 +56,8 @@ ROUNDING_FLOOR = 50.0 * sys.float_info.epsilon
 # endpoint singularities out of harm's way.
 _X7, _W7 = np.polynomial.legendre.leggauss(7)
 _X15, _W15 = np.polynomial.legendre.leggauss(15)
-_X7.flags.writeable = False
-_X15.flags.writeable = False
+_NODES = np.concatenate((_X15, _X7))
+_NODES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -61,21 +67,30 @@ class QuadResult:
     subdivisions: int
 
 
-def _rule_pair(f, a, b):
-    """15-point value, error indicator and floor flag on [a, b].
+def _rule_pairs(f, edges):
+    """15-point value, error indicator and floor flag on each panel
+    between consecutive edges, with one call of f on all their nodes.
 
     The indicator is |15pt - 7pt|, raised to the panel's rounding floor
     ROUNDING_FLOOR * h * sum |w_i f(x_i)|; the flag says it sits there,
-    where bisecting the panel cannot lower it.
+    where bisecting the panel cannot lower it.  Each panel's tuple is
+    summed on its own, so it does not depend on the other panels.
     """
-    h = 0.5 * (b - a)
-    c = 0.5 * (a + b)
-    terms = [w * f(c + h * x) for x, w in zip(_X15, _W15)]
-    i15 = h * math.fsum(terms)
-    i7 = h * math.fsum(w * f(c + h * x) for x, w in zip(_X7, _W7))
-    floor = ROUNDING_FLOOR * abs(h) * sum(map(abs, terms))
-    diff = abs(i15 - i7)
-    return i15, max(diff, floor), diff <= floor
+    edges = np.asarray(edges, dtype=float)
+    h = 0.5 * (edges[1:] - edges[:-1])
+    c = 0.5 * (edges[:-1] + edges[1:])
+    nodes = c[:, None] + h[:, None] * _NODES
+    fx = f(nodes.ravel()).reshape(nodes.shape)
+    terms15 = (_W15 * fx[:, :15]).tolist()
+    terms7 = (_W7 * fx[:, 15:]).tolist()
+    out = []
+    for hk, t15, t7 in zip(h.tolist(), terms15, terms7):
+        i15 = hk * math.fsum(t15)
+        i7 = hk * math.fsum(t7)
+        floor = ROUNDING_FLOOR * abs(hk) * sum(map(abs, t15))
+        diff = abs(i15 - i7)
+        out.append((i15, max(diff, floor), diff <= floor))
+    return out
 
 
 def _adaptive_finite(f, points, tol, cap, rel=0.0):
@@ -90,8 +105,8 @@ def _adaptive_finite(f, points, tol, cap, rel=0.0):
     # breaks ties deterministically
     heap, done = [], []
     floor_err = total_err = total = 0.0
-    for tick, (lo, hi) in enumerate(zip(points[:-1], points[1:])):
-        v, e, s = _rule_pair(f, lo, hi)
+    for tick, (lo, hi, (v, e, s)) in enumerate(
+            zip(points[:-1], points[1:], _rule_pairs(f, points))):
         total += v
         total_err += e
         if s:
@@ -123,8 +138,7 @@ def _adaptive_finite(f, points, tol, cap, rel=0.0):
             heappush(heap, (neg_e, tick, lo, hi, v, e))
             raise failure("interval at floating resolution with err=%g > "
                           "tol=%g" % (total_err, budget))
-        v1, e1, s1 = _rule_pair(f, lo, mid)
-        v2, e2, s2 = _rule_pair(f, mid, hi)
+        (v1, e1, s1), (v2, e2, s2) = _rule_pairs(f, (lo, mid, hi))
         total += v1 + v2 - v
         total_err += e1 + e2 - e
         for vi, ei, si, lo_i, hi_i in ((v1, e1, s1, lo, mid),
@@ -196,11 +210,16 @@ def _adaptive_to_inf(f, a, tol, cap):
 
 
 def integrate_adaptive(f, a, b, tol=1e-10, points=(), rel=0.0):
-    """Integrate f over [a, b], b possibly math.inf.
+    """Integrate f over [a, b], a finite and a <= b <= math.inf.
 
-    f must be finite on the open interval; integrable endpoint
+    f takes a 1-d float64 array of nodes and returns its values there as
+    an array of the same shape; one call covers every node of a batch of
+    panels.  It must be finite on the open interval; integrable endpoint
     singularities are tolerated because the rules are open, but the
     caller is responsible for substituting away anything stronger.
+    points must lie in [a, b] in nondecreasing order (a repeated point
+    makes an empty panel).  Limits or points outside that contract, NaN
+    included, raise DomainError.
 
     On a finite interval the panels between a, points and b share one
     budget max(tol, rel * |value|).  For b = inf the tail is extrapolated
@@ -216,8 +235,11 @@ def integrate_adaptive(f, a, b, tol=1e-10, points=(), rel=0.0):
     """
     if not (tol > 0.0 or rel > 0.0):
         raise DomainError("tol must be positive")
-    if math.isinf(a):
-        raise DomainError("lower limit must be finite")
+    if not math.isfinite(a):
+        raise DomainError("lower limit must be finite, got %g" % a)
+    if not a <= b:
+        raise DomainError("limits must satisfy a <= b, got a=%g, b=%g"
+                          % (a, b))
     if b == a:
         return QuadResult(0.0, 0.0, 0)
     if math.isinf(b):
@@ -225,8 +247,11 @@ def integrate_adaptive(f, a, b, tol=1e-10, points=(), rel=0.0):
             raise DomainError("points and rel need a finite upper limit")
         v, e, n = _adaptive_to_inf(f, a, tol, SUBDIVISION_CAP)
     else:
-        v, e, n = _adaptive_finite(f, (a, *points, b), tol,
-                                   SUBDIVISION_CAP, rel)
+        edges = (a, *points, b)
+        if not all(lo <= hi for lo, hi in zip(edges[:-1], edges[1:])):
+            raise DomainError("points must lie in [a, b] in nondecreasing "
+                              "order, got %s" % (points,))
+        v, e, n = _adaptive_finite(f, edges, tol, SUBDIVISION_CAP, rel)
     return QuadResult(v, e, n)
 
 
@@ -258,7 +283,7 @@ def _cos_lobes_float(g, tau, tol, decay_p, max_lobes):
     lobe's magnitude is its integral of |g cos|); the caller uses it to
     judge cancellation.
     """
-    h = lambda k: g(k) * math.cos(k * tau)
+    h = lambda k: g(k) * np.cos(k * tau)
     edges_gap = math.pi / tau
     lo = 0.0
     hi = 0.5 * math.pi / tau
@@ -290,7 +315,7 @@ def _cos_lobes_float(g, tau, tol, decay_p, max_lobes):
         floor += ROUNDING_FLOOR * abs(v)
         if m >= 8:
             value, delta = _euler_diagonal(partials)
-            tail_c = abs(g(hi)) * hi ** decay_p
+            tail_c = abs(g(np.array([hi]))[0]) * hi ** decay_p
             tail_bound = tail_c * hi ** (1.0 - decay_p) / (decay_p - 1.0)
             est = delta + math.fsum(errs)
             if est < 0.5 * tol or (tail_bound < 0.5 * tol and delta < tol):
@@ -308,7 +333,9 @@ def fourier_cos_halfline(g, tau, tol=1e-10, decay_p=2.0):
 
     g must be a nonnegative amplitude decaying at least like k^(-decay_p)
     with decay_p > 1 (needed both for the tau=0 reduction and for the
-    analytic tail bound).  Even in tau: |tau| is used.  Float64 only.
+    analytic tail bound); like integrate_adaptive's integrands it maps a
+    1-d float64 array of nodes to its values there.  Even in tau: |tau|
+    is used.  Float64 only.
 
     Raises SlowDecay when the tail bound cannot meet tol, and
     NonConvergence when tol lies below the rounding floor of the

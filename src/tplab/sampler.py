@@ -149,8 +149,8 @@ def _reduced_gram(p: FracOUParams, grid):
     own C_fou(0), so at t0 = 0 both sums in row and column 0 hold the
     same two operands and cancel exactly."""
     fou.require_reduced_lags(p.lam, grid.dt * (grid.n > 1), grid.times())
-    lag = _stationary_gram(lambda lg: fou.fou_cov_values(p, lg), grid)
-    c_t = lag[0] if grid.t0 == 0.0 else fou.fou_cov_values(p, grid.times())
+    lag = _stationary_gram(lambda lg: fou.fou_cov(p, lg), grid)
+    c_t = lag[0] if grid.t0 == 0.0 else fou.fou_cov(p, grid.times())
     return (lag + lag[0, 0]) - (c_t[:, None] + c_t[None, :])
 
 
@@ -178,7 +178,7 @@ class Family:
 
 FAMILIES = {
     "fou": Family(FracOUParams, ("alpha", "lam"),
-                  lag=lambda p, lags, tol=None: fou.fou_cov_values(p, lags)),
+                  lag=lambda p, lags, tol=None: fou.fou_cov(p, lags)),
     "tfbm": Family(FracOUParams, ("alpha", "lam"), cov=tfbm.tfbm_cov,
                    parts=lambda p: ((1.0, p),)),
     "mixed": Family(MixtureParams, ("components",), cov=mixed.mixed_cov,
@@ -343,7 +343,7 @@ def sample_tfbm_spectral(p: FracOUParams, grid: TimeGrid, seed):
 def _increment_cov(p: FracOUParams, dt, m):
     """Covariance of a reduced fOU process's dt-increments, lags 0..m-1."""
     fou.require_reduced_lags(p.lam, dt * (m > 0))
-    c = fou.fou_cov_values(p, dt * np.arange(m + 1))
+    c = fou.fou_cov(p, dt * np.arange(m + 1))
     j = np.arange(m)
     return 2.0 * c[j] - c[j + 1] - c[np.abs(j - 1)]
 

@@ -358,20 +358,31 @@ def _kummer_integrand(a, b, z):
     (1-u)^(-b) du, U's integral after t = u/(1-u), and the prefactor.
     x >= 0 is v = u^c, c = min(a, 1), for u in [0, 1/2]; x < 0 is
     w = 1 - u = -x, whose nodes resolve 1 - u down to the boundary layer
-    of a tiny z."""
+    of a tiny z.  Each sign's nodes get their own formula."""
     c = min(a, 1.0)
     inv_c = 1.0 / c
 
+    def near_one(x):
+        w = -x
+        arg = z * (1.0 - w) / w
+        out = np.zeros_like(w)
+        live = arg <= 708.0     # past it e^(-arg) and the integrand are 0
+        w = w[live]
+        out[live] = c * (np.exp(-arg[live]) * (1.0 - w) ** (a - 1.0)
+                         * w ** (-b))
+        return out
+
+    def near_zero(v):
+        u = v ** inv_c
+        return np.exp(-z * u / (1.0 - u)) * u ** (a - c) * (1.0 - u) ** (-b)
+
     def f(x):
-        if x < 0.0:
-            arg = z * (1.0 + x) / -x
-            if arg > 708.0:
-                return 0.0
-            return c * (math.exp(-arg) * (1.0 + x) ** (a - 1.0)
-                        * (-x) ** (-b))
-        u = x ** inv_c
-        return (math.exp(-z * u / (1.0 - u)) * u ** (a - c)
-                * (1.0 - u) ** (-b))
+        out = np.empty_like(x)
+        neg = x < 0.0
+        for sel, side in ((neg, near_one), (~neg, near_zero)):
+            if sel.any():
+                out[sel] = side(x[sel])
+        return out
 
     return f, 0.5 ** c, 1.0 / (c * math.gamma(a))
 
@@ -388,7 +399,7 @@ def kummer_u(a, b, z):
     if z <= 0.0:
         raise DomainError("kummer_u requires z > 0, got z=%g" % z)
     f, top, pref = _kummer_integrand(a, b, z)
-    probe = quad._rule_pair(f, -0.5, top)[0]
+    probe = quad._rule_pairs(f, (-0.5, top))[0][0]
     tol = max(1e-13, 1e-12 * abs(probe))
     try:
         res = quad.integrate_adaptive(f, -0.5, top, tol=tol, points=(0.0,))

@@ -188,7 +188,7 @@ def _fou_cov_by_quadrature(p, tau, tol):
 
     def f(v):
         w = x + v
-        return math.exp(-v) * (v * (x + w)) ** s * (1.0 / w + 1.0 / (w * w))
+        return np.exp(-v) * (v * (x + w)) ** s * (1.0 / w + 1.0 / (w * w))
 
     r = quad.integrate_adaptive(f, 0.0, math.inf, tol=tol / pref)
     return quad.QuadResult(pref * r.value, pref * r.abs_error_estimate,
@@ -201,8 +201,8 @@ def suite_oracle(seed, n_paths):
     for alpha in _ORACLE_ALPHAS:
         for lam in _ORACLE_LAMS:
             p = FracOUParams(alpha, lam)
-            for tau in _ORACLE_TAUS:
-                cf = K.fou_cov(p, tau)
+            closed = K.fou_cov(p, np.array(_ORACLE_TAUS)).tolist()
+            for tau, cf in zip(_ORACLE_TAUS, closed):
                 qv = _fou_cov_by_quadrature(p, tau, tol=max(1e-300,
                                                             1e-8 * abs(cf)))
                 checks.append(_check(
@@ -233,16 +233,12 @@ _CT_PARAM_SETS = ((0.75, 0.5), (1.25, 1.0), (0.6, 2.0), (1.4, 0.25))
 def suite_identities(seed, n_paths):
     del seed, n_paths
     checks = []
-    ts = np.linspace(0.15, 4.2, 10)
-    ss = np.linspace(0.2, 3.8, 10)
+    ts, ss = np.meshgrid(np.linspace(0.15, 4.2, 10),
+                         np.linspace(0.2, 3.8, 10), indexing="ij")
     for alpha, lam in _CT_PARAM_SETS:
         p = FracOUParams(alpha, lam)
-        worst = 0.0
-        for t in ts:
-            for s in ss:
-                a = K.tfbm_cov(p, t, s)
-                b = K.tfbm_cov_from_ct(p, t, s)
-                worst = max(worst, abs(a - b))
+        worst = np.max(np.abs(K.tfbm_cov(p, ts, ss)
+                              - K.tfbm_cov_from_ct(p, ts, ss)))
         checks.append(_check(
             "identities/ct-decomposition/alpha=%g/lam=%g" % (alpha, lam),
             0.0, worst, 1e-10, _IDENT))

@@ -99,7 +99,7 @@ def test_spectral_density_even_positive_and_normalized():
     # integrating the spectral density over the line returns the variance;
     # k = tan(theta) folds the k^(-2 alpha) tail into a finite interval
     r = quad.integrate_adaptive(
-        lambda th: K.fou_spectral(p, math.tan(th)) / math.cos(th) ** 2,
+        lambda th: K.fou_spectral(p, np.tan(th)) / np.cos(th) ** 2,
         0.0, 0.5 * math.pi, tol=1e-11)
     assert abs(2.0 * r.value - K.fou_var(p)) <= 1e-8 * K.fou_var(p)
 
@@ -135,11 +135,18 @@ def test_local_expansion_at_markov_point_is_the_ou_expansion():
 
 
 def test_grid_evaluation_matches_scalar():
-    p = FracOUParams(1.2, 0.8)
-    taus = np.array([0.0, 0.3, 1.7, 6.0])
-    got = K.fou_cov_values(p, taus)
-    for tau, g in zip(taus, got):
-        assert g == K.fou_cov(p, tau)
+    # zero lag, the bottom of the Bessel box, both Bessel routes, negative
+    # lags and lags past underflow, in one array against one call each
+    x = np.concatenate(([0.0, 1e-15, 1e-6], np.geomspace(1e-3, 50.0, 40),
+                        [700.0, 701.0, 1e4]))
+    for alpha in (0.6, 0.75, 1.0, 1.2, 1.4, 2.0, 3.0):
+        for lam in (0.05, 0.8, 4.0):
+            p = FracOUParams(alpha, lam)
+            taus = np.concatenate((x, -x)) / lam
+            got = K.fou_cov(p, taus.reshape(2, -1))
+            assert got.shape == (2, x.size)
+            assert got.ravel().tolist() == [K.fou_cov(p, t) for t in taus]
+    assert isinstance(K.fou_cov(p, taus[5]), float)
 
 
 def test_alpha_grids_call_gamma_once_per_distinct_index(monkeypatch):

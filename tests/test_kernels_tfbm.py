@@ -24,6 +24,27 @@ def test_four_term_vs_coefficient_decomposition(alpha, lam):
             assert abs(a - b) <= 1e-10
 
 
+@pytest.mark.parametrize("alpha lam".split(), PARAM_SETS)
+def test_array_calls_are_the_scalar_calls(alpha, lam):
+    # a grid with t = 0, s = 0 and zero-lag (t = s) cells
+    p = FracOUParams(alpha, lam)
+    axis = np.array([0.0, 0.15, 0.2, 1.3, 4.2])
+    ts, ss = np.meshgrid(axis, axis, indexing="ij")
+    four = K.tfbm_cov(p, ts, ss)
+    ct = K.tfbm_cov_from_ct(p, ts, ss)
+    assert four.tolist() == [[K.tfbm_cov(p, t, s) for s in axis]
+                             for t in axis]
+    assert ct.tolist() == [[K.tfbm_cov_from_ct(p, t, s) for s in axis]
+                           for t in axis]
+    assert (four[0] == 0.0).all() and (ct[:, 0] == 0.0).all()
+    assert np.abs(four - ct).max() <= 1e-10
+    assert (K.tfbm_ct_coefficient(p, axis[1:]).tolist()
+            == [K.tfbm_ct_coefficient(p, t) for t in axis[1:]])
+    assert isinstance(K.tfbm_cov_from_ct(p, 1.3, 1.3), float)
+    with pytest.raises(DomainError):
+        K.tfbm_ct_coefficient(p, axis)
+
+
 def test_pinned_origin_and_symmetry():
     p = FracOUParams(1.25, 0.5)
     assert K.tfbm_cov(p, 0.0, 0.0) == 0.0
@@ -126,7 +147,7 @@ def test_increment_variance_matches_spectral_integral():
         return inv_two_pi * (k * k + lam * lam) ** (-alpha)
 
     flat = quad.integrate_adaptive(
-        lambda th: g(math.tan(th)) / math.cos(th) ** 2,
+        lambda th: g(np.tan(th)) / np.cos(th) ** 2,
         0.0, 0.5 * math.pi, tol=1e-11)
     wavy = quad.fourier_cos_halfline(g, tau, tol=1e-11, decay_p=2.0 * alpha)
     ref = K.tfbm_increment_cov(p, tau, 0.0)

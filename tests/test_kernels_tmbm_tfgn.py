@@ -170,7 +170,7 @@ def test_cross_cov_matches_defining_integral():
     lam, tau = 1.0, 2.0
     for mu, nu in ((1.2, 0.9), (0.9, 1.2)):
         r = quad.integrate_adaptive(
-            lambda s, mu=mu, nu=nu: math.exp(-lam * (2.0 * s + tau))
+            lambda s, mu=mu, nu=nu: np.exp(-lam * (2.0 * s + tau))
             * (tau + s) ** (mu - 1.0) * s ** (nu - 1.0),
             0.0, math.inf, tol=1e-12)
         ref = r.value / (math.gamma(mu) * math.gamma(nu))

@@ -160,6 +160,19 @@ def test_cov_matches_the_lobe_sum_where_it_converges(alpha, beta, tau, ref):
             <= r.abs_error_estimate + lobes.abs_error_estimate)
 
 
+@pytest.mark.parametrize("alpha beta tau tol nseg".split(), (
+    (0.9, 0.6, 10.0, None, 13), (1.5, 0.7, 40.0, None, 14),
+    (0.9, 0.6, 0.01, None, 10), (3.0, 0.999, 0.5, None, 11),
+    (1.5, 0.6, 2e5, None, 14), (1.5, 0.7, 1.02, None, 10),
+    # 745 < lambda tau < 747: the contour ends on a repeated point
+    (0.9, 0.6, 746.0, None, 16), (1.2, 0.8, 0.3, 1e-12, 21)))
+def test_cov_subdivisions_are_pinned(alpha, beta, tau, tol, nseg):
+    # pinned counts: evaluating a batch of panels in one integrand call
+    # must not move a single bisection
+    r = K.twoindex_cov(TwoIndexParams(alpha, beta, 1.0), tau, tol=tol)
+    assert r.subdivisions == nseg
+
+
 def test_cov_refuses_lags_below_its_floor():
     with pytest.raises(DomainError, match="lambda\\*\\|tau\\|"):
         K.twoindex_cov(TwoIndexParams(0.9, 0.6, 1.0), 1e-310)

@@ -1,11 +1,12 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tplab import quad
+from tplab import quad, specfun
 from tplab.errors import DomainError, NonConvergence, SlowDecay
 
 # pinned offline at 30 significant digits
@@ -23,12 +24,12 @@ def test_polynomial_single_panel():
 
 def test_endpoint_singularity():
     # open rule never evaluates the endpoint; 1/sqrt(x) integrates to 2
-    r = quad.integrate_adaptive(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0)
+    r = quad.integrate_adaptive(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0)
     assert abs(r.value - 2.0) < 1e-9
 
 
 def test_halfline_exponential():
-    r = quad.integrate_adaptive(lambda x: math.exp(-x), 0.0, math.inf)
+    r = quad.integrate_adaptive(lambda x: np.exp(-x), 0.0, math.inf)
     assert abs(r.value - 1.0) < 1e-10
 
 
@@ -39,7 +40,7 @@ def test_halfline_lorentzian():
 
 
 def test_empty_interval_is_zero():
-    r = quad.integrate_adaptive(lambda x: 1.0, 2.0, 2.0)
+    r = quad.integrate_adaptive(np.ones_like, 2.0, 2.0)
     assert r.value == 0.0 and r.subdivisions == 0
 
 
@@ -54,11 +55,63 @@ def test_infinite_lower_limit_rejected():
         quad.integrate_adaptive(lambda x: x, -math.inf, 1.0)
 
 
+@pytest.mark.parametrize("a b points".split(), (
+    (0.0, -math.inf, ()),       # was the integral over [0, +inf)
+    (math.nan, 1.0, ()),
+    (0.0, math.nan, ()),        # was value nan, with nothing raised
+    (1.0, 0.0, ()),             # was NonConvergence after bisecting
+    (0.0, 1.0, (1.5,)),
+    (0.0, 1.0, (-0.5,)),
+    (0.0, 1.0, (0.7, 0.3)),
+    (0.0, 1.0, (math.nan,)),
+))
+def test_limits_and_points_outside_the_contract_rejected(a, b, points):
+    with pytest.raises(DomainError):
+        quad.integrate_adaptive(lambda x: np.exp(-x), a, b, points=points)
+
+
+def test_repeated_points_make_empty_panels():
+    # twoindex_cov ends its contour on a repeated point for
+    # 745 < lambda tau < 747; an empty panel adds nothing
+    plain = quad.integrate_adaptive(np.exp, 0.0, 1.0, points=(0.5,))
+    for points in ((0.5, 0.5), (0.0, 0.5), (0.5, 1.0)):
+        r = quad.integrate_adaptive(np.exp, 0.0, 1.0, points=points)
+        assert r.value == plain.value
+        assert r.abs_error_estimate == plain.abs_error_estimate
+
+
+# --- one integrand call per batch of panels ---------------------------------
+
+def _kummer_probe():
+    # straddles the sign change of its variable, like kummer_u's probe
+    return specfun._kummer_integrand(0.7, 2.4, 2e-6)[0]
+
+
+@pytest.mark.parametrize("f edges".split(), (
+    (np.exp, (0.0, 0.3, 1.0, 2.5)),
+    (lambda x: 1.0 / np.sqrt(x), (0.0, 1e-9, 1e-3, 1.0)),
+    (lambda x: np.sin(40.0 * x) / (1.0 + x), (0.0, 1.0, 1.0, 2.0, 7.5)),
+    (_kummer_probe(), (-0.5, -0.25, 0.0, 0.25, 0.5 ** 0.7)),
+))
+def test_batched_panels_equal_single_panels_bitwise(f, edges):
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return f(x)
+
+    batch = quad._rule_pairs(counted, edges)
+    assert calls == [22 * (len(edges) - 1)]
+    single = [quad._rule_pairs(f, pair)[0]
+              for pair in zip(edges[:-1], edges[1:])]
+    assert batch == single
+
+
 def test_unattainable_tolerance_keeps_partial():
     # float64 cannot certify 1e-25 absolute on a value of order 1; the
     # failure must still carry the (perfectly good) partial result
     with pytest.raises(NonConvergence) as exc:
-        quad.integrate_adaptive(math.exp, 0.0, 1.0, tol=1e-25)
+        quad.integrate_adaptive(np.exp, 0.0, 1.0, tol=1e-25)
     partial = exc.value.partial
     assert partial is not None
     assert abs(partial.value - (math.e - 1.0)) < 1e-12
@@ -68,7 +121,7 @@ def test_unattainable_tolerance_keeps_partial_on_halfline():
     # the partial must cover all of [0, inf), not just the panel that
     # ran into the float64 floor
     with pytest.raises(NonConvergence) as exc:
-        quad.integrate_adaptive(lambda x: math.exp(-x), 0.0, math.inf,
+        quad.integrate_adaptive(lambda x: np.exp(-x), 0.0, math.inf,
                                 tol=1e-25)
     partial = exc.value.partial
     assert partial is not None
@@ -76,9 +129,9 @@ def test_unattainable_tolerance_keeps_partial_on_halfline():
 
 
 @pytest.mark.parametrize("f b".split(), (
-    (math.exp, 1.0),
-    (lambda x: math.exp(-x), math.inf),
-    (lambda x: 1.0 / math.sqrt(x), 1.0),
+    (np.exp, 1.0),
+    (lambda x: np.exp(-x), math.inf),
+    (lambda x: 1.0 / np.sqrt(x), 1.0),
 ))
 def test_unattainable_tolerance_stops_short_of_cap(f, b):
     # once the panels at their rounding floor alone exceed tol, bisecting
@@ -91,10 +144,10 @@ def test_unattainable_tolerance_stops_short_of_cap(f, b):
 
 @pytest.mark.parametrize("f a b tol".split(), (
     (lambda x: x ** 5, 0.0, 1.0, 1e-10),
-    (math.exp, 0.0, 1.0, 1e-13),
-    (math.sin, 0.0, 3.0, 1e-13),
-    (lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, 1e-10),
-    (lambda x: math.exp(-x), 0.0, math.inf, 1e-12),
+    (np.exp, 0.0, 1.0, 1e-13),
+    (np.sin, 0.0, 3.0, 1e-13),
+    (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 1e-10),
+    (lambda x: np.exp(-x), 0.0, math.inf, 1e-12),
     (lambda x: 1.0 / (1.0 + x * x), 0.0, math.inf, 1e-10),
 ))
 def test_converged_error_never_below_rounding(f, a, b, tol):
@@ -105,7 +158,7 @@ def test_converged_error_never_below_rounding(f, a, b, tol):
 
 
 def test_additivity_of_panels():
-    f = lambda x: math.sin(x) + 0.3 * x
+    f = lambda x: np.sin(x) + 0.3 * x
     whole = quad.integrate_adaptive(f, 0.0, 2.0)
     a = quad.integrate_adaptive(f, 0.0, 1.0)
     b = quad.integrate_adaptive(f, 1.0, 2.0)
@@ -118,12 +171,12 @@ def test_breakpoints_and_relative_budget():
     r = quad.integrate_adaptive(lambda x: abs(x - 0.3), 0.0, 1.0,
                                 points=(0.3,))
     assert r.subdivisions == 2 and abs(r.value - 0.29) < 1e-15
-    r = quad.integrate_adaptive(lambda x: 1e-30 * math.exp(x), 0.0, 1.0,
+    r = quad.integrate_adaptive(lambda x: 1e-30 * np.exp(x), 0.0, 1.0,
                                 tol=0.0, rel=1e-12)
     assert abs(r.value - 1e-30 * (math.e - 1.0)) <= r.abs_error_estimate
     assert r.abs_error_estimate <= 1e-12 * r.value
     with pytest.raises(DomainError):
-        quad.integrate_adaptive(math.exp, 0.0, math.inf, points=(1.0,))
+        quad.integrate_adaptive(np.exp, 0.0, math.inf, points=(1.0,))
 
 
 @given(st.floats(min_value=0.1, max_value=9.0))
@@ -131,7 +184,7 @@ def test_breakpoints_and_relative_budget():
 def test_known_gaussian_mass(scale):
     # int_0^inf e^(-(x/s)^2) dx = s sqrt(pi)/2
     r = quad.integrate_adaptive(
-        lambda x: math.exp(-((x / scale) ** 2)), 0.0, math.inf)
+        lambda x: np.exp(-((x / scale) ** 2)), 0.0, math.inf)
     assert abs(r.value - 0.5 * scale * math.sqrt(math.pi)) < 1e-8 * scale
 
 
@@ -139,7 +192,7 @@ def test_known_gaussian_mass(scale):
 
 def test_cosine_transform_exponential_kernel():
     # int_0^inf e^(-k) cos(2k) dk = 1/(1+4) = 0.2
-    r = quad.fourier_cos_halfline(lambda k: math.exp(-k), 2.0, tol=1e-11,
+    r = quad.fourier_cos_halfline(lambda k: np.exp(-k), 2.0, tol=1e-11,
                                   decay_p=2.0)
     assert abs(r.value - 0.2) < 1e-10
 
@@ -179,3 +232,13 @@ def test_cosine_transform_extreme_cancellation():
 def test_cosine_transform_requires_integrable_tail():
     with pytest.raises(DomainError):
         quad.fourier_cos_halfline(lambda k: 1.0, 1.0, decay_p=1.0)
+
+
+@pytest.mark.parametrize("tau nseg".split(), ((1.0, 36), (2.5, 31)))
+def test_lobe_sum_subdivisions_are_pinned(tau, nseg):
+    # pinned counts: evaluating a batch of panels in one integrand call
+    # must not move a single bisection
+    r = quad.fourier_cos_halfline(
+        lambda k: (k * k + 1.0) ** -0.8 / math.pi, tau, tol=1e-11,
+        decay_p=1.6)
+    assert r.subdivisions == nseg

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tplab import quad, specfun
-from tplab.errors import DomainError, PoleError
+from tplab.errors import DomainError, NonConvergence, PoleError
 
 # pinned offline at 30 significant digits
 BESSELK_PINNED = (
@@ -298,10 +298,34 @@ def test_kummer_against_direct_quadrature():
     # independent route: untransformed half-line integral
     a, b, z = 1.3, 0.6, 2.0
     direct = quad.integrate_adaptive(
-        lambda t: math.exp(-z * t) * t ** (a - 1.0)
+        lambda t: np.exp(-z * t) * t ** (a - 1.0)
         * (1.0 + t) ** (b - a - 1.0), 0.0, math.inf, tol=1e-12)
     ref = direct.value / math.gamma(a)
     assert abs(specfun.kummer_u(a, b, z).value - ref) <= 1e-9 * ref
+
+
+@pytest.mark.parametrize("a b z nseg".split(), (
+    (1.0, 1.0, 1.0, 8), (0.75, 1.5, 0.8, 18), (0.7, 2.4, 2e-6, 51),
+    (0.9, 1.7, 1e-7, 66), (2.5, 3.5, 3e-6, 43), (1.3, 0.6, 2.0, 30),
+    (0.6, 1.2, 30.0, 14), (1.6, 2.1, 0.4, 26)))
+def test_kummer_subdivisions_are_pinned(monkeypatch, a, b, z, nseg):
+    # pinned counts: evaluating a batch of panels in one integrand call
+    # must not move a single bisection
+    seen = []
+    integrate = quad.integrate_adaptive
+
+    def recording(*args, **kwargs):
+        try:
+            r = integrate(*args, **kwargs)
+        except NonConvergence as exc:   # tiny z: kummer_u takes the partial
+            seen.append(exc.partial.subdivisions)
+            raise
+        seen.append(r.subdivisions)
+        return r
+
+    monkeypatch.setattr(quad, "integrate_adaptive", recording)
+    specfun.kummer_u(a, b, z)
+    assert seen == [nseg]
 
 
 @pytest.mark.parametrize("a z".split(), ((0.0, 1.0), (-0.5, 1.0),

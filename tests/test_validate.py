@@ -119,3 +119,39 @@ def test_oracle_suite_never_needs_mpmath(monkeypatch):
     checks = validate.suite_oracle(validate.DEFAULT_SEED, 0)
     assert len(checks) == 78
     assert all(c.passed for c in checks)
+
+
+# subdivisions of each oracle cell at the suite's tolerance, in the
+# suite's order (alpha, then lam, then tau); evaluating a batch of panels
+# in one integrand call must not move them
+_ORACLE_SUBDIVISIONS = (
+    # alpha = 0.6: lam = 0.25, 1, 4 by rows, tau across
+    26, 23, 21, 19, 19,
+    24, 22, 20, 19, 19,
+    23, 20, 19, 19, 19,
+    # alpha = 0.75
+    29, 26, 23, 21, 21,
+    27, 24, 22, 21, 21,
+    25, 22, 21, 21, 21,
+    # alpha = 1
+    14, 11, 8, 6, 6,
+    12, 9, 6, 6, 6,
+    11, 8, 6, 6, 6,
+    # alpha = 1.25
+    43, 40, 38, 36, 36,
+    41, 38, 36, 35, 35,
+    39, 37, 35, 35, 35,
+    # alpha = 1.4
+    52, 50, 46, 46, 45,
+    51, 48, 46, 45, 45,
+    49, 47, 45, 45, 45,
+)
+
+
+def test_oracle_subdivisions_are_pinned():
+    got = []
+    for alpha, lam, tau in _ORACLE_CELLS:
+        p = FracOUParams(alpha, lam)
+        tol = max(1e-300, 1e-8 * abs(K.fou_cov(p, tau)))
+        got.append(validate._fou_cov_by_quadrature(p, tau, tol).subdivisions)
+    assert tuple(got) == _ORACLE_SUBDIVISIONS
