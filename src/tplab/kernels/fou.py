@@ -23,25 +23,6 @@ from .params import FracOUParams
 # the kernel is exactly 0 at that resolution
 _X_UNDERFLOW = 700.0
 
-# The reduced families subtract C(tau) from sigma^2 ~ lambda^-(2 alpha - 1),
-# keeping about eps (lambda |tau|)^-(2 alpha - 1) relative accuracy.  The
-# floor does not scale with alpha: at it, tfbm_var is off by 4.9e-4
-# relative at alpha = 2 and by 9.3e-3 at alpha = 3 (lambda = 1e-4,
-# t = 0.01).  The kernel alone goes down to specfun.BESSEL_X_MIN.
-REDUCED_X_MIN = 1e-6
-
-
-def require_reduced_lags(lam, *taus):
-    """DomainError unless lambda |tau| >= REDUCED_X_MIN at nonzero lags."""
-    for tau in taus:
-        x = lam * np.abs(tau)
-        low = (x < REDUCED_X_MIN) & (x != 0.0)
-        if low.any():
-            raise DomainError(
-                "reduced covariance needs lambda*|tau| >= %g at nonzero "
-                "lags (sigma^2 - C(tau) cancels below it), got %g"
-                % (REDUCED_X_MIN, np.min(np.where(low, x, np.inf))))
-
 
 def _gamma_arr(a):
     """math.gamma elementwise, called once per distinct value (a single
@@ -49,16 +30,19 @@ def _gamma_arr(a):
     a = np.asarray(a, dtype=float)
     if a.size == 1:
         return np.full(a.shape, math.gamma(a.item()))
-    vals, inv = np.unique(a, return_inverse=True)
+    # np.sort, not np.unique: less memory, and no hash-path set-up (~14 ms)
+    vals = np.sort(a, axis=None)
+    vals = vals[np.append(True, vals[1:] != vals[:-1])]
     out = np.array([math.gamma(v) for v in vals])
-    return out[inv].reshape(a.shape)
+    return out[np.searchsorted(vals, a)]
 
 
 def var_alpha_grid(alpha, lam):
     """sigma^2 over an array of alpha values, shared lambda."""
     alpha = np.asarray(alpha, dtype=float)
-    return (_gamma_arr(2.0 * alpha - 1.0)
-            / (_gamma_arr(alpha) ** 2 * (2.0 * lam) ** (2.0 * alpha - 1.0)))
+    # np.power, not **: a scalar alpha gets the array loop's bits
+    a2 = 2.0 * alpha - 1.0
+    return _gamma_arr(a2) / (_gamma_arr(alpha) ** 2 * np.power(2.0 * lam, a2))
 
 
 def cov_alpha_grid(alpha, lam, tau):
@@ -72,26 +56,54 @@ def cov_alpha_grid(alpha, lam, tau):
         np.asarray(alpha, dtype=float), np.abs(np.asarray(tau, dtype=float)))
     if not np.isfinite(tau_b).all():
         raise DomainError("covariance lags must be finite")
-    x = lam * tau_b
     out = np.zeros(alpha_b.shape)
     at_zero = tau_b == 0.0
     if at_zero.any():
         out[at_zero] = var_alpha_grid(alpha_b[at_zero], lam)
-    live = ~at_zero & (x <= _X_UNDERFLOW)
+    live = ~at_zero & (lam * tau_b <= _X_UNDERFLOW)
     if live.any():
         nu = alpha_b[live] - 0.5
-        bes = specfun.besselk_grid(nu, x[live])
-        pref = np.exp(nu * np.log(tau_b[live] / (2.0 * lam))
-                      - np.log(np.sqrt(np.pi) * _gamma_arr(alpha_b[live])))
-        out[live] = pref * bes
+        bes = specfun.besselk_grid(nu, lam * tau_b[live])
+        # Gamma before the log term: one array fewer held under its sort
+        log_gamma = np.log(np.sqrt(np.pi) * _gamma_arr(alpha_b[live]))
+        out[live] = np.exp(nu * np.log(tau_b[live] / (2.0 * lam))
+                           - log_gamma) * bes
     return out
+
+
+# D = sigma^2 - C(tau) subtracts numbers of size lambda^-(2 alpha - 1) and
+# keeps about eps (lambda |tau|)^-(2 alpha - 1) relative accuracy, so D
+# refuses nonzero lags below this floor, which does not scale with alpha:
+# at it, tfbm_var is off by 4.9e-4 at alpha = 2 and 9.3e-3 at alpha = 3
+# (lambda = 1e-4, t = 0.01).  C alone reaches specfun.BESSEL_X_MIN.
+REDUCED_X_MIN = 1e-6
+
+
+def require_reduced_lags(lam, tau):
+    """DomainError unless lambda |tau| >= REDUCED_X_MIN at nonzero lags."""
+    x = lam * np.abs(tau)
+    low = (x < REDUCED_X_MIN) & (x != 0.0)
+    if low.any():
+        raise DomainError(
+            "reduced covariance needs lambda*|tau| >= %g at nonzero "
+            "lags (sigma^2 - C(tau) cancels below it), got %g"
+            % (REDUCED_X_MIN, np.min(np.where(low, x, np.inf))))
+
+
+def structure_alpha_grid(alpha, lam, tau):
+    """Structure function D(tau) = sigma^2 - C(tau), elementwise alpha and
+    tau (broadcast), shared lambda: Var B(t) = 2 D(t) and cov(B(t), B(s))
+    = D(t) + D(s) - D(t-s).  Even, and exactly 0 at tau = 0, where
+    cov_alpha_grid returns this sigma^2's bits; a nonzero lag below
+    REDUCED_X_MIN or a non-finite one is a DomainError."""
+    require_reduced_lags(lam, tau)
+    c = cov_alpha_grid(alpha, lam, tau)  # first: sigma^2 not held over it
+    return var_alpha_grid(alpha, lam) - c
 
 
 def fou_var(p: FracOUParams):
     """Stationary variance sigma^2."""
-    return (math.gamma(2.0 * p.alpha - 1.0)
-            / (math.gamma(p.alpha) ** 2
-               * (2.0 * p.lam) ** (2.0 * p.alpha - 1.0)))
+    return float(var_alpha_grid(p.alpha, p.lam))
 
 
 def fou_cov(p: FracOUParams, tau):

@@ -4,8 +4,6 @@ The covariance is the weight-squared sum of the component covariances;
 small-time roughness is governed by the smallest alpha in the mixture.
 """
 
-import numpy as np
-
 from . import tfbm
 from .params import MixtureParams
 
@@ -20,8 +18,4 @@ def mixed_var(m: MixtureParams, t):
 
 
 def mixed_gram(m: MixtureParams, times):
-    times = np.asarray(times, dtype=float)
-    out = np.zeros((len(times), len(times)))
-    for b, p in m.components:
-        out += b * b * tfbm.tfbm_gram(p, times)
-    return out
+    return sum(b * b * tfbm.tfbm_gram(p, times) for b, p in m.components)

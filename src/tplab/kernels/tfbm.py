@@ -1,10 +1,10 @@
 """Tempered fractional Brownian motion as the reduced stationary
 process: B(t) = X(t) - X(0) for X with the fou kernel, so
 
-    C(t,s) = C_fou(t-s) - C_fou(t) - C_fou(s) + sigma^2
+    C(t,s) = D(t) + D(s) - D(t-s),   D(tau) = sigma^2 - C_fou(tau)
 
-with C_fou(0) = sigma^2.  This four-term combination is the primary
-route everywhere; the lag-dependent coefficient decomposition
+with D the structure function (fou.structure_alpha_grid), the route of
+every reduced law here; the lag-dependent coefficient decomposition
 
     C(t,s) = (c_t |t|^(2H) + c_s |s|^(2H) - c_(t-s) |t-s|^(2H)) / 2
 
@@ -22,21 +22,23 @@ from . import fou
 from .params import FracOUParams
 
 
+def _structure(p: FracOUParams, tau):
+    return fou.structure_alpha_grid(p.alpha, p.lam, tau)
+
+
 def tfbm_cov(p: FracOUParams, t, s):
-    """Covariance of the reduced process; 0 whenever t or s is 0.
+    """D(t) + D(s) - D(t-s): 0 whenever t or s is 0, bitwise symmetric.
     Broadcasts over arrays of t and s; scalars give a float."""
     t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
-    fou.require_reduced_lags(p.lam, t, s, t - s)
-    c = (fou.fou_cov(p, t - s) - fou.fou_cov(p, t) - fou.fou_cov(p, s)
-         + fou.fou_var(p))
-    return c
+    out = (_structure(p, t) + _structure(p, s)) - _structure(p, t - s)
+    return float(out) if out.ndim == 0 else out
 
 
 def tfbm_var(p: FracOUParams, t):
-    """Variance 2(sigma^2 - C_fou(t)); 0 at t=0, to 2 sigma^2 at
-    infinity, crossing sigma^2 where C_fou(t) = sigma^2/2."""
-    fou.require_reduced_lags(p.lam, t)
-    return 2.0 * (fou.fou_var(p) - fou.fou_cov(p, t))
+    """Variance 2 D(t); 0 at t=0, to 2 sigma^2 at infinity, crossing
+    sigma^2 where C_fou(t) = sigma^2/2.  Broadcasts like tfbm_cov."""
+    out = 2.0 * _structure(p, t)
+    return float(out) if out.ndim == 0 else out
 
 
 def tfbm_ct_coefficient(p: FracOUParams, t):
@@ -88,15 +90,19 @@ def tfbm_cov_from_ct(p: FracOUParams, t, s):
 def tfbm_increment_cov(p: FracOUParams, lag_tau, t_minus_s):
     """Covariance of increments over lag tau at separation d = t-s:
 
-    2 C_fou(d) - C_fou(d + tau) - C_fou(d - tau)
+    D(d + tau) + D(d - tau) - 2 D(d)
 
     Depends on (t,s) only through d; even in d; at d=0 equals the
-    increment variance 2(sigma^2 - C_fou(tau)).
+    increment variance 2 D(tau).  Broadcasts like tfbm_cov.
     """
-    d = t_minus_s
-    fou.require_reduced_lags(p.lam, lag_tau, d, d + lag_tau, d - lag_tau)
-    return (2.0 * fou.fou_cov(p, d) - fou.fou_cov(p, d + lag_tau)
-            - fou.fou_cov(p, d - lag_tau))
+    tau, d = np.broadcast_arrays(lag_tau, t_minus_s)
+    # D refuses a sub-floor tau too: the second difference would keep no
+    # digit even where d and d +- tau clear the floor
+    if d.size:
+        _structure(p, lag_tau)
+    out = ((_structure(p, d + tau) + _structure(p, d - tau))
+           - 2.0 * _structure(p, d))
+    return float(out) if out.ndim == 0 else out
 
 
 def tfbm_increment_spectral(p: FracOUParams, lag_tau, k):
@@ -133,10 +139,6 @@ def ms_normalization_factor(p: FracOUParams):
 
 
 def tfbm_gram(p: FracOUParams, times):
-    """Dense covariance matrix over a time grid, vectorized."""
+    """Dense covariance matrix over a time grid, as tfbm_cov does it."""
     times = np.asarray(times, dtype=float)
-    lags = times[:, None] - times[None, :]
-    fou.require_reduced_lags(p.lam, np.diff(np.sort(times)), times)
-    c_lag = fou.cov_alpha_grid(p.alpha, p.lam, lags)
-    c_t = fou.fou_cov(p, times)
-    return c_lag - c_t[:, None] - c_t[None, :] + fou.fou_var(p)
+    return tfbm_cov(p, times[:, None], times[None, :])

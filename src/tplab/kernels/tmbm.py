@@ -2,10 +2,10 @@
 deterministic time-varying index alpha(t).
 
 Pairwise structure is governed by the averaged index alpha_plus(s,t) =
-(alpha(t)+alpha(s))/2: the covariance is the four-term stationary
-combination with every term evaluated at alpha_plus(s,t), which reduces
-exactly to the constant-index process when the profile is flat and
-pins the process to 0 at t=0.
+(alpha(t)+alpha(s))/2: the covariance is D(t) + D(s) - D(t-s), the
+structure function D of the reduced process evaluated at
+alpha_plus(s,t), which reduces exactly to the constant-index process
+when the profile is flat and pins the process to 0 at t=0.
 
 The underlying moving-average stationary pair has two independent
 closed forms, one through Kummer U and one through Whittaker W; their
@@ -57,7 +57,7 @@ def tmbm_mou_cov(h: HurstProfile, lam, t, s, route="kummer"):
 
 
 def tmbm_cov(h: HurstProfile, lam, t, s):
-    """Four-term combination at the averaged index alpha_plus(s,t)."""
+    """D(t) + D(s) - D(t-s) at the averaged index alpha_plus(s,t)."""
     return tfbm.tfbm_cov(FracOUParams(h.alpha_plus(t, s), lam), t, s)
 
 
@@ -69,24 +69,21 @@ def tmbm_var(h: HurstProfile, lam, t):
 def tmbm_gram(h: HurstProfile, lam, times):
     """Dense covariance matrix over a time grid.
 
-    All four stationary-kernel terms vary with the pair (i,j) through
-    the averaged index, which is exactly symmetric, as is |t_i - t_j|:
-    the lag term is evaluated on the upper triangle and mirrored, the
-    C(t_j) term is the transpose of the C(t_i) term, and the matrix is
-    bitwise symmetric.  Each sum pairs equal operands at t_i = 0 (the
-    lag term with C(t_j), the variance with C(0)), so a row and column
-    at the origin are exactly 0."""
+    Every D term varies with the pair (i,j) through the averaged index,
+    which is exactly symmetric, as is |t_i - t_j|.  One D call covers the
+    upper triangle's lags, mirrored, and D(t_i) at every pair's index,
+    whose transpose is the D(t_j) term: the matrix is bitwise symmetric,
+    and a row and column at the origin are D(t_j) - D(t_j) = 0."""
     times = np.asarray(times, dtype=float)
     h.spot_check(times)
     al = np.array([h.alpha(t) for t in times])
-    a_plus = 0.5 * (al[:, None] + al[None, :])
-    iu, ju = np.triu_indices(len(times))
-    fou.require_reduced_lags(lam, np.diff(np.sort(times)), times)
-    c_lag = np.empty(a_plus.shape)
-    c_lag[iu, ju] = fou.cov_alpha_grid(a_plus[iu, ju], lam,
-                                       times[iu] - times[ju])
-    c_lag[ju, iu] = c_lag[iu, ju]
-    c_ti = fou.cov_alpha_grid(a_plus, lam, np.broadcast_to(
-        times[:, None], a_plus.shape))
-    v = fou.var_alpha_grid(a_plus, lam)
-    return (c_lag + v) - (c_ti + c_ti.T)
+    n = len(times)
+    iu, ju = np.triu_indices(n)
+    d = fou.structure_alpha_grid(
+        np.concatenate((0.5 * (al[iu] + al[ju]),
+                        (0.5 * (al[:, None] + al[None, :])).ravel())), lam,
+        np.concatenate((times[iu] - times[ju], times.repeat(n))))
+    d_lag = np.empty((n, n))
+    d_lag[iu, ju] = d_lag[ju, iu] = d[:len(iu)]
+    d_t = d[len(iu):].reshape(n, n)
+    return (d_t + d_t.T) - d_lag

@@ -143,15 +143,15 @@ def _stationary_gram(cov_of_lag, grid):
 
 
 def _reduced_gram(p: FracOUParams, grid):
-    """tfbm Gram C_fou(t_i - t_j) - C_fou(t_i) - C_fou(t_j) + sigma^2
-    from the kernel at the n grid lags and the n grid times (row 0 of the
-    lag Gram when t0 = 0); bitwise symmetric.  sigma^2 is the lag Gram's
-    own C_fou(0), so at t0 = 0 both sums in row and column 0 hold the
-    same two operands and cancel exactly."""
-    fou.require_reduced_lags(p.lam, grid.dt * (grid.n > 1), grid.times())
-    lag = _stationary_gram(lambda lg: fou.fou_cov(p, lg), grid)
-    c_t = lag[0] if grid.t0 == 0.0 else fou.fou_cov(p, grid.times())
-    return (lag + lag[0, 0]) - (c_t[:, None] + c_t[None, :])
+    """tfbm Gram (D(t_i) + D(t_j)) - D(t_i - t_j) from the structure
+    function at the n grid lags and the n grid times (the lag row itself
+    when t0 = 0); bitwise symmetric.  At t0 = 0, D(0) = 0 makes row and
+    column 0 hold D(t_j) - D(t_j), exactly 0."""
+    lag = _stationary_gram(
+        lambda lg: fou.structure_alpha_grid(p.alpha, p.lam, lg), grid)
+    d_t = lag[0] if grid.t0 == 0.0 else fou.structure_alpha_grid(
+        p.alpha, p.lam, grid.times())
+    return (d_t[:, None] + d_t[None, :]) - lag
 
 
 def _twoindex_lag(q: TwoIndexParams, lags, tol=None):
@@ -340,14 +340,6 @@ def sample_tfbm_spectral(p: FracOUParams, grid: TimeGrid, seed):
     return _spectral_paths(ProcessDescriptor("tfbm", p), grid, [seed])[0]
 
 
-def _increment_cov(p: FracOUParams, dt, m):
-    """Covariance of a reduced fOU process's dt-increments, lags 0..m-1."""
-    fou.require_reduced_lags(p.lam, dt * (m > 0))
-    c = fou.fou_cov(p, dt * np.arange(m + 1))
-    j = np.arange(m)
-    return 2.0 * c[j] - c[j + 1] - c[np.abs(j - 1)]
-
-
 def _spectral_paths(process, grid, seeds):
     """Reduced-family paths via one circulant embedding of the
     increment covariance, summed over the family's fOU parts, then
@@ -364,7 +356,8 @@ def _spectral_paths(process, grid, seeds):
                           "t0 = 0, got %g" % grid.t0)
     subs = [derive_substream_seed(seed, 0) for seed in seeds]
     m = grid.n - 1
-    r = sum(b * b * _increment_cov(c, grid.dt, m)
+    r = sum(b * b * tfbm.tfbm_increment_cov(c, grid.dt,
+                                            grid.dt * np.arange(m))
             for b, c in parts(_params(process)))
     eig = None
     if m >= 2:  # one increment or none needs no circulant

@@ -298,20 +298,21 @@ def _besselk_array(nu, x):
     Larger inputs go in blocks of _BLOCK elements, which bounds the
     working set; an element's value does not depend on its block.
     """
-    nu = np.abs(np.asarray(nu, dtype=float).ravel())
+    nu = np.asarray(nu, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
     if x.size == 1:
-        nu, x = float(nu[0]), float(x[0])
+        nu, x = abs(float(nu[0])), float(x[0])
         _check_box(x <= 0.0, nu <= BESSEL_NU_MAX
                    and BESSEL_X_MIN <= x <= BESSEL_X_MAX)
         value, err = _besselk_block(nu, x)
         return np.array([value]), np.array([err])
-    inside = (nu <= BESSEL_NU_MAX) & (x >= BESSEL_X_MIN) & (x <= BESSEL_X_MAX)
+    inside = ((np.abs(nu) <= BESSEL_NU_MAX) & (x >= BESSEL_X_MIN)
+              & (x <= BESSEL_X_MAX))
     _check_box((x <= 0.0).any(), inside.all())
     value, err = np.empty_like(x), np.empty_like(x)
     for lo in range(0, x.size, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
-        value[blk], err[blk] = _besselk_block(nu[blk], x[blk])
+        value[blk], err[blk] = _besselk_block(np.abs(nu[blk]), x[blk])
     return value, err
 
 

@@ -457,10 +457,10 @@ def suite_mc(seed, n_paths):
     p = tfbm.params
     inc = np.diff(tfbm_vals, axis=1)
     emp_inc = _emp_second_moment(inc)
+    refs = K.tfbm_increment_cov(p, grid.dt, grid.dt * np.array(_MC_DIAGS))
+    var0 = refs[_MC_DIAGS.index(0)]
     worst = 0.0
-    for d in _MC_DIAGS:
-        ref = K.tfbm_increment_cov(p, grid.dt, d * grid.dt)
-        var0 = K.tfbm_increment_cov(p, grid.dt, 0.0)
+    for d, ref in zip(_MC_DIAGS, refs):
         se = math.sqrt((var0 ** 2 + ref ** 2) / n_paths)
         for i in range(0, emp_inc.shape[0] - d, _MC_STRIDE):
             worst = max(worst, abs(emp_inc[i, i + d] - ref) / se)

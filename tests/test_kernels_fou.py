@@ -184,13 +184,61 @@ def test_gamma_arr_of_one_value_skips_the_sort(monkeypatch):
     before = [fou._gamma_arr(a) for a in values]
 
     def no_sort(*args, **kwargs):
-        raise AssertionError("np.unique called for a single value")
+        raise AssertionError("np.sort called for a single value")
 
-    monkeypatch.setattr(fou.np, "unique", no_sort)
+    monkeypatch.setattr(fou.np, "sort", no_sort)
     for a, ref in zip(values, before):
         got = fou._gamma_arr(a)
         assert got.shape == a.shape and np.array_equal(got, ref)
         assert got.item() == math.gamma(a.item())
+
+
+# --- the structure function D = sigma^2 - C of the reduced families ------
+
+_D_ALPHAS = (0.6, 0.75, 1.0, 1.25, 1.45, 2.0, 3.0)
+_D_X = np.concatenate(([0.0, 1e-6, 1e-3], np.geomspace(0.01, 50.0, 30),
+                       [700.0, 701.0, 1e4]))
+
+
+def test_structure_function_is_exactly_zero_at_the_origin():
+    for alpha in _D_ALPHAS:
+        for lam in (1e-4, 0.05, 1.0, 4.0):
+            assert fou.structure_alpha_grid(alpha, lam, 0.0) == 0.0
+            assert fou.structure_alpha_grid(alpha, lam, -0.0) == 0.0
+    grid = fou.structure_alpha_grid(np.array([[0.75], [1.3]]), 0.7,
+                                    np.array([0.0, 2.0, 0.0]))
+    assert grid.shape == (2, 3)
+    assert not grid[:, [0, 2]].any() and (grid[:, 1] > 0.0).all()
+
+
+@pytest.mark.parametrize("alpha", _D_ALPHAS)
+def test_structure_function_is_even(alpha):
+    for lam in (0.05, 1.0):
+        tau = _D_X / lam
+        assert np.array_equal(fou.structure_alpha_grid(alpha, lam, tau),
+                              fou.structure_alpha_grid(alpha, lam, -tau))
+
+
+def test_structure_function_elementwise_alpha_is_the_scalar_calls():
+    # the stacked call a tmbm Gram makes: repeated and distinct indices,
+    # zero lags, both Bessel routes and underflow in one array
+    rng = np.random.default_rng(5)
+    alpha = rng.choice([0.75, 0.8, 0.8625, 1.25, 2.5], size=60)
+    tau = rng.choice(np.concatenate((-_D_X, _D_X)), size=60) / 0.7
+    got = fou.structure_alpha_grid(alpha, 0.7, tau)
+    assert got.tolist() == [float(fou.structure_alpha_grid(a, 0.7, t))
+                            for a, t in zip(alpha, tau)]
+
+
+@pytest.mark.parametrize("alpha", _D_ALPHAS)
+def test_structure_function_is_variance_minus_covariance(alpha):
+    for lam in (0.05, 1.0):
+        p = FracOUParams(alpha, lam)
+        tau = _D_X / lam
+        sig2 = K.fou_var(p)
+        ref = sig2 - K.fou_cov(p, tau)
+        got = fou.structure_alpha_grid(alpha, lam, tau)
+        assert np.abs(got - ref).max() <= 4.0 * np.spacing(sig2)
 
 
 @pytest.mark.parametrize("alpha lam".split(), (

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tplab import kernels as K
+from tplab import sampler
 from tplab.errors import DomainError
-from tplab.kernels.params import FracOUParams, HurstProfile, MixtureParams
+from tplab.kernels.params import (FracOUParams, HurstProfile, MixtureParams,
+                                  TmbmParams)
 
 PARAM_SETS = ((0.75, 0.5), (1.25, 1.0), (0.6, 2.0), (1.4, 0.25))
 
@@ -200,12 +202,61 @@ def test_gram_matches_pointwise_and_is_psd():
     times = np.linspace(0.0, 3.0, 31)
     g = K.tfbm_gram(p, times)
     assert g.shape == (31, 31)
-    assert np.abs(g - g.T).max() <= 1e-15
+    assert np.array_equal(g, g.T)
     for i in (0, 7, 30):
         for j in (0, 12, 30):
             assert abs(g[i, j] - K.tfbm_cov(p, times[i], times[j])) <= 1e-12
     w = np.linalg.eigvalsh(g)
     assert w.min() >= -1e-10 * w.max()
+
+
+# --- every reduced route through the structure function ---------------------
+
+RAMP = HurstProfile.saturating_ramp(0.8, 0.1)
+
+
+def _reduced_grams(times):
+    p = FracOUParams(0.75, 0.5)
+    grid = sampler.TimeGrid(times[0], times[1] - times[0], len(times))
+    yield K.tfbm_gram(p, times)
+    yield K.tfbm_cov(p, times[:, None], times[None, :])
+    yield K.mixed_gram(_mixture(), times)
+    yield K.tmbm_gram(RAMP, 1.0, times)
+    yield np.array([[K.tmbm_cov(RAMP, 1.0, t, s) for s in times]
+                    for t in times])
+    for family, params in (("tfbm", p), ("mixed", _mixture()),
+                           ("tmbm", TmbmParams(RAMP, 1.0))):
+        yield sampler.build_gram(sampler.ProcessDescriptor(family, params),
+                                 grid)
+
+
+@pytest.mark.parametrize("t0", (0.0, 0.3))
+def test_reduced_routes_are_bitwise_symmetric_and_zero_at_the_origin(t0):
+    # each cell is (D(t) + D(s)) - D(t - s): the sum commutes, D is even,
+    # and D(0) = 0 leaves D(s) - D(s) at t = 0
+    times = t0 + np.linspace(0.0, 3.0, 31)
+    for g in _reduced_grams(times):
+        assert np.array_equal(g, g.T)
+        if t0 == 0.0:
+            assert not g[0].any() and not g[:, 0].any()
+    assert (K.tmbm_cov(RAMP, 1.0, 0.3, 1.7)
+            == K.tmbm_cov(RAMP, 1.0, 1.7, 0.3))
+
+
+def test_variance_and_increment_covariance_broadcast():
+    p = FracOUParams(1.25, 0.5)
+    t = np.array([[0.0, 0.3], [1.7, 40.0]])
+    assert K.tfbm_var(p, t).tolist() == [[K.tfbm_var(p, u) for u in row]
+                                         for row in t]
+    assert isinstance(K.tfbm_var(p, 0.3), float)
+    tau, d = 0.25, np.array([-1.0, 0.0, 0.25, 3.0])
+    got = K.tfbm_increment_cov(p, tau, d)
+    assert got.tolist() == [K.tfbm_increment_cov(p, tau, u) for u in d]
+    assert isinstance(K.tfbm_increment_cov(p, tau, 0.0), float)
+    assert got[1] == K.tfbm_var(p, tau)
+    assert np.array_equal(K.tfbm_increment_cov(p, np.array([tau, 0.5]), 1.0),
+                          [K.tfbm_increment_cov(p, tau, 1.0),
+                           K.tfbm_increment_cov(p, 0.5, 1.0)])
 
 
 # --- the lag floor of the reduced routes -------------------------------------
@@ -219,10 +270,12 @@ _T = 0.5e-6 / _BELOW.lam
     lambda: K.tfbm_var(_BELOW, _T),
     lambda: K.tfbm_ct_coefficient(_BELOW, _T),
     lambda: K.tfbm_increment_cov(_BELOW, _T, 0.0),
+    lambda: K.tfbm_increment_cov(_BELOW, _T, 1.0 / _BELOW.lam),
     lambda: K.tfbm_gram(_BELOW, [0.0, _T]),
     lambda: K.mixed_cov(MixtureParams(((1.0, _BELOW),)), _T, _T),
     lambda: K.tmbm_gram(HurstProfile.constant(1.25), _BELOW.lam, [0.0, _T]),
-), ids=("cov", "var", "ct", "increment", "gram", "mixed", "tmbm"))
+), ids=("cov", "var", "ct", "increment", "increment-separated", "gram",
+        "mixed", "tmbm"))
 def test_reduced_routes_refuse_lags_below_the_floor(call):
     # sigma^2 - C(tau) would keep no digit here (sigma^2 ~ 1e13, the
     # variance ~ 1e-10); the kernel alone has nothing to cancel

@@ -80,9 +80,7 @@ def test_pinned_at_origin():
 def test_gram_matches_pointwise_and_is_symmetric():
     times = np.linspace(0.0, 4.0, 9)
     g = K.tmbm_gram(RAMP, 1.0, times)
-    # four-term float summation order differs across the diagonal, so
-    # symmetry holds to an ulp, not bitwise
-    assert np.allclose(g, g.T, rtol=0.0, atol=1e-15)
+    assert np.array_equal(g, g.T)
     for i in (0, 3, 8):
         for j in (1, 5):
             ref = K.tmbm_cov(RAMP, 1.0, times[i], times[j])
