@@ -301,9 +301,9 @@ def _plateau_rows(rc, paths):
         raise DomainError("plateau estimation needs --lambda")
     span = grid.t0 + grid.dt * (grid.n - 1)
     t = rc.plateau_t
-    taus = np.unique(np.array(
-        [round((span - t) * fr / grid.dt) * grid.dt
-         for fr in (0.5, 0.75, 1.0)]))
+    # a sorted set: np.unique's first call would import numpy.ma
+    taus = np.array(sorted({round((span - t) * fr / grid.dt) * grid.dt
+                            for fr in (0.5, 0.75, 1.0)}))
     corr = estimators.lrd_plateau_empirical(paths, t, taus, lam=rc.lam)
     se = 1.0 / math.sqrt(len(paths))
     return [(float(tau), float(c), se) for tau, c in zip(taus, corr)]

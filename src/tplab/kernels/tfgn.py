@@ -39,19 +39,15 @@ from . import fou
 
 
 def tfgn_cross_cov(mu, nu, lam, tau):
-    """C^(mu,nu)(tau) for mu, nu, lam, tau all positive."""
-    mu, nu, lam, tau = float(mu), float(nu), float(lam), float(tau)
-    if mu <= 0.0:
-        raise DomainError("tfgn_cross_cov requires mu > 0, got %g" % mu)
-    if nu <= 0.0:
-        raise DomainError("tfgn_cross_cov requires nu > 0, got %g" % nu)
-    if lam <= 0.0:
-        raise DomainError("lambda must be positive, got %g" % lam)
-    if tau <= 0.0:
-        raise DomainError("tfgn_cross_cov requires tau > 0, got %g" % tau)
+    """C^(mu,nu)(tau) for mu, nu, lam, tau all positive.  The arguments
+    broadcast; arrays give an array from one specfun.kummer_u call."""
+    shape, (mu, nu, lam, tau) = specfun.flat_args(mu, nu, lam, tau)
+    for name, x in (("mu", mu), ("nu", nu), ("lambda", lam), ("tau", tau)):
+        specfun.require("tfgn_cross_cov", name, x, x > 0.0, " > 0")
     u = specfun.kummer_u(nu, mu + nu, 2.0 * lam * tau).value
-    return (math.exp(-lam * tau) * tau ** (mu + nu - 1.0) * u
-            / math.gamma(mu))
+    pre = specfun.each(lambda m, n, lt, t: math.exp(-lt * t)
+                       * t ** (m + n - 1.0), mu, nu, lam, tau)
+    return specfun.shaped(shape, pre * u / specfun.each(math.gamma, mu))
 
 
 def tfgn_cov_values(alpha, lam, taus):

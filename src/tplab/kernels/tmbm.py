@@ -34,26 +34,31 @@ def tmbm_mou_cov(h: HurstProfile, lam, t, s, route="kummer"):
 
     with d = |t - s| > 0, a_hi, a_lo the indices at the later/earlier
     time, a_plus their mean and a_minus their half-difference.  The
-    wrapper symmetrizes, so argument order does not matter.
+    wrapper symmetrizes, so argument order does not matter.  t and s
+    broadcast; arrays give an array from one special-function call.
     """
     if not lam > 0.0:
         raise DomainError("lambda must be positive, got %g" % lam)
-    if t == s:
+    if route not in ("kummer", "whittaker"):
+        raise DomainError("route must be 'kummer' or 'whittaker', got %r"
+                          % (route,))
+    shape, (t, s) = specfun.flat_args(t, s)
+    specfun.require("tmbm_mou_cov", "t", t)
+    specfun.require("tmbm_mou_cov", "s", s)
+    if (t == s).any():
         raise DomainError(
             "equal-time displays are singular; use the variance route")
-    hi, lo = (t, s) if t > s else (s, t)
-    a_hi, a_lo = h.alpha(hi), h.alpha(lo)
+    hi, lo = np.maximum(t, s), np.minimum(t, s)
+    a_hi, a_lo = specfun.each(h.alpha, hi), specfun.each(h.alpha, lo)
     d = hi - lo
     if route == "kummer":
-        return tfgn.tfgn_cross_cov(a_hi, a_lo, lam, d)
-    if route == "whittaker":
-        a_plus = 0.5 * (a_hi + a_lo)
-        w = specfun.whittaker_w(0.5 * (a_hi - a_lo), 0.5 - a_plus,
-                                2.0 * lam * d).value
-        return (d ** (a_plus - 1.0)
-                / (math.gamma(a_hi) * (2.0 * lam) ** a_plus) * w)
-    raise DomainError("route must be 'kummer' or 'whittaker', got %r"
-                      % (route,))
+        return specfun.shaped(shape, tfgn.tfgn_cross_cov(a_hi, a_lo, lam, d))
+    a_plus = 0.5 * (a_hi + a_lo)
+    w = specfun.whittaker_w(0.5 * (a_hi - a_lo), 0.5 - a_plus,
+                            2.0 * lam * d).value
+    pre = specfun.each(lambda x, ap, ah: x ** (ap - 1.0) / (
+        math.gamma(ah) * (2.0 * lam) ** ap), d, a_plus, a_hi)
+    return specfun.shaped(shape, pre * w)
 
 
 def tmbm_cov(h: HurstProfile, lam, t, s):

@@ -15,8 +15,8 @@ import warnings
 
 import numpy as np
 
-from .. import quad
-from ..errors import DivergenceWarning, DomainError
+from .. import quad, specfun
+from ..errors import DivergenceWarning, DomainError, NonConvergence
 from . import fou
 from .params import FracOUParams, TwoIndexParams
 
@@ -64,15 +64,24 @@ def twoindex_cov(q: TwoIndexParams, tau, tol=None):
     error budget is 1e-7 |C|.  The estimate is never below float64's
     rounding floor; a tol below it raises NonConvergence with the
     partial result.  tau = 0 gives the closed-form variance.
+
+    tau may be an array: the result then holds arrays of its shape, and
+    every lag's integral runs in one quad.integrate_batch, each as it
+    would alone; the first lag that fails raises.
     """
-    tau = abs(float(tau))
-    if tau == 0.0:
+    shape, (tau,) = specfun.flat_args(tau)
+    tau = np.abs(tau)
+    specfun.require("twoindex_cov", "tau", tau)
+    out = [None] * tau.size
+    lags = np.flatnonzero(tau)
+    if lags.size < tau.size:
         var = twoindex_var(q)
-        return quad.QuadResult(var, abs(var) * 1e-15, 0)
-    c = q.lam * tau
-    if c < 1e-300:
-        raise DomainError("lambda*|tau| must be 0 or >= 1e-300, got %g" % c)
-    rho = min(0.5 * c, 1.0)
+        out = [quad.QuadResult(var, abs(var) * 1e-15, 0)] * tau.size
+    c = q.lam * tau[lags]
+    if (c < 1e-300).any():
+        raise DomainError("lambda*|tau| must be 0 or >= 1e-300, got %g"
+                          % c[c < 1e-300][0])
+    rho = np.minimum(0.5 * c, 1.0)
     lo, hi = c - rho, c + rho
     scale = -q.lam ** (1.0 - 2.0 * q.alpha * q.beta) / (math.pi * c)
     # e^(i pi b) from the exact 1 - b: Im stays accurate as b -> 1, +0 at 1
@@ -81,38 +90,48 @@ def twoindex_cov(q: TwoIndexParams, tau, tol=None):
 
     a, two_b = q.alpha, 2.0 * q.beta
 
-    def axis(v):
-        return scale * (((1.0 + (v / c) ** two_b * rot) ** -a).imag
-                        * np.exp(-v))
+    def axis(v, k):
+        return scale[k] * (((1.0 + (v / c[k]) ** two_b * rot) ** -a).imag
+                           * np.exp(-v))
 
-    def dip(s):
-        t = (s - c) / rho
-        v = s - 1j * (rho * (1.0 - t * t))
+    def dip(s, k):
+        t = (s - c[k]) / rho[k]
+        v = s - 1j * (rho[k] * (1.0 - t * t))
         dv = 1.0 + 2j * t
-        return scale * ((1.0 + (v / c) ** two_b * rot) ** -a
-                        * np.exp(-v) * dv).imag
+        return scale[k] * ((1.0 + (v / c[k]) ** two_b * rot) ** -a
+                           * np.exp(-v) * dv).imag
 
-    def log_axis(s):
+    def log_axis(s, k):
         # v = hi e^(s - hi) > c, h in a form that cannot overflow
-        v = hi * np.exp(s - hi)
-        y = (v / c) ** -two_b
-        return scale * v * np.exp(-v) * (y ** a * (y + rot) ** -a).imag
+        v = hi[k] * np.exp(s - hi[k])
+        y = (v / c[k]) ** -two_b
+        return scale[k] * v * np.exp(-v) * (y ** a * (y + rot) ** -a).imag
 
-    def f(s):
+    def f(s, k):
         out = np.empty_like(s)
-        for sel, segment in ((s < lo, axis), ((s >= lo) & (s < hi), dip),
-                             (s >= hi, log_axis)):
+        for sel, segment in ((s < lo[k], axis),
+                             ((s >= lo[k]) & (s < hi[k]), dip),
+                             (s >= hi[k], log_axis)):
             if sel.any():
-                out[sel] = segment(s[sel])
+                out[sel] = segment(s[sel], k[sel])
         return out
 
     # e^(-v) is 0 in float64 past v = 746, so the contour ends there; a
     # panel per doubling of log v keeps each rule pair from reading zeros
-    t_end = math.log(max(746.0 / hi, 1.0))
-    cuts = [hi + 2.0 ** k for k in range(-1, 10) if 2.0 ** k < t_end]
-    points, end = ([lo, hi, *cuts], hi + t_end) if lo < 746 else ([], 746.0)
+    points, ends = [], []
+    for lo_k, hi_k in zip(lo.tolist(), hi.tolist()):
+        t_end = math.log(max(746.0 / hi_k, 1.0))
+        cuts = [hi_k + 2.0 ** k for k in range(-1, 10) if 2.0 ** k < t_end]
+        points.append([lo_k, hi_k, *cuts] if lo_k < 746 else [])
+        ends.append(hi_k + t_end if lo_k < 746 else 746.0)
     abs_tol, rel_tol = (0.0, 1e-7) if tol is None else (tol, 0.0)
-    return quad.integrate_adaptive(f, 0.0, end, abs_tol, points, rel_tol)
+    for i, r in zip(lags, quad.integrate_batch(f, 0.0, ends, abs_tol, points,
+                                               rel_tol)):
+        if isinstance(r, NonConvergence):
+            raise r
+        out[i] = r
+    return out[0] if not shape else quad.QuadResult(*(
+        np.reshape(v, shape) for v in zip(*(vars(r).values() for r in out))))
 
 
 def twoindex_cov_tail_series(q: TwoIndexParams, tau, n_terms):

@@ -1,6 +1,6 @@
 """Adaptive quadrature and half-line cosine transforms.
 
-Two public entry points:
+Public entry points:
 
     integrate_adaptive(f, a, b, tol, points, rel)
         globally adaptive quadrature with a 15/7-point Gauss-Legendre
@@ -9,6 +9,9 @@ Two public entry points:
         panel extension, empirical tail extrapolation).  Every error
         indicator carries QUADPACK's rounding floor, so no result claims
         more than float64 certifies.
+
+    integrate_batch(f, a, b, tol, points, rel)
+        many such integrals in lockstep, the k-th of f(x, k) on [a[k], b[k]].
 
     fourier_cos_halfline(g, tau, tol, decay_p)
         I(tau) = int_0^inf g(k) cos(k tau) dk for a nonnegative amplitude
@@ -24,13 +27,18 @@ closed forms or rotate such transforms onto the imaginary axis, where
 they are Laplace integrals, and the lobe sum is the independent
 reference that tests hold them against.
 
-Integrands take a 1-d float64 array of nodes and return their values
-at those nodes as an array of the same shape.  Each call of the rule
-pair evaluates every node of a batch of panels (the initial panels, or
-the two halves of a bisected one) in one call, so an integrand written
-with numpy pays the interpreter once per batch, not once per node.
+Integrands take a 1-d float64 array of nodes, batch integrands also an
+integer array k naming each node's integral, and return their values
+there as an array of the same shape.  Each round, every unfinished
+integral bisects its worst panel, and all the halves (or all initial
+panels) are evaluated in one call, so a numpy integrand pays the
+interpreter once per round, not per node or per integral.  Each integral
+keeps its own panel sums, rounding floor, settled panels, heap order
+and tie-breaks, failure tests and cap: when f at a node depends on
+(x, k) alone, its result is bitwise what it gets alone, whatever else
+shares its batch.
 
-Both routines are pure, reentrant and float64 throughout.
+All routines are pure, reentrant and float64 throughout.
 """
 
 import math
@@ -67,20 +75,21 @@ class QuadResult:
     subdivisions: int
 
 
-def _rule_pairs(f, edges):
+def _rule_pairs(f, lo, hi, k):
     """15-point value, error indicator and floor flag on each panel
-    between consecutive edges, with one call of f on all their nodes.
+    [lo[i], hi[i]] of integral k[i], with one call f(x, k) on all their
+    nodes.
 
     The indicator is |15pt - 7pt|, raised to the panel's rounding floor
     ROUNDING_FLOOR * h * sum |w_i f(x_i)|; the flag says it sits there,
     where bisecting the panel cannot lower it.  Each panel's tuple is
     summed on its own, so it does not depend on the other panels.
     """
-    edges = np.asarray(edges, dtype=float)
-    h = 0.5 * (edges[1:] - edges[:-1])
-    c = 0.5 * (edges[:-1] + edges[1:])
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    h = 0.5 * (hi - lo)
+    c = 0.5 * (lo + hi)
     nodes = c[:, None] + h[:, None] * _NODES
-    fx = f(nodes.ravel()).reshape(nodes.shape)
+    fx = f(nodes.ravel(), np.repeat(k, _NODES.size)).reshape(nodes.shape)
     terms15 = (_W15 * fx[:, :15]).tolist()
     terms7 = (_W7 * fx[:, 15:]).tolist()
     out = []
@@ -93,20 +102,24 @@ def _rule_pairs(f, edges):
     return out
 
 
-def _adaptive_finite(f, points, tol, cap, rel=0.0):
-    """Globally adaptive bisection over the panels between points under
-    one error budget max(tol, rel * |value|).  Panels whose indicator
-    sits at its rounding floor are settled and never bisected.  Returns
-    (value, err, n_intervals); raises NonConvergence past cap, or as soon
-    as the settled panels alone exceed the budget and the open ones add
-    no more than that again.
+def _bisect(points, tol, cap, rel=0.0):
+    """One integral by globally adaptive bisection over the panels
+    between points under one error budget max(tol, rel * |value|), as a
+    generator: it yields the edges of the panels it needs, points first
+    and then (lo, mid, hi) for each bisection, and is sent their
+    _rule_pairs tuples.  Panels whose indicator sits at its rounding
+    floor are settled and never bisected.  Returns (value, err,
+    n_intervals); raises NonConvergence past cap, or as soon as the
+    settled panels alone exceed the budget and the open ones add no more
+    than that again.
     """
     # max-heap of the open panels on the error indicator; the counter
     # breaks ties deterministically
     heap, done = [], []
     floor_err = total_err = total = 0.0
+    pairs = yield points
     for tick, (lo, hi, (v, e, s)) in enumerate(
-            zip(points[:-1], points[1:], _rule_pairs(f, points))):
+            zip(points[:-1], points[1:], pairs)):
         total += v
         total_err += e
         if s:
@@ -138,7 +151,7 @@ def _adaptive_finite(f, points, tol, cap, rel=0.0):
             heappush(heap, (neg_e, tick, lo, hi, v, e))
             raise failure("interval at floating resolution with err=%g > "
                           "tol=%g" % (total_err, budget))
-        (v1, e1, s1), (v2, e2, s2) = _rule_pairs(f, (lo, mid, hi))
+        (v1, e1, s1), (v2, e2, s2) = yield lo, mid, hi
         total += v1 + v2 - v
         total_err += e1 + e2 - e
         for vi, ei, si, lo_i, hi_i in ((v1, e1, s1, lo, mid),
@@ -154,8 +167,9 @@ def _adaptive_finite(f, points, tol, cap, rel=0.0):
     return math.fsum(done + [seg[4] for seg in heap]), total_err, nseg
 
 
-def _adaptive_to_inf(f, a, tol, cap):
-    """[a, inf) by doubling panels with geometric tail extrapolation.
+def _to_inf(a, tol, cap):
+    """[a, inf) by doubling panels with geometric tail extrapolation, as
+    a generator like _bisect, whose runs on the panels it delegates to.
 
     Stops when the extrapolated remainder (ratio of the last two panel
     integrals, assumed to keep contracting) drops below tol/2.  A panel
@@ -172,7 +186,7 @@ def _adaptive_to_inf(f, a, tol, cap):
     def panel(lo, hi, panel_tol):
         nonlocal nseg, failure
         try:
-            v, e, n = _adaptive_finite(f, (lo, hi), panel_tol, cap - nseg)
+            v, e, n = yield from _bisect((lo, hi), panel_tol, cap - nseg)
         except NonConvergence as exc:
             failure = failure or str(exc)
             v, e, n = (exc.partial.value, exc.partial.abs_error_estimate,
@@ -189,11 +203,11 @@ def _adaptive_to_inf(f, a, tol, cap):
             raise NonConvergence(failure, partial=partial)
         return partial.value, partial.abs_error_estimate, nseg
 
-    panel(a, k0, 0.25 * tol)
+    yield from panel(a, k0, 0.25 * tol)
     lo, hi = k0, 2.0 * k0
     prev = None
     for j in range(200):
-        v = panel(lo, hi, 0.25 * tol / ((j + 2) * (j + 2)))
+        v = yield from panel(lo, hi, 0.25 * tol / ((j + 2) * (j + 2)))
         if prev is not None and abs(prev) > 0.0:
             r = abs(v) / abs(prev)
             if r < 0.95:
@@ -209,14 +223,75 @@ def _adaptive_to_inf(f, a, tol, cap):
     return finish(abs(v))
 
 
+def _lockstep(f, runs):
+    """Run integrals in lockstep.  runs maps k to a _bisect or _to_inf
+    generator of the k-th integral of the batch integrand f; each round
+    evaluates the panels every unfinished one asks for in one call of f.
+    Returns k -> QuadResult, or the NonConvergence that k raised."""
+    out, replies = {}, dict.fromkeys(runs)
+    while True:
+        asks = {}
+        for k, reply in replies.items():
+            try:
+                asks[k] = runs[k].send(reply)
+            except StopIteration as stop:
+                out[k] = QuadResult(*stop.value)
+            except NonConvergence as exc:
+                out[k] = exc
+        if not asks:
+            return out
+        pairs = iter(_rule_pairs(
+            f, [x for e in asks.values() for x in e[:-1]],
+            [x for e in asks.values() for x in e[1:]],
+            [k for k, e in asks.items() for _ in e[1:]]))
+        replies = {k: [next(pairs) for _ in e[1:]] for k, e in asks.items()}
+
+
+def integrate_batch(f, a, b, tol=1e-10, points=None, rel=0.0):
+    """Integrate f(x, k) over [a[k], b[k]] for every k, in lockstep.
+
+    a, b, tol and rel broadcast; points is None or one sequence per
+    integral.  Each integral keeps integrate_adaptive's contract; a
+    DomainError raises before f is called.  Returns, per integral, its
+    QuadResult or the NonConvergence (with partial) it raises alone.
+    """
+    a, b, tol, rel = (v.ravel().tolist() for v in np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (a, b, tol, rel))))
+    points = [()] * len(a) if points is None else list(points)
+    if len(points) != len(a):
+        raise DomainError("points needs one sequence per integral")
+    runs = {}
+    for k, (lo, hi, tk, pk, rk) in enumerate(zip(a, b, tol, points, rel)):
+        if not (tk > 0.0 or rk > 0.0):
+            raise DomainError("tol must be positive")
+        if not math.isfinite(lo):
+            raise DomainError("lower limit must be finite, got %g" % lo)
+        if not lo <= hi:
+            raise DomainError("limits must satisfy a <= b, got a=%g, b=%g"
+                              % (lo, hi))
+        if hi == lo:
+            continue
+        if math.isinf(hi):
+            if len(pk) or rk:
+                raise DomainError("points and rel need a finite upper limit")
+            runs[k] = _to_inf(lo, tk, SUBDIVISION_CAP)
+            continue
+        edges = (lo, *pk, hi)
+        if not all(x <= y for x, y in zip(edges[:-1], edges[1:])):
+            raise DomainError("points must lie in [a, b] in nondecreasing "
+                              "order, got %s" % (tuple(pk),))
+        runs[k] = _bisect(edges, tk, SUBDIVISION_CAP, rk)
+    out = _lockstep(f, runs)
+    return [out.get(k, QuadResult(0.0, 0.0, 0)) for k in range(len(a))]
+
+
 def integrate_adaptive(f, a, b, tol=1e-10, points=(), rel=0.0):
     """Integrate f over [a, b], a finite and a <= b <= math.inf.
 
-    f takes a 1-d float64 array of nodes and returns its values there as
-    an array of the same shape; one call covers every node of a batch of
-    panels.  It must be finite on the open interval; integrable endpoint
-    singularities are tolerated because the rules are open, but the
-    caller is responsible for substituting away anything stronger.
+    f maps an array of nodes to its values there (see the module
+    docstring).  It must be finite on the open interval; integrable
+    endpoint singularities are tolerated because the rules are open, but
+    the caller is responsible for substituting away anything stronger.
     points must lie in [a, b] in nondecreasing order (a repeated point
     makes an empty panel).  Limits or points outside that contract, NaN
     included, raise DomainError.
@@ -232,27 +307,13 @@ def integrate_adaptive(f, a, b, tol=1e-10, points=(), rel=0.0):
     it).  The second case gives up as soon as the panels at their floor
     alone exceed the budget and the others add at most as much again,
     far short of the cap.
+
+    This is integrate_batch with one integral.
     """
-    if not (tol > 0.0 or rel > 0.0):
-        raise DomainError("tol must be positive")
-    if not math.isfinite(a):
-        raise DomainError("lower limit must be finite, got %g" % a)
-    if not a <= b:
-        raise DomainError("limits must satisfy a <= b, got a=%g, b=%g"
-                          % (a, b))
-    if b == a:
-        return QuadResult(0.0, 0.0, 0)
-    if math.isinf(b):
-        if points or rel:
-            raise DomainError("points and rel need a finite upper limit")
-        v, e, n = _adaptive_to_inf(f, a, tol, SUBDIVISION_CAP)
-    else:
-        edges = (a, *points, b)
-        if not all(lo <= hi for lo, hi in zip(edges[:-1], edges[1:])):
-            raise DomainError("points must lie in [a, b] in nondecreasing "
-                              "order, got %s" % (points,))
-        v, e, n = _adaptive_finite(f, edges, tol, SUBDIVISION_CAP, rel)
-    return QuadResult(v, e, n)
+    r, = integrate_batch(lambda x, k: f(x), a, b, tol, [points], rel)
+    if isinstance(r, NonConvergence):
+        raise r
+    return r
 
 
 # --- oscillatory half-line transform -----------------------------------
@@ -299,14 +360,10 @@ def _cos_lobes_float(g, tau, tol, decay_p, max_lobes):
         # anyway.  A lobe that stops at its own floor still yields a
         # usable partial and the caller's cancellation logic takes over
         lobe_tol = max(tol / (8.0 * (m + 2.0) ** 1.2), ROUNDING_FLOOR * amp)
-        try:
-            v, e, n = _adaptive_finite(h, (lo, hi), lobe_tol, 512)
-        except NonConvergence as exc:
-            if exc.partial is None:
-                raise
-            v = exc.partial.value
-            e = exc.partial.abs_error_estimate
-            n = exc.partial.subdivisions
+        r = _lockstep(lambda x, k: h(x), {0: _bisect((lo, hi), lobe_tol,
+                                                     512)})[0]
+        r = r.partial if isinstance(r, NonConvergence) else r
+        v, e, n = r.value, r.abs_error_estimate, r.subdivisions
         nseg += n
         errs.append(e)
         running += v

@@ -155,7 +155,7 @@ def _reduced_gram(p: FracOUParams, grid):
 
 
 def _twoindex_lag(q: TwoIndexParams, lags, tol=None):
-    return np.array([twoindex.twoindex_cov(q, lg, tol).value for lg in lags])
+    return twoindex.twoindex_cov(q, np.asarray(lags, dtype=float), tol).value
 
 
 @dataclass(frozen=True)

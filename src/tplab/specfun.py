@@ -354,72 +354,94 @@ def bessel_k(nu, x):
 # --- Kummer U and Whittaker W -------------------------------------------
 
 
+def flat_args(*args):
+    """The shape the arguments broadcast to, and each of them broadcast
+    to it as a 1-d float64 array."""
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in args))
+    return args[0].shape, [v.ravel() for v in args]
+
+
+def shaped(shape, values):
+    """values, a 1-d array, as a float for shape () or in that shape."""
+    return float(values[0]) if not shape else values.reshape(shape)
+
+
+def each(fn, *args):
+    """fn over the elements of 1-d arrays in the scalar arithmetic of
+    math, whose last bits numpy's vector exp and power do not share."""
+    return np.array([fn(*v) for v in zip(*(x.tolist() for x in args))])
+
+
+def require(fn, name, x, ok=True, need=""):
+    """DomainError, naming the argument, at the first element of the
+    array x that is not finite or where ok is False."""
+    bad = ~(np.isfinite(x) & ok)
+    if bad.any():
+        raise DomainError("%s requires finite %s%s, got %s=%g"
+                          % (fn, name, need, name, x[bad][0]))
+
+
 def _kummer_integrand(a, b, z):
-    """Integrand over [-1/2, v(1/2)] of int_0^1 e^(-zu/(1-u)) u^(a-1)
-    (1-u)^(-b) du, U's integral after t = u/(1-u), and the prefactor.
-    x >= 0 is v = u^c, c = min(a, 1), for u in [0, 1/2]; x < 0 is
-    w = 1 - u = -x, whose nodes resolve 1 - u down to the boundary layer
-    of a tiny z.  Each sign's nodes get their own formula."""
-    c = min(a, 1.0)
+    """Batch integrand over [-1/2, v(1/2)] of int_0^1 e^(-zu/(1-u))
+    u^(a-1) (1-u)^(-b) du, U's integral after t = u/(1-u), at the k-th
+    (a, b, z); the upper limits and the prefactors.  x >= 0 is v = u^c,
+    c = min(a, 1), for u in [0, 1/2]; x < 0 is w = 1 - u = -x, whose
+    nodes resolve 1 - u down to the boundary layer of a tiny z."""
+    c = np.minimum(a, 1.0)
     inv_c = 1.0 / c
 
-    def near_one(x):
-        w = -x
-        arg = z * (1.0 - w) / w
-        out = np.zeros_like(w)
-        live = arg <= 708.0     # past it e^(-arg) and the integrand are 0
-        w = w[live]
-        out[live] = c * (np.exp(-arg[live]) * (1.0 - w) ** (a - 1.0)
-                         * w ** (-b))
-        return out
-
-    def near_zero(v):
-        u = v ** inv_c
-        return np.exp(-z * u / (1.0 - u)) * u ** (a - c) * (1.0 - u) ** (-b)
-
-    def f(x):
-        out = np.empty_like(x)
+    def f(x, k):
+        out = np.zeros_like(x)
         neg = x < 0.0
-        for sel, side in ((neg, near_one), (~neg, near_zero)):
-            if sel.any():
-                out[sel] = side(x[sel])
+        w, kk = -x[neg], k[neg]
+        arg = z[kk] * (1.0 - w) / w
+        live = arg <= 708.0     # past it e^(-arg) and the integrand are 0
+        w, kk = w[live], kk[live]
+        out[np.flatnonzero(neg)[live]] = c[kk] * (
+            np.exp(-arg[live]) * (1.0 - w) ** (a[kk] - 1.0) * w ** -b[kk])
+        kk = k[~neg]
+        u = x[~neg] ** inv_c[kk]
+        out[~neg] = (np.exp(-z[kk] * u / (1.0 - u)) * u ** (a[kk] - c[kk])
+                     * (1.0 - u) ** -b[kk])
         return out
 
-    return f, 0.5 ** c, 1.0 / (c * math.gamma(a))
+    return f, each(lambda x: 0.5 ** x, c), 1.0 / (c * each(math.gamma, a))
 
 
 def kummer_u(a, b, z):
     """Confluent hypergeometric U(a, b, z) for a > 0, z > 0, real b.
 
     Evaluated from the Laplace-type integral representation
-    (1/Gamma(a)) int_0^inf e^(-zt) t^(a-1) (1+t)^(b-a-1) dt.
+    (1/Gamma(a)) int_0^inf e^(-zt) t^(a-1) (1+t)^(b-a-1) dt.  a, b and z
+    broadcast; arrays give arrays, from one quad.integrate_batch whose
+    one-element case is a scalar call, so each element is its own call.
     """
-    a, b, z = float(a), float(b), float(z)
-    if a <= 0.0:
-        raise DomainError("kummer_u requires a > 0, got a=%g" % a)
-    if z <= 0.0:
-        raise DomainError("kummer_u requires z > 0, got z=%g" % z)
+    shape, (a, b, z) = flat_args(a, b, z)
+    require("kummer_u", "a", a, a > 0.0, " > 0")
+    require("kummer_u", "b", b)
+    require("kummer_u", "z", z, z > 0.0, " > 0")
     f, top, pref = _kummer_integrand(a, b, z)
-    probe = quad._rule_pairs(f, (-0.5, top))[0][0]
-    tol = max(1e-13, 1e-12 * abs(probe))
-    try:
-        res = quad.integrate_adaptive(f, -0.5, top, tol=tol, points=(0.0,))
-    except NonConvergence as exc:
-        # the probe can miss a boundary layer at u -> 1 when z is tiny and
-        # the integral is huge, leaving tol unattainable; the partial is
-        # then judged by the accuracy contract on the final scale (the
-        # bisection order does not depend on tol, so a retry at a
-        # rescaled tol would only retrace the same panels)
-        res = exc.partial
-    value = pref * res.value
+    n = a.size
+    probe = quad._rule_pairs(f, np.full(n, -0.5), top, np.arange(n))
+    tol = np.maximum(1e-13, 1e-12 * np.abs([p[0] for p in probe]))
+    # the probe can miss a boundary layer at u -> 1 when z is tiny and the
+    # integral is huge, leaving tol unattainable; the partial is then
+    # judged by the accuracy contract on the final scale (the bisection
+    # order does not depend on tol, so a retry at a rescaled tol would
+    # only retrace the same panels)
+    res = [r.partial if isinstance(r, NonConvergence) else r
+           for r in quad.integrate_batch(f, -0.5, top, tol, [(0.0,)] * n)]
+    value = pref * np.array([r.value for r in res])
     # the integral's rounding floor, 50 ulps of its magnitude, already
     # covers the few ulps that pref and the product add
-    err = pref * res.abs_error_estimate
-    if err > TOL_BOX * max(1.0, abs(value)):
+    err = pref * np.array([r.abs_error_estimate for r in res])
+    over = err > TOL_BOX * np.maximum(1.0, np.abs(value))
+    if over.any():
+        i = over.argmax()
         raise AccuracyError(
             "kummer_u(%g, %g, %g) error estimate %g above contract"
-            % (a, b, z, err))
-    return SpecFunResult(value, err)
+            % (a[i], b[i], z[i], err[i]))
+    return SpecFunResult(shaped(shape, value), shaped(shape, err))
 
 
 def whittaker_w(kappa, mu, z):
@@ -429,19 +451,22 @@ def whittaker_w(kappa, mu, z):
     mu when 1/2+mu-kappa > 0, falling back to the -mu form (W is even in
     mu) otherwise.  The two sign choices are genuinely different
     integrals, which is what makes the mu <-> -mu agreement a real
-    consistency check rather than a tautology.
+    consistency check rather than a tautology.  kappa, mu and z
+    broadcast as in kummer_u.
     """
-    kappa, mu, z = float(kappa), float(mu), float(z)
-    if z <= 0.0:
-        raise DomainError("whittaker_w requires z > 0, got z=%g" % z)
-    for m in (mu, -mu):
-        a = 0.5 + m - kappa
-        if a > 0.0:
-            u = kummer_u(a, 1.0 + 2.0 * m, z)
-            pref = math.exp(-0.5 * z) * z ** (0.5 + m)
-            value = pref * u.value
-            err = pref * u.abs_error_estimate + abs(value) * 5e-16
-            return SpecFunResult(value, err)
-    raise DomainError(
-        "whittaker_w(%g, %g, %g): both U forms have nonpositive first "
-        "argument" % (kappa, mu, z))
+    shape, (kappa, mu, z) = flat_args(kappa, mu, z)
+    require("whittaker_w", "kappa", kappa)
+    require("whittaker_w", "mu", mu)
+    require("whittaker_w", "z", z, z > 0.0, " > 0")
+    m = np.where(0.5 + mu - kappa > 0.0, mu, -mu)
+    a = 0.5 + m - kappa
+    if not (a > 0.0).all():
+        i = (a > 0.0).argmin()
+        raise DomainError(
+            "whittaker_w(%g, %g, %g): both U forms have nonpositive first "
+            "argument" % (kappa[i], mu[i], z[i]))
+    u = kummer_u(a, 1.0 + 2.0 * m, z)
+    pref = each(lambda x, y: math.exp(-0.5 * x) * x ** (0.5 + y), z, m)
+    value = pref * u.value
+    err = pref * u.abs_error_estimate + np.abs(value) * 5e-16
+    return SpecFunResult(shaped(shape, value), shaped(shape, err))

@@ -399,9 +399,40 @@ def test_estimate_plateau(tmp_path, capsys):
     capsys.readouterr()
     header, rows = _read_csv(str(tmp_path / "estimate.csv"))
     assert header == ["tau", "correlation", "se"]
+    # half, three quarters and all of the span past t = 1, on the grid
+    assert [r[0] for r in rows] == ["31.0", "46.0", "62.0"]
     for r in rows:
         assert abs(float(r[1])) <= 1.0 + 1e-12
         assert abs(float(r[2]) - 1.0 / math.sqrt(150.0)) <= 1e-12
+
+
+# estimate a four-point path file in a fresh interpreter, where numpy.ma
+# is not loaded yet, and report whether the estimate loaded it
+_PLATEAU_FRESH = ("import sys; from tplab.cli import main; "
+                  "code = main(sys.argv[1:]); "
+                  "print('numpy.ma' in sys.modules); sys.exit(code)")
+
+
+def test_estimate_plateau_merges_lags_that_round_together(tmp_path, capsys):
+    # on a four-point grid 3/4 of the span rounds onto the whole span
+    assert cli.main(["sample", "--process", "fou", "--alpha", "0.75",
+                     "--lambda", "10.0", "--dt", "1.0", "--n", "4",
+                     "--paths", "150", "--seed", "3", "--out",
+                     str(tmp_path)]) == 0
+    capsys.readouterr()
+    src = os.path.dirname(os.path.dirname(tplab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PLATEAU_FRESH, "estimate",
+         str(tmp_path / "paths.jsonl"), "--estimator", "plateau",
+         "--lambda", "10.0", "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    # sorting three lags must not pay for importing numpy.ma
+    assert proc.stdout.splitlines()[-1] == "False"
+    header, rows = _read_csv(str(tmp_path / "estimate.csv"))
+    assert [r[0] for r in rows] == ["1.0", "2.0"]
 
 
 def test_estimate_plateau_needs_lambda(tfbm_paths_file, capsys):

@@ -57,6 +57,44 @@ def test_mou_cov_rejects_equal_times_and_bad_route():
         K.tmbm_mou_cov(RAMP, 0.0, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("route", ("kummer", "whittaker"))
+def test_mou_cov_on_arrays_equals_its_scalar_calls_bitwise(route):
+    ts, ss = np.meshgrid([0.3, 1.7, 4.0], [0.2, 2.5], indexing="ij")
+    got = K.tmbm_mou_cov(RAMP, 1.0, ts, ss, route=route)
+    assert got.shape == ts.shape
+    for i in np.ndindex(ts.shape):
+        assert got[i] == K.tmbm_mou_cov(RAMP, 1.0, ts[i], ss[i], route=route)
+
+
+def test_cross_cov_on_arrays_equals_its_scalar_calls_bitwise():
+    mu, nu, tau = [1.2, 0.9, 0.85], [0.9, 1.2, 0.85], [2.0, 0.3, 5.0]
+    got = K.tfgn_cross_cov(mu, nu, 1.0, tau)
+    assert list(got) == [K.tfgn_cross_cov(m, n, 1.0, t)
+                         for m, n, t in zip(mu, nu, tau)]
+
+
+@pytest.mark.parametrize("t s name".split(), (
+    (math.nan, 0.5, "t"), (1.0, math.nan, "s"), (math.inf, 0.5, "t"),
+    ([1.0, 2.0], [0.5, math.nan], "s"),
+))
+def test_mou_cov_refuses_non_finite_times_by_name(t, s, name):
+    h = HurstProfile.constant(0.85)
+    for route in ("kummer", "whittaker"):
+        with pytest.raises(DomainError,
+                           match="tmbm_mou_cov requires finite %s" % name):
+            K.tmbm_mou_cov(h, 1.0, t, s, route=route)
+
+
+@pytest.mark.parametrize("args name".split(), (
+    ((math.nan, 1.0, 1.0, 1.0), "mu"), ((1.0, math.nan, 1.0, 1.0), "nu"),
+    ((1.0, 1.0, math.nan, 1.0), "lambda"), ((1.0, 1.0, 1.0, math.nan), "tau"),
+))
+def test_cross_cov_refuses_non_finite_arguments_by_name(args, name):
+    with pytest.raises(DomainError,
+                       match="tfgn_cross_cov requires finite %s" % name):
+        K.tfgn_cross_cov(*args)
+
+
 # --- reduced process ---------------------------------------------------------
 
 def test_cov_constant_profile_reduces_to_single_index():

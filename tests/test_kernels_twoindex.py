@@ -189,6 +189,34 @@ def test_cov_below_float64_resolution_keeps_partial():
     assert partial.abs_error_estimate > 1e-14 * ref
 
 
+@pytest.mark.parametrize("tol", (None, 1e-12))
+def test_cov_on_arrays_equals_its_scalar_calls_bitwise(tol):
+    # the lags share one batch; each keeps its own contour, cuts and count
+    q = TwoIndexParams(1.2, 0.8, 1.0)
+    taus = np.array([[0.0, 0.01, -0.3], [1.02, 40.0, 746.0]])
+    r = K.twoindex_cov(q, taus, tol=tol)
+    assert r.value.shape == r.subdivisions.shape == taus.shape
+    for i in np.ndindex(taus.shape):
+        one = K.twoindex_cov(q, taus[i], tol=tol)
+        assert (r.value[i], r.abs_error_estimate[i], r.subdivisions[i]) == (
+            one.value, one.abs_error_estimate, one.subdivisions)
+
+
+def test_cov_on_arrays_raises_the_first_failing_lag():
+    ref = _GRID_REFS[-1][1][0]       # alpha = 3, beta = 0.999, tau = 1e-3
+    q = TwoIndexParams(3.0, 0.999, 1.0)
+    with pytest.raises(NonConvergence) as alone:
+        K.twoindex_cov(q, 1e-3, tol=1e-14 * ref)
+    with pytest.raises(NonConvergence) as batch:
+        K.twoindex_cov(q, [0.0, 1e-3, 0.5], tol=1e-14 * ref)
+    assert batch.value.partial == alone.value.partial
+
+
+def test_cov_refuses_non_finite_lags_by_name():
+    with pytest.raises(DomainError, match="twoindex_cov requires finite tau"):
+        K.twoindex_cov(TwoIndexParams(0.9, 0.6, 1.0), [1.0, math.nan])
+
+
 # --- spectral densities ------------------------------------------------------
 
 def test_spectral_y_even_and_positive():

@@ -84,7 +84,12 @@ def test_repeated_points_make_empty_panels():
 
 def _kummer_probe():
     # straddles the sign change of its variable, like kummer_u's probe
-    return specfun._kummer_integrand(0.7, 2.4, 2e-6)[0]
+    g = specfun._kummer_integrand(*np.array([[0.7], [2.4], [2e-6]]))[0]
+
+    def f(x):
+        return g(x, np.zeros(x.shape, dtype=int))
+
+    return f
 
 
 @pytest.mark.parametrize("f edges".split(), (
@@ -100,11 +105,111 @@ def test_batched_panels_equal_single_panels_bitwise(f, edges):
         calls.append(x.size)
         return f(x)
 
-    batch = quad._rule_pairs(counted, edges)
-    assert calls == [22 * (len(edges) - 1)]
-    single = [quad._rule_pairs(f, pair)[0]
-              for pair in zip(edges[:-1], edges[1:])]
+    n = len(edges) - 1
+    batch = quad._rule_pairs(lambda x, k: counted(x), edges[:-1], edges[1:],
+                             np.zeros(n, dtype=int))
+    assert calls == [22 * n]
+    single = [quad._rule_pairs(lambda x, k: f(x), [lo], [hi], [0])[0]
+              for lo, hi in zip(edges[:-1], edges[1:])]
     assert batch == single
+
+
+# --- many integrals in lockstep ---------------------------------------------
+
+# (f, a, b, points, tol, rel): finite and half-line, breakpoints, an empty
+# panel, a relative budget, an empty interval, and two that cannot meet
+# tol: the float64 floor on [0, 1] and on [0, inf)
+_MIXED = (
+    (np.exp, 0.0, 1.0, (), 1e-13, 0.0),
+    (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, (1e-3, 0.2), 1e-10, 0.0),
+    (lambda x: np.sin(40.0 * x) / (1.0 + x), 0.0, 7.5, (1.0, 1.0, 2.0),
+     0.0, 1e-9),
+    (lambda x: np.exp(-x), 0.0, math.inf, (), 1e-12, 0.0),
+    (lambda x: 1.0 / (1.0 + x * x), 0.5, math.inf, (), 1e-10, 0.0),
+    (np.exp, 2.0, 2.0, (), 1e-10, 0.0),
+    (np.exp, 0.0, 1.0, (), 1e-25, 0.0),
+    (lambda x: np.exp(-x), 0.0, math.inf, (), 1e-25, 0.0),
+    (lambda x: 1e-30 * np.exp(x), -1.0, 1.0, (0.0,), 0.0, 1e-12),
+)
+
+
+def _alone(f, a, b, points, tol, rel):
+    try:
+        return quad.integrate_adaptive(f, a, b, tol, points, rel)
+    except NonConvergence as exc:
+        return exc
+
+
+def _same(got, want):
+    # a failure must match in type, reason and partial, bit for bit
+    if isinstance(want, NonConvergence):
+        assert type(got) is type(want) and str(got) == str(want)
+        got, want = got.partial, want.partial
+    assert got == want
+
+
+def _batch(cases):
+    calls = []
+
+    def f(x, k):
+        calls.append(x.size)
+        out = np.empty_like(x)
+        for j, case in enumerate(cases):
+            sel = k == j
+            out[sel] = case[0](x[sel])
+        return out
+
+    res = quad.integrate_batch(
+        f, [c[1] for c in cases], [c[2] for c in cases],
+        [c[4] for c in cases], [c[3] for c in cases],
+        [c[5] for c in cases])
+    return res, calls
+
+
+@pytest.mark.parametrize("order", ("forward", "reversed", "odd-first"))
+def test_batch_results_equal_single_integrals_bitwise(order):
+    cases = list(_MIXED)
+    if order == "reversed":
+        cases.reverse()
+    elif order == "odd-first":
+        cases = cases[1::2] + cases[::2]
+    res, calls = _batch(cases)
+    assert len(res) == len(cases)
+    for got, case in zip(res, cases):
+        _same(got, _alone(*case))
+    assert sum(isinstance(r, NonConvergence) for r in res) == 2
+    # one integrand call per round, not one per integral
+    assert len(calls) < sum(
+        (r.partial if isinstance(r, NonConvergence) else r).subdivisions
+        for r in res)
+
+
+def test_batch_member_at_the_cap_keeps_its_partial_alone(monkeypatch):
+    # a cap hit stops only its own integral, whose partial matches the
+    # single call's, and the rest of the batch is untouched
+    monkeypatch.setattr(quad, "SUBDIVISION_CAP", 40)
+    wiggle = (lambda x: np.sin(300.0 * x) / (1.0 + x), 0.0, 30.0, (),
+              1e-12, 0.0)
+    cases = [_MIXED[0], wiggle, _MIXED[3], _MIXED[2]]
+    res, _ = _batch(cases)
+    assert "cap 40" in str(res[1])
+    assert res[1].partial.subdivisions == 40
+    for got, case in zip(res, cases):
+        _same(got, _alone(*case))
+    assert not any(isinstance(r, NonConvergence) for r in res[::2])
+
+
+def test_batch_domain_errors_raise_before_any_evaluation():
+    def f(x, k):
+        raise AssertionError("integrand called")
+
+    with pytest.raises(DomainError):
+        quad.integrate_batch(f, [0.0, 0.0], [1.0, math.nan], 1e-10)
+    with pytest.raises(DomainError):
+        quad.integrate_batch(f, 0.0, [1.0, math.inf], 1e-10,
+                             [(0.5,), (0.5,)])
+    with pytest.raises(DomainError, match="one sequence per integral"):
+        quad.integrate_batch(f, 0.0, [1.0, 2.0], 1e-10, [(0.5,)])
 
 
 def test_unattainable_tolerance_keeps_partial():

@@ -309,21 +309,19 @@ def test_kummer_against_direct_quadrature():
     (0.9, 1.7, 1e-7, 66), (2.5, 3.5, 3e-6, 43), (1.3, 0.6, 2.0, 30),
     (0.6, 1.2, 30.0, 14), (1.6, 2.1, 0.4, 26)))
 def test_kummer_subdivisions_are_pinned(monkeypatch, a, b, z, nseg):
-    # pinned counts: evaluating a batch of panels in one integrand call
-    # must not move a single bisection
+    # pinned counts: evaluating a batch of panels, or of integrals, in one
+    # integrand call must not move a single bisection
     seen = []
-    integrate = quad.integrate_adaptive
+    integrate = quad.integrate_batch
 
     def recording(*args, **kwargs):
-        try:
-            r = integrate(*args, **kwargs)
-        except NonConvergence as exc:   # tiny z: kummer_u takes the partial
-            seen.append(exc.partial.subdivisions)
-            raise
-        seen.append(r.subdivisions)
-        return r
+        res = integrate(*args, **kwargs)
+        # tiny z: kummer_u takes the partial
+        seen.extend(r.partial.subdivisions if isinstance(r, NonConvergence)
+                    else r.subdivisions for r in res)
+        return res
 
-    monkeypatch.setattr(quad, "integrate_adaptive", recording)
+    monkeypatch.setattr(quad, "integrate_batch", recording)
     specfun.kummer_u(a, b, z)
     assert seen == [nseg]
 
@@ -333,6 +331,57 @@ def test_kummer_subdivisions_are_pinned(monkeypatch, a, b, z, nseg):
 def test_kummer_domain(a, z):
     with pytest.raises(DomainError):
         specfun.kummer_u(a, 1.5, z)
+
+
+def test_kummer_on_arrays_equals_its_scalar_calls_bitwise():
+    # a scalar call is the one-element batch; tiny z takes the partial,
+    # b = 1 and a = 1 hit numpy's special exponents
+    a = np.array([[1.0, 0.75, 0.7, 0.9], [2.5, 1.3, 0.6, 1.6]])
+    b = np.array([[1.0, 1.5, 2.4, 1.7], [3.5, 0.6, 1.2, 2.1]])
+    z = np.array([[1.0, 0.8, 2e-6, 1e-7], [3e-6, 2.0, 30.0, 0.4]])
+    r = specfun.kummer_u(a, b, z)
+    assert r.value.shape == r.abs_error_estimate.shape == a.shape
+    for i in np.ndindex(a.shape):
+        one = specfun.kummer_u(a[i], b[i], z[i])
+        assert type(one.value) is float
+        assert (r.value[i], r.abs_error_estimate[i]) == (
+            one.value, one.abs_error_estimate)
+    # broadcasting a scalar b over a column of a and a row of z
+    r = specfun.kummer_u(a[:, :1], 1.5, z[:1])
+    assert r.value[1, 2] == specfun.kummer_u(a[1, 0], 1.5, z[0, 2]).value
+
+
+def test_whittaker_on_arrays_equals_its_scalar_calls_bitwise():
+    # the second element needs the -mu form
+    kappa, mu, z = [0.0, 0.1, 0.3], [0.25, -0.3, 0.4], [4.0, 1.0, 0.2]
+    r = specfun.whittaker_w(kappa, mu, z)
+    for i in range(3):
+        one = specfun.whittaker_w(kappa[i], mu[i], z[i])
+        assert (r.value[i], r.abs_error_estimate[i]) == (
+            one.value, one.abs_error_estimate)
+
+
+@pytest.mark.parametrize("args name".split(), (
+    ((0.5, 1.0, math.nan), "z"), ((0.5, 1.0, math.inf), "z"),
+    ((math.nan, 1.0, 1.0), "a"), ((math.inf, 1.0, 1.0), "a"),
+    ((0.5, math.nan, 1.0), "b"), ((0.5, -math.inf, 1.0), "b"),
+    (([0.5, math.nan], 1.0, 1.0), "a"),
+    ((0.5, 1.0, [1.0, 2.0, math.nan]), "z"),
+))
+def test_kummer_refuses_non_finite_arguments_by_name(args, name):
+    with pytest.raises(DomainError,
+                       match="kummer_u requires finite %s" % name):
+        specfun.kummer_u(*args)
+
+
+@pytest.mark.parametrize("args name".split(), (
+    ((0.1, 0.2, math.nan), "z"), ((math.nan, 0.2, 1.0), "kappa"),
+    ((0.1, math.inf, 1.0), "mu"), (([0.1, 0.1], 0.2, [1.0, math.inf]), "z"),
+))
+def test_whittaker_refuses_non_finite_arguments_by_name(args, name):
+    with pytest.raises(DomainError,
+                       match="whittaker_w requires finite %s" % name):
+        specfun.whittaker_w(*args)
 
 
 @pytest.mark.parametrize("kappa mu z expected".split(), WHITTAKER_PINNED)

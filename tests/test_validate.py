@@ -86,8 +86,8 @@ def test_branch_cut_route_matches_the_cosine_transform():
         if lam * tau > 1.0:
             continue
         tol = 1e-11 * K.fou_cov(FracOUParams(alpha, lam), tau)
-        branch = validate._fou_cov_by_quadrature(FracOUParams(alpha, lam),
-                                                 tau, tol)
+        branch, = validate._fou_cov_by_quadrature(
+            [FracOUParams(alpha, lam)], [tau], [tol])
         lobes = quad.fourier_cos_halfline(
             lambda k: (k * k + lam * lam) ** -alpha / math.pi, tau, tol=tol,
             decay_p=2.0 * alpha)
@@ -98,8 +98,8 @@ def test_branch_cut_route_matches_the_cosine_transform():
 @pytest.mark.parametrize("tau", validate._ORACLE_TAUS)
 def test_branch_cut_route_is_the_ou_kernel_at_alpha_one(lam, tau):
     ou = math.exp(-lam * tau) / (2.0 * lam)
-    r = validate._fou_cov_by_quadrature(FracOUParams(1.0, lam), tau,
-                                        1e-12 * ou)
+    r, = validate._fou_cov_by_quadrature([FracOUParams(1.0, lam)], [tau],
+                                         [1e-12 * ou])
     assert abs(r.value - ou) <= 1e-12 * ou
 
 
@@ -107,7 +107,7 @@ def test_branch_cut_error_estimate_covers_the_true_error():
     for alpha, lam, tau in _ORACLE_CELLS:
         p = FracOUParams(alpha, lam)
         cf = K.fou_cov(p, tau)
-        r = validate._fou_cov_by_quadrature(p, tau, 1e-8 * cf)
+        r, = validate._fou_cov_by_quadrature([p], [tau], [1e-8 * cf])
         assert r.abs_error_estimate >= abs(r.value - cf)
 
 
@@ -153,5 +153,6 @@ def test_oracle_subdivisions_are_pinned():
     for alpha, lam, tau in _ORACLE_CELLS:
         p = FracOUParams(alpha, lam)
         tol = max(1e-300, 1e-8 * abs(K.fou_cov(p, tau)))
-        got.append(validate._fou_cov_by_quadrature(p, tau, tol).subdivisions)
+        r, = validate._fou_cov_by_quadrature([p], [tau], [tol])
+        got.append(r.subdivisions)
     assert tuple(got) == _ORACLE_SUBDIVISIONS
