@@ -254,6 +254,15 @@ def cmd_sample(rc):
 # --- estimate ------------------------------------------------------------
 
 
+def _flat_values(v):
+    """v as a 1-d float array if a flat list of finite numbers, else None."""
+    try:    # typed, so no slower than a plain read; "1.5" and true pass
+        a = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    return a if a.ndim == 1 and np.isfinite(a).all() else None
+
+
 def _load_paths(path_file):
     paths = []
     first = None
@@ -276,20 +285,30 @@ def _load_paths(path_file):
                 raise DomainError(
                     "%s line %d: record keys must be exactly %s"
                     % (path_file, lineno, ", ".join(_PATH_KEYS)))
-            shape = (rec["t0"], rec["dt"], len(rec["values"]),
-                     rec["family"])
+            values = _flat_values(rec["values"])
+            # type(), not isinstance: a JSON true is no number
+            for key, ok, need in (
+                    ("values", values is not None,
+                     "a flat list of finite numbers"),
+                    ("t0", type(rec["t0"]) in (int, float)
+                     and math.isfinite(rec["t0"]), "a finite number"),
+                    ("dt", type(rec["dt"]) in (int, float)
+                     and math.isfinite(rec["dt"]), "a finite number"),
+                    ("seed", type(rec["seed"]) is int, "an integer")):
+                if not ok:
+                    raise DomainError("%s line %d: field %s must be %s"
+                                      % (path_file, lineno, key, need))
+            shape = (rec["t0"], rec["dt"], values.size, rec["family"])
             if first is None:
                 first = shape
             elif shape != first:
                 raise DomainError(
                     "%s line %d: grid/family %s does not match the first "
                     "record %s" % (path_file, lineno, shape, first))
-            grid = sampler.TimeGrid(rec["t0"], rec["dt"],
-                                    len(rec["values"]))
+            grid = sampler.TimeGrid(rec["t0"], rec["dt"], values.size)
             proc = sampler.ProcessDescriptor(rec["family"], None)
             paths.append(sampler.GaussianPath(
-                grid, np.asarray(rec["values"], dtype=float), proc,
-                int(rec["seed"]), rec["method"]))
+                grid, values, proc, rec["seed"], rec["method"]))
     if not paths:
         raise DomainError("%s holds no path records" % path_file)
     return paths

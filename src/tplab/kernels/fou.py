@@ -38,7 +38,7 @@ def _gamma_arr(a):
 
 
 def var_alpha_grid(alpha, lam):
-    """sigma^2 over an array of alpha values, shared lambda."""
+    """sigma^2 with elementwise alpha and lambda (broadcast)."""
     alpha = np.asarray(alpha, dtype=float)
     # np.power, not **: a scalar alpha gets the array loop's bits
     a2 = 2.0 * alpha - 1.0
@@ -46,27 +46,31 @@ def var_alpha_grid(alpha, lam):
 
 
 def cov_alpha_grid(alpha, lam, tau):
-    """C(tau) with elementwise alpha and tau (broadcast), shared lambda.
+    """C(tau) with elementwise alpha, lambda and tau (broadcast).
 
     The time-varying index families evaluate their Gram matrices through
     this path, so it handles tau = 0 cells (variance) and underflow
     cells (0) inline.  A NaN or infinite lag is a DomainError.
     """
-    alpha_b, tau_b = np.broadcast_arrays(
-        np.asarray(alpha, dtype=float), np.abs(np.asarray(tau, dtype=float)))
+    lam = np.asarray(lam, dtype=float)
+    alpha_b, lam_b, tau_b = np.broadcast_arrays(
+        np.asarray(alpha, dtype=float), lam,
+        np.abs(np.asarray(tau, dtype=float)))
     if not np.isfinite(tau_b).all():
         raise DomainError("covariance lags must be finite")
     out = np.zeros(alpha_b.shape)
     at_zero = tau_b == 0.0
     if at_zero.any():
-        out[at_zero] = var_alpha_grid(alpha_b[at_zero], lam)
-    live = ~at_zero & (lam * tau_b <= _X_UNDERFLOW)
+        out[at_zero] = var_alpha_grid(alpha_b[at_zero], lam_b[at_zero])
+    live = ~at_zero & (lam_b * tau_b <= _X_UNDERFLOW)
     if live.any():
+        # a shared lambda stays a scalar: no array of it beside the lags
+        lam_l = lam if lam.ndim == 0 else lam_b[live]
         nu = alpha_b[live] - 0.5
-        bes = specfun.besselk_grid(nu, lam * tau_b[live])
+        bes = specfun.besselk_grid(nu, lam_l * tau_b[live])
         # Gamma before the log term: one array fewer held under its sort
         log_gamma = np.log(np.sqrt(np.pi) * _gamma_arr(alpha_b[live]))
-        out[live] = np.exp(nu * np.log(tau_b[live] / (2.0 * lam))
+        out[live] = np.exp(nu * np.log(tau_b[live] / (2.0 * lam_l))
                            - log_gamma) * bes
     return out
 
@@ -91,8 +95,8 @@ def require_reduced_lags(lam, tau):
 
 
 def structure_alpha_grid(alpha, lam, tau):
-    """Structure function D(tau) = sigma^2 - C(tau), elementwise alpha and
-    tau (broadcast), shared lambda: Var B(t) = 2 D(t) and cov(B(t), B(s))
+    """Structure function D(tau) = sigma^2 - C(tau), elementwise alpha,
+    lambda and tau (broadcast): Var B(t) = 2 D(t) and cov(B(t), B(s))
     = D(t) + D(s) - D(t-s).  Even, and exactly 0 at tau = 0, where
     cov_alpha_grid returns this sigma^2's bits; a nonzero lag below
     REDUCED_X_MIN or a non-finite one is a DomainError."""

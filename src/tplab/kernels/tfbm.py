@@ -26,11 +26,20 @@ def _structure(p: FracOUParams, tau):
     return fou.structure_alpha_grid(p.alpha, p.lam, tau)
 
 
+def _stacked(fn, *args):
+    """fn over the arrays args raveled into one, split back into their
+    own shapes: one Bessel batch, each argument at its own size."""
+    flat = fn(np.concatenate([a.ravel() for a in args]))
+    ends = np.cumsum([a.size for a in args])[:-1]
+    return [v.reshape(a.shape) for v, a in zip(np.split(flat, ends), args)]
+
+
 def tfbm_cov(p: FracOUParams, t, s):
     """D(t) + D(s) - D(t-s): 0 whenever t or s is 0, bitwise symmetric.
     Broadcasts over arrays of t and s; scalars give a float."""
     t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
-    out = (_structure(p, t) + _structure(p, s)) - _structure(p, t - s)
+    d_t, d_s, d_lag = _stacked(lambda u: _structure(p, u), t, s, t - s)
+    out = (d_t + d_s) - d_lag
     return float(out) if out.ndim == 0 else out
 
 
@@ -73,8 +82,7 @@ def tfbm_ct_coefficient(p: FracOUParams, t):
 def tfbm_cov_from_ct(p: FracOUParams, t, s):
     """Secondary covariance route through the c_t decomposition;
     broadcasts like tfbm_cov."""
-    t, s = np.broadcast_arrays(np.asarray(t, dtype=float),
-                               np.asarray(s, dtype=float))
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
 
     def piece(u):
         out = np.zeros(u.shape)
@@ -83,7 +91,8 @@ def tfbm_cov_from_ct(p: FracOUParams, t, s):
         out[live] = tfbm_ct_coefficient(p, u) * np.abs(u) ** (2.0 * p.hurst)
         return out
 
-    out = 0.5 * (piece(t) + piece(s) - piece(t - s))
+    c_t, c_s, c_lag = _stacked(piece, t, s, t - s)
+    out = 0.5 * (c_t + c_s - c_lag)
     return float(out) if out.ndim == 0 else out
 
 
@@ -98,10 +107,10 @@ def tfbm_increment_cov(p: FracOUParams, lag_tau, t_minus_s):
     tau, d = np.broadcast_arrays(lag_tau, t_minus_s)
     # D refuses a sub-floor tau too: the second difference would keep no
     # digit even where d and d +- tau clear the floor
-    if d.size:
-        _structure(p, lag_tau)
-    out = ((_structure(p, d + tau) + _structure(p, d - tau))
-           - 2.0 * _structure(p, d))
+    floor = np.asarray(lag_tau, dtype=float) if d.size else np.empty(0)
+    d_plus, d_minus, d_mid, _ = _stacked(lambda u: _structure(p, u),
+                                         d + tau, d - tau, d, floor)
+    out = (d_plus + d_minus) - 2.0 * d_mid
     return float(out) if out.ndim == 0 else out
 
 

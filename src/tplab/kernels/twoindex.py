@@ -20,6 +20,10 @@ from ..errors import DivergenceWarning, DomainError, NonConvergence
 from . import fou
 from .params import FracOUParams, TwoIndexParams
 
+# lags per quadrature batch: a lag's panels take about 14 kB until its
+# batch ends, and blocks this size run as fast as one whole batch
+_LAG_BLOCK = 64
+
 
 def twoindex_spectral(q: TwoIndexParams, k, variant="Y"):
     """Spectral density; variant Y is the stationary form, variant X the
@@ -66,8 +70,8 @@ def twoindex_cov(q: TwoIndexParams, tau, tol=None):
     partial result.  tau = 0 gives the closed-form variance.
 
     tau may be an array: the result then holds arrays of its shape, and
-    every lag's integral runs in one quad.integrate_batch, each as it
-    would alone; the first lag that fails raises.
+    the lags' integrals run through quad.integrate_batch in blocks of
+    _LAG_BLOCK, each as it would alone; the first lag that fails raises.
     """
     shape, (tau,) = specfun.flat_args(tau)
     tau = np.abs(tau)
@@ -125,11 +129,14 @@ def twoindex_cov(q: TwoIndexParams, tau, tol=None):
         points.append([lo_k, hi_k, *cuts] if lo_k < 746 else [])
         ends.append(hi_k + t_end if lo_k < 746 else 746.0)
     abs_tol, rel_tol = (0.0, 1e-7) if tol is None else (tol, 0.0)
-    for i, r in zip(lags, quad.integrate_batch(f, 0.0, ends, abs_tol, points,
-                                               rel_tol)):
-        if isinstance(r, NonConvergence):
-            raise r
-        out[i] = r
+    for at in range(0, lags.size, _LAG_BLOCK):
+        blk = slice(at, at + _LAG_BLOCK)
+        for i, r in zip(lags[blk], quad.integrate_batch(
+                lambda s, k: f(s, k + at), 0.0, ends[blk], abs_tol,
+                points[blk], rel_tol)):
+            if isinstance(r, NonConvergence):
+                raise r
+            out[i] = r
     return out[0] if not shape else quad.QuadResult(*(
         np.reshape(v, shape) for v in zip(*(vars(r).values() for r in out))))
 

@@ -98,6 +98,9 @@ _STOP = 2.0 ** -53
 _ROUND = 16.0 * _EPS
 _MAX_STEPS = 200
 _BLOCK = 8192
+# a batch this small runs element by element on Python floats: a numpy
+# step costs 25-30 us at any size, one element's whole run 0.03-0.1 ms
+_FLOAT_BATCH = 32
 
 
 def _iterate(step, done, state, slots):
@@ -110,7 +113,8 @@ def _iterate(step, done, state, slots):
     is done, so its result depends on its own inputs only, never on the
     rest of the batch.  A state of floats is iterated on Python floats:
     the same step and the same IEEE arithmetic, without numpy's per-call
-    overhead.
+    overhead; _besselk_array takes this route for each element of a
+    batch of at most _FLOAT_BATCH.
     """
     if isinstance(state[0], float):
         state = tuple(float(v) for v in state)
@@ -293,23 +297,22 @@ def _besselk_block(nu, x):
 def _besselk_array(nu, x):
     """K_nu(x) and its absolute error estimate over matching 1d arrays.
 
-    A single element runs on Python floats, its transcendentals through
-    the same numpy functions, so it matches its value in any batch.
-    Larger inputs go in blocks of _BLOCK elements, which bounds the
-    working set; an element's value does not depend on its block.
+    A batch of at most _FLOAT_BATCH elements runs element by element on
+    Python floats, transcendentals through the same numpy functions, so
+    each matches its value in any batch.  Larger inputs go in blocks of
+    _BLOCK elements, which bounds the working set; an element's value
+    does not depend on its block.
     """
     nu = np.asarray(nu, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
-    if x.size == 1:
-        nu, x = abs(float(nu[0])), float(x[0])
-        _check_box(x <= 0.0, nu <= BESSEL_NU_MAX
-                   and BESSEL_X_MIN <= x <= BESSEL_X_MAX)
-        value, err = _besselk_block(nu, x)
-        return np.array([value]), np.array([err])
     inside = ((np.abs(nu) <= BESSEL_NU_MAX) & (x >= BESSEL_X_MIN)
               & (x <= BESSEL_X_MAX))
     _check_box((x <= 0.0).any(), inside.all())
     value, err = np.empty_like(x), np.empty_like(x)
+    if x.size <= _FLOAT_BATCH:
+        for k, (a, b) in enumerate(zip(np.abs(nu).tolist(), x.tolist())):
+            value[k], err[k] = _besselk_block(a, b)
+        return value, err
     for lo in range(0, x.size, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
         value[blk], err[blk] = _besselk_block(np.abs(nu[blk]), x[blk])

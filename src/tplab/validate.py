@@ -211,13 +211,11 @@ def _fou_cov_by_quadrature(ps, taus, tols):
 
 def suite_oracle(seed, n_paths):
     del seed, n_paths
-    ps, taus, closed = [], [], []
-    for alpha in _ORACLE_ALPHAS:
-        for lam in _ORACLE_LAMS:
-            p = FracOUParams(alpha, lam)
-            ps += [p] * len(_ORACLE_TAUS)
-            taus += _ORACLE_TAUS
-            closed += K.fou_cov(p, np.array(_ORACLE_TAUS)).tolist()
+    ps, taus = zip(*((FracOUParams(alpha, lam), tau)
+                     for alpha in _ORACLE_ALPHAS for lam in _ORACLE_LAMS
+                     for tau in _ORACLE_TAUS))
+    closed = K.fou.cov_alpha_grid([p.alpha for p in ps],
+                                  [p.lam for p in ps], taus).tolist()
     quadrature = _fou_cov_by_quadrature(
         ps, taus, [max(1e-300, 1e-8 * abs(cf)) for cf in closed])
     checks = [_check("oracle/fou/alpha=%g/lam=%g/tau=%g"

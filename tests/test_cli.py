@@ -441,17 +441,34 @@ def test_estimate_plateau_needs_lambda(tfbm_paths_file, capsys):
     assert "--lambda" in capsys.readouterr().err
 
 
+_RECORD = {"seed": 1, "t0": 0.0, "dt": 0.5, "values": [0.0, 1.0],
+           "method": "cholesky", "family": "tfbm"}
+
+
+def _mistyped(field, value, need):
+    return pytest.param(json.dumps(dict(_RECORD, **{field: value})), 2,
+                        "field %s must be %s" % (field, need),
+                        id="%s=%s" % (field, json.dumps(value)))
+
+
 @pytest.mark.parametrize("line lineno hint".split(), (
     ('{"seed": 1, "t0": 0.0}', 2, "record keys"),
     ('{bad json', 2, "invalid JSON"),
+    _mistyped("values", ["a", 1.0], "a flat list of finite numbers"),
+    _mistyped("values", 3.0, "a flat list of finite numbers"),
+    _mistyped("values", None, "a flat list of finite numbers"),
+    _mistyped("values", [0.0, math.nan], "a flat list of finite numbers"),
+    _mistyped("values", [[1.0], [2.0]], "a flat list of finite numbers"),
+    _mistyped("values", [[1.0], [2.0, 3.0]], "a flat list of finite numbers"),
+    _mistyped("t0", "x", "a finite number"),
+    _mistyped("dt", None, "a finite number"),
+    _mistyped("seed", "x", "an integer"),
+    _mistyped("seed", 1.5, "an integer"),
 ))
 def test_estimate_schema_errors_carry_line_numbers(tmp_path, capsys, line,
                                                    lineno, hint):
-    good = json.dumps({"seed": 1, "t0": 0.0, "dt": 0.5,
-                       "values": [0.0, 1.0], "method": "cholesky",
-                       "family": "tfbm"})
     bad = tmp_path / "bad.jsonl"
-    bad.write_text(good + "\n" + line + "\n")
+    bad.write_text(json.dumps(_RECORD) + "\n" + line + "\n")
     assert cli.main(["estimate", str(bad), "--estimator", "hurst"]) == 2
     err = capsys.readouterr().err
     assert "line %d" % lineno in err

@@ -230,6 +230,24 @@ def test_structure_function_elementwise_alpha_is_the_scalar_calls():
                             for a, t in zip(alpha, tau)]
 
 
+def test_elementwise_lambda_is_the_per_lambda_calls_bitwise():
+    # zero lags, both Bessel routes and underflow, lambda varying per cell
+    lams = np.array([0.25, 1.0, 4.0, 0.7])
+    alpha = np.array([0.6, 0.75, 1.0, 1.25, 1.4])[:, None, None]
+    tau = np.array([0.0, 0.01, 0.1, 1.0, 5.0, 10.0, 300.0])
+    got = fou.cov_alpha_grid(alpha, lams[:, None], tau)
+    assert got.shape == (5, 4, 7)
+    for j, lam in enumerate(lams):
+        assert np.array_equal(got[:, j], fou.cov_alpha_grid(alpha[:, 0], lam,
+                                                            tau))
+    assert np.array_equal(got[..., 0], fou.var_alpha_grid(alpha[..., 0],
+                                                          lams))
+    d = fou.structure_alpha_grid(alpha, lams[:, None], tau)
+    for j, lam in enumerate(lams):
+        assert np.array_equal(d[:, j], fou.structure_alpha_grid(
+            alpha[:, 0], lam, tau))
+
+
 @pytest.mark.parametrize("alpha", _D_ALPHAS)
 def test_structure_function_is_variance_minus_covariance(alpha):
     for lam in (0.05, 1.0):

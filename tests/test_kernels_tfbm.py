@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tplab import kernels as K
-from tplab import sampler
+from tplab import sampler, specfun
 from tplab.errors import DomainError
 from tplab.kernels.params import (FracOUParams, HurstProfile, MixtureParams,
                                   TmbmParams)
@@ -45,6 +45,44 @@ def test_array_calls_are_the_scalar_calls(alpha, lam):
     assert isinstance(K.tfbm_cov_from_ct(p, 1.3, 1.3), float)
     with pytest.raises(DomainError):
         K.tfbm_ct_coefficient(p, axis)
+
+
+@pytest.fixture
+def bessel_sizes(monkeypatch):
+    """The element count of each specfun.besselk_grid call from here on."""
+    sizes = []
+    real = specfun.besselk_grid
+
+    def counting(nu, x):
+        sizes.append(np.size(x))
+        return real(nu, x)
+
+    monkeypatch.setattr(specfun, "besselk_grid", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("call", (
+    lambda p: K.tfbm_cov(p, 1.3, 0.4),
+    lambda p: K.tfbm_cov(p, np.linspace(0.0, 2.0, 5)[:, None],
+                         np.array([0.0, 0.5, 2.0])),
+    lambda p: K.tfbm_cov_from_ct(p, 1.3, 0.4),
+    lambda p: K.tfbm_cov_from_ct(p, np.linspace(0.0, 2.0, 5)[:, None],
+                                 np.array([0.0, 0.5, 2.0])),
+    lambda p: K.tfbm_increment_cov(p, 0.1, 0.1 * np.arange(6)),
+    lambda p: K.tfbm_increment_cov(p, np.array([0.1, 0.2]), 0.5),
+), ids=("cov", "cov-grid", "ct", "ct-grid", "increment", "increment-lags"))
+def test_reduced_routes_make_one_bessel_batch(bessel_sizes, call):
+    call(FracOUParams(1.25, 0.5))
+    assert len(bessel_sizes) == 1
+
+
+@pytest.mark.parametrize("t0 bessel_elements".split(),
+                         ((0.0, 2 * 63 + 64 * 63), (0.5, 2 * 64 + 64 * 63)))
+def test_gram_evaluates_t_s_and_the_lags_at_their_own_sizes(
+        bessel_sizes, t0, bessel_elements):
+    # n + n + n^2 arguments, not 3 n^2; zero ones are no Bessel value
+    K.tfbm_gram(FracOUParams(0.75, 0.5), t0 + 0.05 * np.arange(64))
+    assert bessel_sizes == [bessel_elements]
 
 
 def test_pinned_origin_and_symmetry():

@@ -13,7 +13,7 @@ import pytest
 from tplab import kernels as K
 from tplab import quad
 from tplab.errors import DivergenceWarning, DomainError, NonConvergence
-from tplab.kernels import FracOUParams, TwoIndexParams
+from tplab.kernels import FracOUParams, TwoIndexParams, twoindex
 
 
 # --- variance and beta = 1 collapse -----------------------------------------
@@ -200,6 +200,26 @@ def test_cov_on_arrays_equals_its_scalar_calls_bitwise(tol):
         one = K.twoindex_cov(q, taus[i], tol=tol)
         assert (r.value[i], r.abs_error_estimate[i], r.subdivisions[i]) == (
             one.value, one.abs_error_estimate, one.subdivisions)
+
+
+def test_cov_in_lag_blocks_is_one_batch_bitwise(monkeypatch):
+    # blocks bound the panels held at once; no lag's integral notices
+    q = TwoIndexParams(0.9, 0.8, 1.0)
+    taus = 0.37 * np.arange(11)
+    whole = K.twoindex_cov(q, taus)
+    batches = []
+    real = quad.integrate_batch
+
+    def counting(f, a, b, *args):
+        batches.append(len(b))
+        return real(f, a, b, *args)
+
+    monkeypatch.setattr(twoindex, "_LAG_BLOCK", 4)
+    monkeypatch.setattr(quad, "integrate_batch", counting)
+    blocked = K.twoindex_cov(q, taus)
+    assert batches == [4, 4, 2]
+    for name in ("value", "abs_error_estimate", "subdivisions"):
+        assert np.array_equal(getattr(blocked, name), getattr(whole, name))
 
 
 def test_cov_on_arrays_raises_the_first_failing_lag():

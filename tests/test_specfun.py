@@ -209,12 +209,18 @@ def test_besselk_grid_is_bitwise_invariant_under_permuting_and_splitting(
     perm = rng.permutation(nu.size)
     assert np.array_equal(specfun.besselk_grid(nu[perm], x[perm]),
                           whole[perm])
-    for size in (1, 2, 7, 64):
+    # batches either side of _FLOAT_BATCH: on Python floats, on arrays
+    small = specfun._FLOAT_BATCH
+    for size in (1, 2, 7, small, small + 1, 64):
         parts = [specfun.besselk_grid(nu[k:k + size], x[k:k + size])
                  for k in range(0, nu.size, size)]
         assert np.array_equal(np.concatenate(parts), whole)
     monkeypatch.setattr(specfun, "_BLOCK", 5)
     assert np.array_equal(specfun.besselk_grid(nu, x), whole)
+    # every element on arrays, then every element on floats
+    for small in (0, nu.size):
+        monkeypatch.setattr(specfun, "_FLOAT_BATCH", small)
+        assert np.array_equal(specfun.besselk_grid(nu, x), whole)
 
 
 def test_reciprocal_gamma_coefficients_match_mpmath():

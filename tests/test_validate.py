@@ -8,9 +8,10 @@ import json
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
-from tplab import quad, validate
+from tplab import quad, specfun, validate
 from tplab import kernels as K
 from tplab.kernels import FracOUParams
 
@@ -119,6 +120,26 @@ def test_oracle_suite_never_needs_mpmath(monkeypatch):
     checks = validate.suite_oracle(validate.DEFAULT_SEED, 0)
     assert len(checks) == 78
     assert all(c.passed for c in checks)
+
+
+def test_oracle_suite_evaluates_its_closed_forms_in_one_bessel_batch(
+        monkeypatch):
+    # the 75 cells in one call, and the pinned spot value in a second
+    sizes = []
+    real = specfun.besselk_grid
+
+    def counting(nu, x):
+        sizes.append(np.size(x))
+        return real(nu, x)
+
+    monkeypatch.setattr(specfun, "besselk_grid", counting)
+    checks = validate.suite_oracle(validate.DEFAULT_SEED, 0)
+    assert len(sizes) <= 2 and sizes[0] == 75
+    cells = [c for c in checks if c.check_id.startswith("oracle/fou/")]
+    for c in cells[::7]:
+        alpha, lam, tau = (float(v.split("=")[1])
+                           for v in c.check_id.split("/")[2:])
+        assert c.expected == K.fou_cov(FracOUParams(alpha, lam), tau)
 
 
 # subdivisions of each oracle cell at the suite's tolerance, in the
