@@ -9,8 +9,9 @@ and the validation harness.
 Every command is deterministic given its configuration, and each
 sampled path is a pure function of (seed, path index).  TPLAB_THREADS
 is not read; the last bits of exact paths may differ between BLAS
-thread counts.  Options may come from a `key=value` config file
-(`--config`); command-line flags take precedence over file entries.
+thread counts.  A subcommand accepts only the options it reads (see
+_OPTIONS), as flags or as keys of a `key=value` config file (`--config`);
+flags take precedence over file entries.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or config error,
 3 numerical failure.
@@ -22,38 +23,66 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 
 import numpy as np
 
 from . import estimators, sampler, validate
 from . import kernels as K
 from .errors import (AccuracyError, DomainError, EmbeddingFailure,
-                     InsufficientData, NonConvergence, NotPSD, PoleError,
-                     SlowDecay)
+                     InsufficientData, NonConvergence, NotPSD)
 from .kernels.params import FracOUParams, HurstProfile
 
 # one record per sampled path; the keys are a stable file contract
 _PATH_KEYS = ("seed", "t0", "dt", "values", "method", "family")
 
-_ESTIMATORS = ("variogram", "hurst", "hurst-windowed", "dimension",
-               "plateau", "all")
+# type(), not isinstance: a JSON true is no number
+_NUMBERS = {int, float}
 
 
-# config key -> reader of its config-file text.  A flag whose dest is the
-# key overrides the file; flags are echoed in this order.
+def _truth(text):
+    return text.lower() in ("1", "true", "yes")
+
+
+# config key -> its flag (None: the config key only), the reader of its
+# file text and flag, the subcommands that read it, its default, its
+# choices and its --help text.  A subcommand accepts an option, as a flag
+# or a config key, only if it reads it; a flag overrides the file.  Set
+# keys are echoed into validation reports in this order.
+_Option = namedtuple("_Option", "flag reader commands default choices help",
+                     defaults=(None, None, None))
 _OPTIONS = {
-    "family": str, "alpha": float, "beta": float, "lam": float,
-    "profile": str, "s": float, "t0": float, "dt": float, "n": int,
-    "paths": int, "seed": int, "suite": str, "out": str, "method": str,
-    "estimator": str, "components": str,
-    "figure1": lambda text: text.lower() in ("1", "true", "yes"),
-    "plateau_t": float, "tol": float,
-}
-
-_DEFAULTS = {
-    "s": 0.5, "t0": 0.0, "dt": 0.05, "n": 256, "paths": 2000,
-    "seed": validate.DEFAULT_SEED, "suite": "all", "method": "exact",
-    "estimator": "all", "figure1": False, "plateau_t": 1.0,
+    "family": _Option("--process", str, ("cov", "sample"),
+                      choices=sampler.FAMILIES),
+    "alpha": _Option("--alpha", float, ("cov", "sample")),
+    "beta": _Option("--beta", float, ("cov", "sample")),
+    "lam": _Option("--lambda", float, ("cov", "sample", "estimate")),
+    "profile": _Option("--profile", str, ("cov", "sample"),
+                       help="constant:A | ramp:BASE,GAIN | CSV file"),
+    "s": _Option("--s", float, ("cov",), 0.5,
+                 help="second time argument for reduced-kernel curves "
+                      "(default 0.5)"),
+    "t0": _Option("--t0", float, ("cov", "sample"), 0.0),
+    "dt": _Option("--dt", float, ("cov", "sample"), 0.05),
+    "n": _Option("--n", int, ("cov", "sample"), 256),
+    "paths": _Option("--paths", int, ("sample", "validate"), 2000),
+    "seed": _Option("--seed", int, ("sample", "validate"),
+                    validate.DEFAULT_SEED),
+    "suite": _Option("--suite", str, ("validate",), "all",
+                     validate.SUITES + ("all",)),
+    "out": _Option("--out", str, ("cov", "sample", "estimate", "validate"),
+                   help="output directory"),
+    "method": _Option("--method", str, ("sample",), "exact",
+                      sampler.METHODS),
+    "estimator": _Option("--estimator", str, ("estimate",), "all",
+                         ("variogram", "hurst", "hurst-windowed",
+                          "dimension", "plateau", "all")),
+    "components": _Option(None, str, ("cov", "sample")),
+    "figure1": _Option("--figure1", _truth, ("cov",), False,
+                       help="preset: FOU and reduced curves at s=0.5, "
+                            "lambda=0.5, H=0.75 over t in [0, 10]"),
+    "plateau_t": _Option(None, float, ("estimate",), 1.0),
+    "tol": _Option(None, float, ("cov",)),
 }
 
 
@@ -90,15 +119,24 @@ def _build_config(args):
     echo = {}
     for key, text in (_read_config_file(args.config).items()
                       if args.config else ()):
-        if key not in _OPTIONS:
+        opt = _OPTIONS.get(key)
+        if opt is None:
             raise DomainError("unknown config key %r" % key)
-        echo[key] = _read(key, _OPTIONS[key], text)
+        if args.command not in opt.commands:
+            raise DomainError("config key %r is not read by tplab %s"
+                              % (key, args.command))
+        echo[key] = _read(key, opt.reader, text)
     for key in _OPTIONS:
         if getattr(args, key, None) is not None:
             echo[key] = getattr(args, key)
-    rc = dict.fromkeys(_OPTIONS)
-    rc.update(_DEFAULTS)
+    rc = {key: opt.default for key, opt in _OPTIONS.items()
+          if args.command in opt.commands}
     rc.update(echo)
+    for key, val in echo.items():
+        choices = _OPTIONS[key].choices
+        if choices is not None and val not in choices:
+            raise DomainError("unknown %s %r; use %s"
+                              % (key, val, ", ".join(choices)))
     return argparse.Namespace(command=args.command, echo=echo,
                               paths_file=getattr(args, "paths_file", None),
                               **rc)
@@ -154,22 +192,17 @@ def _parse_components(spec):
     return tuple(comps)
 
 
-# how a user sets a config key that a family needs, where not --KEY
-_SET_BY = {"lam": "--lambda",
-           "components": "the config key components=w:alpha:lam,..."}
 _PARSE = {"profile": _parse_profile, "components": _parse_components}
 
 
 def _build_descriptor(rc):
     if rc.family is None:
         raise DomainError("a process family is required (--process)")
-    fam = sampler.FAMILIES.get(rc.family)
-    if fam is None:
-        raise DomainError("unknown process family %r" % rc.family)
+    fam = sampler.FAMILIES[rc.family]
     for key in fam.needs:
         if getattr(rc, key) is None:
             raise DomainError("%s is required for process %r" % (
-                _SET_BY.get(key, "--" + key), rc.family))
+                _OPTIONS[key].flag or "the config key " + key, rc.family))
     params = fam.params(*(_PARSE.get(key, lambda v: v)(getattr(rc, key))
                           for key in fam.needs))
     return sampler.ProcessDescriptor(rc.family, params)
@@ -180,6 +213,15 @@ def _out_path(rc, default_name):
         return default_name
     os.makedirs(rc.out, exist_ok=True)
     return os.path.join(rc.out, default_name)
+
+
+def _write_csv(dest, header, rows):
+    with open(dest, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    print(dest)
+    return 0
 
 
 # --- cov -----------------------------------------------------------------
@@ -213,36 +255,21 @@ def cmd_cov(rc):
         header = ("t", "value")
         rows = [(float(t), float(v)) for t, v in zip(times, vals)]
         dest = _out_path(rc, "cov.csv")
-    with open(dest, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-    print(dest)
-    return 0
+    return _write_csv(dest, header, rows)
 
 
 # --- sample --------------------------------------------------------------
 
 
 def _record(path, family):
-    return {
-        "seed": int(path.seed),
-        "t0": path.grid.t0,
-        "dt": path.grid.dt,
-        "values": path.values.tolist(),
-        "method": path.method,
-        "family": family,
-    }
+    return dict(zip(_PATH_KEYS, (int(path.seed), path.grid.t0, path.grid.dt,
+                                 path.values.tolist(), path.method, family)))
 
 
 def cmd_sample(rc):
     desc = _build_descriptor(rc)
     grid = sampler.TimeGrid(rc.t0, rc.dt, rc.n)
-    sample = sampler.METHODS.get(rc.method)
-    if sample is None:
-        raise DomainError("unknown method %r; use %s"
-                          % (rc.method, " or ".join(sampler.METHODS)))
-    paths = sample(desc, grid, rc.seed, rc.paths)
+    paths = sampler.METHODS[rc.method](desc, grid, rc.seed, rc.paths)
     dest = _out_path(rc, "paths.jsonl")
     with open(dest, "w") as fh:
         for p in paths:
@@ -255,12 +282,14 @@ def cmd_sample(rc):
 
 
 def _flat_values(v):
-    """v as a 1-d float array if a flat list of finite numbers, else None."""
-    try:    # typed, so no slower than a plain read; "1.5" and true pass
-        a = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
+    """The float array of a nonempty flat list of finite numbers, or None."""
+    if type(v) is not list or not v or not set(map(type, v)) <= _NUMBERS:
         return None
-    return a if a.ndim == 1 and np.isfinite(a).all() else None
+    try:
+        a = np.asarray(v, dtype=float)
+    except OverflowError:   # an integer beyond the float range
+        return None
+    return a if np.isfinite(a).all() else None
 
 
 def _load_paths(path_file):
@@ -286,14 +315,16 @@ def _load_paths(path_file):
                     "%s line %d: record keys must be exactly %s"
                     % (path_file, lineno, ", ".join(_PATH_KEYS)))
             values = _flat_values(rec["values"])
-            # type(), not isinstance: a JSON true is no number
+            # abs(), not math.isfinite: that overflows on a huge integer
             for key, ok, need in (
                     ("values", values is not None,
-                     "a flat list of finite numbers"),
-                    ("t0", type(rec["t0"]) in (int, float)
-                     and math.isfinite(rec["t0"]), "a finite number"),
-                    ("dt", type(rec["dt"]) in (int, float)
-                     and math.isfinite(rec["dt"]), "a finite number"),
+                     "a flat list of finite numbers, not empty"),
+                    ("t0", type(rec["t0"]) in _NUMBERS
+                     and abs(rec["t0"]) <= sys.float_info.max,
+                     "a finite number"),
+                    ("dt", type(rec["dt"]) in _NUMBERS
+                     and abs(rec["dt"]) <= sys.float_info.max,
+                     "a finite number"),
                     ("seed", type(rec["seed"]) is int, "an integer")):
                 if not ok:
                     raise DomainError("%s line %d: field %s must be %s"
@@ -351,9 +382,10 @@ def cmd_estimate(rc):
     elif name == "plateau":
         header = ("tau", "correlation", "se")
         rows = _plateau_rows(rc, paths)
-    elif name in ("hurst", "dimension", "all"):
-        # all rows come from one variogram fit: fractal_dimension is
-        # 2 - H_hat, and the slope is 2 H_hat (exact, as H_hat = slope/2)
+    else:
+        # hurst, dimension or all: the rows come from one variogram fit;
+        # fractal_dimension is 2 - H_hat, and the slope is 2 H_hat (exact,
+        # as H_hat = slope/2)
         header = ("estimator", "estimate", "se")
         h, se = estimators.hurst_local(paths, lam=rc.lam)
         if name in ("hurst", "all"):
@@ -362,16 +394,8 @@ def cmd_estimate(rc):
             rows.append(("dimension", 2.0 - h, se))
         if name == "all":
             rows.append(("variogram_slope", 2.0 * h, 2.0 * se))
-    else:
-        raise DomainError("unknown estimator %r; choose from %s"
-                          % (name, ", ".join(_ESTIMATORS)))
     dest = _out_path(rc, "estimate.csv")
-    with open(dest, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-    print(dest)
-    return 0
+    return _write_csv(dest, header, rows)
 
 
 # --- validate ------------------------------------------------------------
@@ -398,75 +422,46 @@ def cmd_validate(rc):
 # --- entry point ---------------------------------------------------------
 
 
+_COMMANDS = {
+    "cov": (cmd_cov, "write a covariance curve as CSV"),
+    "sample": (cmd_sample, "write sampled paths as JSON lines"),
+    "estimate": (cmd_estimate, "run estimators on a paths file"),
+    "validate": (cmd_validate, "run a validation suite"),
+}
+
+
 def _parser():
     ap = argparse.ArgumentParser(
         prog="tplab",
         description="Tempered fractional Gaussian process laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_, text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        if command == "estimate":
+            p.add_argument("paths_file")
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--process", dest="family",
-                       choices=tuple(sampler.FAMILIES))
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--profile",
-                       help="constant:A | ramp:BASE,GAIN | CSV file")
-        p.add_argument("--s", type=float,
-                       help="second time argument for reduced-kernel "
-                            "curves (default 0.5)")
-        p.add_argument("--t0", type=float)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--n", type=int)
-        p.add_argument("--paths", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--suite", choices=validate.SUITES + ("all",))
-        p.add_argument("--out", help="output directory")
-
-    pc = sub.add_parser("cov", help="write a covariance curve as CSV")
-    common(pc)
-    pc.add_argument("--figure1", action="store_true", default=None,
-                    help="preset: FOU and reduced curves at s=0.5, "
-                         "lambda=0.5, H=0.75 over t in [0, 10]")
-
-    ps = sub.add_parser("sample", help="write sampled paths as JSON lines")
-    common(ps)
-    ps.add_argument("--method", choices=tuple(sampler.METHODS))
-
-    pe = sub.add_parser("estimate", help="run estimators on a paths file")
-    pe.add_argument("paths_file")
-    common(pe)
-    pe.add_argument("--estimator", choices=_ESTIMATORS)
-
-    pv = sub.add_parser("validate", help="run a validation suite")
-    common(pv)
+        for key, opt in _OPTIONS.items():
+            if opt.flag is None or command not in opt.commands:
+                continue
+            if opt.reader is _truth:
+                kind = {"action": "store_true", "default": None}
+            else:
+                kind = {"type": opt.reader, "choices": opt.choices}
+            p.add_argument(opt.flag, dest=key, help=opt.help, **kind)
     return ap
-
-
-_COMMANDS = {
-    "cov": cmd_cov,
-    "sample": cmd_sample,
-    "estimate": cmd_estimate,
-    "validate": cmd_validate,
-}
 
 
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         rc = _build_config(args)
-        return _COMMANDS[args.command](rc)
-    except (DomainError, PoleError, InsufficientData) as exc:
+        return _COMMANDS[args.command][0](rc)
+    except (DomainError, InsufficientData, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (NotPSD, NonConvergence, AccuracyError, SlowDecay,
-            EmbeddingFailure) as exc:
+    except (NotPSD, NonConvergence, AccuracyError, EmbeddingFailure) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

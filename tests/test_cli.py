@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 
 import tplab
 from tplab import cli, estimators, kernels, sampler, validate
-from tplab.errors import NotPSD
+from tplab.errors import (AccuracyError, EmbeddingFailure, NonConvergence,
+                          NotPSD, SlowDecay)
 from tplab.kernels import FracOUParams
 
 
@@ -139,8 +140,8 @@ def test_cov_runs_for_every_family(tmp_path, capsys, family):
 def test_process_choices_are_the_family_table():
     subs = next(a for a in cli._parser()._actions
                 if isinstance(a, argparse._SubParsersAction))
-    for sub in subs.choices.values():
-        flag = next(a for a in sub._actions
+    for name in ("cov", "sample"):
+        flag = next(a for a in subs.choices[name]._actions
                     if "--process" in a.option_strings)
         assert tuple(flag.choices) == tuple(sampler.FAMILIES)
 
@@ -475,6 +476,33 @@ def test_estimate_schema_errors_carry_line_numbers(tmp_path, capsys, line,
     assert hint in err
 
 
+def test_flat_values_takes_numbers_only():
+    assert cli._flat_values(["1.5", True, 2]) is None
+    assert cli._flat_values([1.5, 1, 2]).tolist() == [1.5, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("field value".split(), (
+    ("values", ["1.5", 1.0]),
+    ("values", [True, 1.0]),
+    ("values", []),
+    ("values", [1.0, 10 ** 400]),
+    ("t0", 10 ** 400),
+    ("dt", True),
+), ids=("values-string", "values-bool", "values-empty", "values-huge-int",
+        "t0-huge-int", "dt-bool"))
+@pytest.mark.parametrize("lineno", (1, 2))
+def test_estimate_refuses_a_field_naming_file_and_line(tmp_path, capsys,
+                                                       field, value, lineno):
+    lines = [json.dumps(_RECORD)] * 2
+    lines[lineno - 1] = json.dumps(dict(_RECORD, **{field: value}))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert cli.main(["estimate", str(bad), "--estimator", "hurst"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [err[0]]
+    assert "%s line %d: field %s must be" % (bad, lineno, field) in err[0]
+
+
 def test_estimate_rejects_mixed_grids(tmp_path, capsys):
     rec = {"seed": 1, "t0": 0.0, "dt": 0.5, "values": [0.0, 1.0],
            "method": "cholesky", "family": "tfbm"}
@@ -538,6 +566,17 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error", (NonConvergence, SlowDecay, AccuracyError,
+                                   EmbeddingFailure))
+def test_each_numerical_failure_exits_3(monkeypatch, capsys, error):
+    def boom(*a, **kw):
+        raise error("synthetic")
+
+    monkeypatch.setattr(validate, "run_suite", boom)
+    assert cli.main(["validate", "--suite", "scaling"]) == 3
+    assert capsys.readouterr().err == "numerical failure: synthetic\n"
+
+
 # --- config and usage --------------------------------------------------------
 
 def test_config_file_errors(tmp_path, capsys):
@@ -551,6 +590,100 @@ def test_config_file_errors(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
     assert cli.main(["cov", "--config", str(tmp_path / "missing.cfg")]) == 2
     capsys.readouterr()
+
+
+def test_unknown_suite_in_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite=bogus\n")
+    assert cli.main(["validate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown suite 'bogus'")
+
+
+# the options each subcommand reads, written out as the contract
+_READS = {
+    "cov": {"family", "alpha", "beta", "lam", "profile", "components", "s",
+            "t0", "dt", "n", "tol", "figure1", "out"},
+    "sample": {"family", "alpha", "beta", "lam", "profile", "components",
+               "t0", "dt", "n", "method", "paths", "seed", "out"},
+    "estimate": {"lam", "estimator", "plateau_t", "out"},
+    "validate": {"suite", "seed", "paths", "out"},
+}
+_FLAGS = {
+    "cov": {"--config", "--process", "--alpha", "--beta", "--lambda",
+            "--profile", "--s", "--t0", "--dt", "--n", "--figure1", "--out"},
+    "sample": {"--config", "--process", "--alpha", "--beta", "--lambda",
+               "--profile", "--t0", "--dt", "--n", "--method", "--paths",
+               "--seed", "--out"},
+    "estimate": {"--config", "--lambda", "--estimator", "--out"},
+    "validate": {"--config", "--suite", "--seed", "--paths", "--out"},
+}
+# one readable value per config key, as config-file text
+_KEY_TEXT = {
+    "family": "fou", "alpha": "0.75", "beta": "0.5", "lam": "1.0",
+    "profile": "constant:0.8", "components": "1.0:0.7:1.0", "s": "0.5",
+    "t0": "0", "dt": "0.1", "n": "4", "tol": "1e-8", "figure1": "0",
+    "out": "out", "method": "exact", "paths": "2", "seed": "1",
+    "suite": "specfun", "estimator": "hurst", "plateau_t": "1.0",
+}
+_POSITIONAL = {"estimate": ["paths.jsonl"]}
+
+
+def test_each_subcommand_takes_the_flags_it_reads():
+    subs = next(a for a in cli._parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert set(subs.choices) == set(_FLAGS)
+    for name, sub in subs.choices.items():
+        flags = {f for a in sub._actions for f in a.option_strings}
+        assert flags - {"-h", "--help"} == _FLAGS[name], name
+
+
+@pytest.mark.parametrize("command", tuple(_READS))
+def test_each_subcommand_takes_the_config_keys_it_reads(tmp_path, command):
+    taken = set()
+    for key, text in _KEY_TEXT.items():
+        cfg = tmp_path / ("%s.cfg" % key)
+        cfg.write_text("%s=%s\n" % (key, text))
+        args = cli._parser().parse_args(
+            [command, *_POSITIONAL.get(command, ()), "--config", str(cfg)])
+        try:
+            cli._build_config(args)
+        except cli.DomainError as exc:
+            assert str(exc) == ("config key %r is not read by tplab %s"
+                                % (key, command))
+        else:
+            taken.add(key)
+    assert taken == _READS[command]
+
+
+@pytest.mark.parametrize("argv", (
+    ["cov", "--figure1", "--seed", "1"],
+    ["sample", "--process", "fou", "--suite", "all"],
+    ["estimate", "paths.jsonl", "--alpha", "0.75"],
+    ["validate", "--suite", "scaling", "--alpha", "9", "--process", "tmbm",
+     "--n", "3"],
+), ids=("cov", "sample", "estimate", "validate"))
+def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys,
+                                                     argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command key".split(), (
+    ("cov", "suite"), ("sample", "estimator"), ("estimate", "seed"),
+    ("validate", "family"),
+))
+def test_a_config_key_the_subcommand_does_not_read_exits_2(tmp_path, capsys,
+                                                           command, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("%s=%s\n" % (key, _KEY_TEXT[key]))
+    argv = [command, *_POSITIONAL.get(command, ()), "--config", str(cfg),
+            "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: config key %r is not read by tplab %s\n" % (key, command))
 
 
 @pytest.mark.parametrize("config flags message".split(), (
@@ -742,6 +875,42 @@ def test_sample_inputs_in_the_documented_domain_keep_the_exit_contract(cfg):
         assert code in (0, 2, 3)
         if code == 0:
             assert len(_values(pathlib.Path(tmp))) == cfg["paths"]
+            return
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(
+        "error: " if code == 2 else "numerical failure: ")
+
+
+@st.composite
+def _cov_runs(draw):
+    family = draw(st.sampled_from(tuple(sampler.FAMILIES)))
+    cfg = {"family": family}
+    for key in sampler.FAMILIES[family].needs:
+        cfg[key] = draw(_NEEDS[key])
+    cfg["n"] = draw(st.integers(1, 16))
+    cfg["t0"] = draw(st.sampled_from((0.0, 0.5)))
+    cfg["dt"] = draw(st.sampled_from((0.01, 0.1, 1.0)))
+    cfg["s"] = draw(_floats(0.0, 10.0))
+    return cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(_cov_runs())
+def test_cov_inputs_in_the_documented_domain_keep_the_exit_contract(cfg):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "w") as fh:
+            fh.writelines("%s=%s\n" % kv for kv in cfg.items())
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["cov", "--config", path, "--out", tmp])
+        assert time.perf_counter() - start < 2.0
+        assert code in (0, 2, 3)
+        if code == 0:
+            _, rows = _read_csv(os.path.join(tmp, "cov.csv"))
+            assert len(rows) == cfg["n"]
             return
     lines = err.getvalue().splitlines()
     assert len(lines) == 1, lines

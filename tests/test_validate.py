@@ -6,6 +6,7 @@ float64-only evaluation of the oracle suite's branch-cut route.
 
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from tplab import quad, specfun, validate
 from tplab import kernels as K
+from tplab.errors import DivergenceWarning, DomainError
 from tplab.kernels import FracOUParams
 
 
@@ -53,6 +55,19 @@ def test_asymptotics_suite_makes_no_lobe_sum(monkeypatch):
 
     monkeypatch.setattr(quad, "fourier_cos_halfline", fourier_cos_halfline)
     assert validate.run_suite("asymptotics").passed
+
+
+def test_asymptotics_suite_emits_no_divergence_warning():
+    # the tail series is cut at its smallest term on purpose there
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert validate.run_suite("asymptotics").passed
+    assert not [w for w in caught if w.category is DivergenceWarning]
+
+
+def test_unknown_suite_is_a_domain_error():
+    with pytest.raises(DomainError, match="unknown suite 'bogus'"):
+        validate.run_suite("bogus")
 
 
 def test_canonical_payload_ignores_wall_clock():
