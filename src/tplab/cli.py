@@ -23,18 +23,23 @@ import json
 import math
 import os
 import sys
+import warnings
 from collections import namedtuple
 
 import numpy as np
 
 from . import estimators, sampler, validate
 from . import kernels as K
-from .errors import (AccuracyError, DomainError, EmbeddingFailure,
-                     InsufficientData, NonConvergence, NotPSD)
+from .errors import (AccuracyError, DivergenceWarning, DomainError,
+                     EmbeddingFailure, EmbeddingWarning, InsufficientData,
+                     NonConvergence, NotPSD, RegimeWarning)
 from .kernels.params import FracOUParams, HurstProfile
 
 # one record per sampled path; the keys are a stable file contract
 _PATH_KEYS = ("seed", "t0", "dt", "values", "method", "family")
+
+# a library warning prints as one line, "warning: <message>"
+_WARNINGS = (DivergenceWarning, EmbeddingWarning, RegimeWarning)
 
 # type(), not isinstance: a JSON true is no number
 _NUMBERS = {int, float}
@@ -448,11 +453,20 @@ def _parser():
             else:
                 kind = {"type": opt.reader, "choices": opt.choices}
             p.add_argument(opt.flag, dest=key, help=opt.help, **kind)
+    ap.commands = sub.choices
     return ap
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    ap = _parser()
+    args, extra = ap.parse_known_args(argv)
+    if extra:   # the subcommand's usage line shows the flags it takes
+        ap.commands[args.command].error(
+            "unrecognized arguments: " + " ".join(extra))
+    shown = warnings.formatwarning
+    warnings.formatwarning = lambda message, category, *where: (
+        "warning: %s\n" % message if issubclass(category, _WARNINGS)
+        else shown(message, category, *where))
     try:
         rc = _build_config(args)
         return _COMMANDS[args.command][0](rc)
@@ -462,6 +476,8 @@ def main(argv=None):
     except (NotPSD, NonConvergence, AccuracyError, EmbeddingFailure) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

@@ -24,55 +24,60 @@ from .params import FracOUParams
 _X_UNDERFLOW = 700.0
 
 
-def _gamma_arr(a):
-    """math.gamma elementwise, called once per distinct value (a single
-    value skips the sort)."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 1:
-        return np.full(a.shape, math.gamma(a.item()))
-    # np.sort, not np.unique: less memory, and no hash-path set-up (~14 ms)
-    vals = np.sort(a, axis=None)
-    vals = vals[np.append(True, vals[1:] != vals[:-1])]
-    out = np.array([math.gamma(v) for v in vals])
-    return out[np.searchsorted(vals, a)]
+def _gammas(a):  # math.gamma of each element, in a's shape
+    return np.fromiter(map(math.gamma, a.ravel().tolist()), float,
+                       a.size).reshape(a.shape)
+
+
+def _sigma2(alpha, lam, gam):  # gam is Gamma(alpha)
+    a2 = 2.0 * alpha - 1.0
+    # np.power, not **: a scalar alpha gets the array loop's bits
+    return _gammas(a2) / (gam ** 2 * np.power(2.0 * lam, a2))
+
+
+def _alpha_grid(alpha, lam, tau, structure):
+    """D(tau) if structure, else C(tau), elementwise (broadcast): Gamma
+    once per element of alpha at its own shape, C only at
+    0 < lambda |tau| <= 700, and sigma^2 only where it is used: once at
+    broadcast(alpha, lambda) for D, at the tau = 0 cells for C."""
+    alpha = np.asarray(alpha, dtype=float)
+    lam = np.asarray(lam, dtype=float)
+    tau = np.abs(np.asarray(tau, dtype=float))
+    if not np.isfinite(tau).all():
+        raise DomainError("covariance lags must be finite")
+    gam = _gammas(alpha)
+    alpha_b, lam_b, tau_b, gam_b = np.broadcast_arrays(alpha, lam, tau, gam)
+    at_zero = tau_b == 0.0
+    if structure:  # 0 at tau = 0, sigma^2 where K underflows
+        out = np.where(at_zero, 0.0, _sigma2(alpha, lam, gam))
+    else:
+        out = np.zeros(at_zero.shape)
+        if at_zero.any():
+            out[at_zero] = _sigma2(alpha_b[at_zero], lam_b[at_zero],
+                                   gam_b[at_zero])
+    live = ~at_zero & (lam_b * tau_b <= _X_UNDERFLOW)
+    if live.any():
+        # a shared lambda stays a scalar: no array of it beside the lags
+        lam_l = lam if lam.ndim == 0 else lam_b[live]
+        tau_l = tau_b[live]
+        nu = alpha_b[live] - 0.5
+        bes = specfun.besselk_grid(nu, lam_l * tau_l)
+        log_gamma = np.log(np.sqrt(np.pi) * gam_b[live])
+        c = np.exp(nu * np.log(tau_l / (2.0 * lam_l)) - log_gamma) * bes
+        out[live] = out[live] - c if structure else c
+    return out
 
 
 def var_alpha_grid(alpha, lam):
     """sigma^2 with elementwise alpha and lambda (broadcast)."""
     alpha = np.asarray(alpha, dtype=float)
-    # np.power, not **: a scalar alpha gets the array loop's bits
-    a2 = 2.0 * alpha - 1.0
-    return _gamma_arr(a2) / (_gamma_arr(alpha) ** 2 * np.power(2.0 * lam, a2))
+    return _sigma2(alpha, lam, _gammas(alpha))
 
 
 def cov_alpha_grid(alpha, lam, tau):
-    """C(tau) with elementwise alpha, lambda and tau (broadcast).
-
-    The time-varying index families evaluate their Gram matrices through
-    this path, so it handles tau = 0 cells (variance) and underflow
-    cells (0) inline.  A NaN or infinite lag is a DomainError.
-    """
-    lam = np.asarray(lam, dtype=float)
-    alpha_b, lam_b, tau_b = np.broadcast_arrays(
-        np.asarray(alpha, dtype=float), lam,
-        np.abs(np.asarray(tau, dtype=float)))
-    if not np.isfinite(tau_b).all():
-        raise DomainError("covariance lags must be finite")
-    out = np.zeros(alpha_b.shape)
-    at_zero = tau_b == 0.0
-    if at_zero.any():
-        out[at_zero] = var_alpha_grid(alpha_b[at_zero], lam_b[at_zero])
-    live = ~at_zero & (lam_b * tau_b <= _X_UNDERFLOW)
-    if live.any():
-        # a shared lambda stays a scalar: no array of it beside the lags
-        lam_l = lam if lam.ndim == 0 else lam_b[live]
-        nu = alpha_b[live] - 0.5
-        bes = specfun.besselk_grid(nu, lam_l * tau_b[live])
-        # Gamma before the log term: one array fewer held under its sort
-        log_gamma = np.log(np.sqrt(np.pi) * _gamma_arr(alpha_b[live]))
-        out[live] = np.exp(nu * np.log(tau_b[live] / (2.0 * lam_l))
-                           - log_gamma) * bes
-    return out
+    """C(tau) with elementwise alpha, lambda and tau (broadcast): sigma^2
+    at tau = 0, 0 where K underflows, and a non-finite lag refused."""
+    return _alpha_grid(alpha, lam, tau, structure=False)
 
 
 # D = sigma^2 - C(tau) subtracts numbers of size lambda^-(2 alpha - 1) and
@@ -97,12 +102,10 @@ def require_reduced_lags(lam, tau):
 def structure_alpha_grid(alpha, lam, tau):
     """Structure function D(tau) = sigma^2 - C(tau), elementwise alpha,
     lambda and tau (broadcast): Var B(t) = 2 D(t) and cov(B(t), B(s))
-    = D(t) + D(s) - D(t-s).  Even, and exactly 0 at tau = 0, where
-    cov_alpha_grid returns this sigma^2's bits; a nonzero lag below
-    REDUCED_X_MIN or a non-finite one is a DomainError."""
+    = D(t) + D(s) - D(t-s).  Even, exactly 0 at tau = 0; a nonzero lag
+    below REDUCED_X_MIN or a non-finite one is a DomainError."""
     require_reduced_lags(lam, tau)
-    c = cov_alpha_grid(alpha, lam, tau)  # first: sigma^2 not held over it
-    return var_alpha_grid(alpha, lam) - c
+    return _alpha_grid(alpha, lam, tau, structure=True)
 
 
 def fou_var(p: FracOUParams):

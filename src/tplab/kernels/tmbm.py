@@ -71,24 +71,31 @@ def tmbm_var(h: HurstProfile, lam, t):
     return tfbm.tfbm_var(FracOUParams(h.alpha(t), lam), t)
 
 
+# index pairs per D call in tmbm_gram, which bounds its working arrays
+_PAIR_BLOCK = 8192
+
+
 def tmbm_gram(h: HurstProfile, lam, times):
     """Dense covariance matrix over a time grid.
 
     Every D term varies with the pair (i,j) through the averaged index,
-    which is exactly symmetric, as is |t_i - t_j|.  One D call covers the
-    upper triangle's lags, mirrored, and D(t_i) at every pair's index,
-    whose transpose is the D(t_j) term: the matrix is bitwise symmetric,
-    and a row and column at the origin are D(t_j) - D(t_j) = 0."""
+    which is exactly symmetric, as is |t_i - t_j|.  The upper triangle's
+    pairs go in blocks of at most _PAIR_BLOCK, one D call each, over the
+    lag, t_i and t_j at the pair's index; (D(t_i) + D(t_j)) - D(t_i - t_j)
+    fills both (i,j) and (j,i).  So the matrix is bitwise symmetric, and
+    a row and column at the origin are D(t_j) - D(t_j) = 0."""
     times = np.asarray(times, dtype=float)
     h.spot_check(times)
+    # the whole grid's smallest lag is the one a refusal names
+    fou.require_reduced_lags(lam, np.append(np.diff(np.sort(times)), times))
     al = np.array([h.alpha(t) for t in times])
     n = len(times)
     iu, ju = np.triu_indices(n)
-    d = fou.structure_alpha_grid(
-        np.concatenate((0.5 * (al[iu] + al[ju]),
-                        (0.5 * (al[:, None] + al[None, :])).ravel())), lam,
-        np.concatenate((times[iu] - times[ju], times.repeat(n))))
-    d_lag = np.empty((n, n))
-    d_lag[iu, ju] = d_lag[ju, iu] = d[:len(iu)]
-    d_t = d[len(iu):].reshape(n, n)
-    return (d_t + d_t.T) - d_lag
+    out = np.empty((n, n))
+    for lo in range(0, len(iu), _PAIR_BLOCK):
+        i, j = iu[lo:lo + _PAIR_BLOCK], ju[lo:lo + _PAIR_BLOCK]
+        d_lag, d_i, d_j = fou.structure_alpha_grid(
+            0.5 * (al[i] + al[j]), lam,
+            np.stack((times[i] - times[j], times[i], times[j])))
+        out[i, j] = out[j, i] = (d_i + d_j) - d_lag
+    return out

@@ -17,6 +17,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ from hypothesis import strategies as st
 
 import tplab
 from tplab import cli, estimators, kernels, sampler, validate
-from tplab.errors import (AccuracyError, EmbeddingFailure, NonConvergence,
-                          NotPSD, SlowDecay)
+from tplab.errors import (AccuracyError, EmbeddingFailure, EmbeddingWarning,
+                          NonConvergence, NotPSD, SlowDecay)
 from tplab.kernels import FracOUParams
 
 
@@ -93,6 +94,17 @@ def test_cov_tfgn_without_pointwise_variance_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "pointwise variance only for alpha > 3/2" in err
     assert "tau != 0" not in err
+
+
+def test_cov_tfgn_at_alpha_three_halves_off_the_origin(tmp_path, capsys):
+    # C at alpha - 1 = 1/2 has no variance, but a grid without lag 0
+    # never asks for it
+    argv = ["cov", "--process", "tfgn", "--alpha", "1.5", "--lambda", "1",
+            "--t0", "0.5", "--dt", "0.1", "--n", "10", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    _, rows = _read_csv(capsys.readouterr().out.strip())
+    assert [float(r[1]) for r in rows] == [
+        kernels.tfgn_cov(1.5, 1.0, 0.5 + 0.1 * k) for k in range(10)]
 
 
 def test_cov_tfgn_makes_no_kummer_call(tmp_path, monkeypatch):
@@ -671,6 +683,22 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys,
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", (
+    ["cov", "--seed", "1"], ["sample", "--suite", "all"],
+    ["estimate", "paths.jsonl", "--alpha", "0.75"],
+    ["validate", "--suite", "scaling", "--alpha", "9"],
+), ids=("cov", "sample", "estimate", "validate"))
+def test_an_unread_flag_shows_the_subcommand_usage(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    command = "tplab %s" % argv[0]
+    assert err.startswith("usage: %s [-h] [--config CONFIG]" % command)
+    assert err.endswith("\n%s: error: unrecognized arguments: %s\n"
+                        % (command, " ".join(argv[-2:])))
+
+
 @pytest.mark.parametrize("command key".split(), (
     ("cov", "suite"), ("sample", "estimator"), ("estimate", "seed"),
     ("validate", "family"),
@@ -799,6 +827,34 @@ def test_console_script_runs():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+# alpha = 2.5 makes the increment embedding fail on this grid
+_FALLBACK = ["sample", "--process", "tfbm", "--alpha", "2.5", "--lambda",
+             "0.01", "--t0", "0", "--dt", "1", "--n", "64", "--paths", "2",
+             "--method", "spectral", "--seed", "1"]
+
+
+def test_a_warning_is_one_line_in_the_users_terms(tmp_path):
+    src = os.path.dirname(os.path.dirname(tplab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tplab.cli", *_FALLBACK, "--out",
+         str(tmp_path)], capture_output=True, text=True, timeout=120,
+        env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "warning: circulant embedding failed"), proc.stderr
+
+
+def test_a_warning_stays_a_python_warning(tmp_path, capsys):
+    shown = warnings.formatwarning
+    with pytest.warns(EmbeddingWarning):
+        assert cli.main(_FALLBACK + ["--out", str(tmp_path)]) == 0
+    assert warnings.formatwarning is shown
+    capsys.readouterr()
 
 
 # the library's runtime needs numpy only: mpmath is a test dependency

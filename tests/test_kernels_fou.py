@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tplab import kernels as K
-from tplab import quad
+from tplab import quad, sampler
 from tplab.kernels import fou
 from tplab.errors import DomainError
 from tplab.kernels.params import FracOUParams
@@ -149,13 +149,8 @@ def test_grid_evaluation_matches_scalar():
     assert isinstance(K.fou_cov(p, taus[5]), float)
 
 
-def test_alpha_grids_call_gamma_once_per_distinct_index(monkeypatch):
-    # the averaged indices of a tmbm Gram: symmetric, so about half of
-    # the n x n cells repeat a value
-    times = np.linspace(0.0, 2.0, 12)
-    al = 0.8 + 0.1 * (1.0 - np.exp(-times))
-    a_plus = 0.5 * (al[:, None] + al[None, :])
-    tau = np.broadcast_to(times[:, None], a_plus.shape)
+@pytest.fixture
+def gamma_calls(monkeypatch):
     calls = []
     real_gamma = math.gamma
 
@@ -164,33 +159,25 @@ def test_alpha_grids_call_gamma_once_per_distinct_index(monkeypatch):
         return real_gamma(v)
 
     monkeypatch.setattr(math, "gamma", counting)
-    var = fou.var_alpha_grid(a_plus, 0.7)
-    distinct = len(np.unique(a_plus))
-    assert distinct < a_plus.size
-    assert len(calls) == 2 * distinct
-    cov = fou.cov_alpha_grid(a_plus, 0.7, tau)
-
-    def per_element(a):
-        flat = np.asarray(a, dtype=float).ravel()
-        return np.array([real_gamma(v) for v in flat]).reshape(np.shape(a))
-
-    monkeypatch.setattr(fou, "_gamma_arr", per_element)
-    assert np.array_equal(var, fou.var_alpha_grid(a_plus, 0.7))
-    assert np.array_equal(cov, fou.cov_alpha_grid(a_plus, 0.7, tau))
+    return calls
 
 
-def test_gamma_arr_of_one_value_skips_the_sort(monkeypatch):
-    values = [np.array(a) for a in (1.3, [0.7], [[2.5]])]
-    before = [fou._gamma_arr(a) for a in values]
-
-    def no_sort(*args, **kwargs):
-        raise AssertionError("np.sort called for a single value")
-
-    monkeypatch.setattr(fou.np, "sort", no_sort)
-    for a, ref in zip(values, before):
-        got = fou._gamma_arr(a)
-        assert got.shape == a.shape and np.array_equal(got, ref)
-        assert got.item() == math.gamma(a.item())
+@pytest.mark.parametrize("n", (9, 130))
+def test_grams_take_gamma_once_per_element_of_their_index(gamma_calls, n):
+    # D takes Gamma(alpha) and Gamma(2 alpha - 1) once per element of its
+    # own alpha: one per index pair and term kind for tmbm, a scalar for
+    # tfbm
+    times = np.linspace(0.0, 2.0, n)
+    K.tmbm_gram(K.HurstProfile.saturating_ramp(0.8, 0.1), 0.7, times)
+    assert 0 < len(gamma_calls) <= n * (n + 1)
+    gamma_calls.clear()
+    p = FracOUParams(0.75, 0.7)
+    K.tfbm_gram(p, times)
+    assert 0 < len(gamma_calls) <= 2
+    gamma_calls.clear()
+    grid = sampler.TimeGrid(0.0, times[1], n)
+    sampler.build_gram(sampler.ProcessDescriptor("tfbm", p), grid)
+    assert 0 < len(gamma_calls) <= 2
 
 
 # --- the structure function D = sigma^2 - C of the reduced families ------

@@ -10,6 +10,7 @@ the pointwise variance where that exists.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,50 @@ def test_gram_constant_profile_matches_single_index_gram():
     assert np.allclose(got, ref, rtol=0.0, atol=1e-13)
 
 
+def _one_call_gram(h, lam, times):
+    # the whole-matrix assembly: one D call over the upper triangle's
+    # lags and the n x n averaged-index matrix against t_i
+    al = np.array([h.alpha(t) for t in times])
+    n = len(times)
+    iu, ju = np.triu_indices(n)
+    d = K.fou.structure_alpha_grid(
+        np.concatenate((0.5 * (al[iu] + al[ju]),
+                        (0.5 * (al[:, None] + al[None, :])).ravel())), lam,
+        np.concatenate((times[iu] - times[ju], times.repeat(n))))
+    d_lag = np.empty((n, n))
+    d_lag[iu, ju] = d_lag[ju, iu] = d[:len(iu)]
+    d_t = d[len(iu):].reshape(n, n)
+    return (d_t + d_t.T) - d_lag
+
+
+_PROFILES = (RAMP, HurstProfile.constant(1.25),
+             HurstProfile.tabulated([0.0, 1.0, 2.5, 4.0],
+                                    [0.8, 0.95, 0.85, 1.1]))
+
+
+@pytest.mark.parametrize("profile", _PROFILES,
+                         ids="ramp constant tabulated".split())
+@pytest.mark.parametrize("t0", (0.0, 0.3))
+@pytest.mark.parametrize("n", (127, 128, 181))
+def test_gram_in_pair_blocks_is_the_one_call_gram_bitwise(profile, t0, n):
+    # 8,128 pairs are one block, 8,256 two and 16,471 three
+    times = t0 + 0.02 * np.arange(n)
+    got = K.tmbm_gram(profile, 0.9, times)
+    assert got.tobytes() == _one_call_gram(profile, 0.9, times).tobytes()
+
+
+def test_gram_peak_memory_is_a_few_n_by_n_arrays():
+    times = 0.01 * np.arange(512)
+    tracemalloc.start()
+    try:
+        K.tmbm_gram(RAMP, 1.0, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 512 x 512 float matrix is 2.1 MB
+    assert peak < 16e6
+
+
 # --- profile declarations ----------------------------------------------------
 
 def test_profile_bounds_enforced_on_evaluation():
@@ -282,7 +327,7 @@ def _four_block_var(alpha, lam):
 NOISE_LAGS = (1e-3, 0.1, 1.0, 6.0)
 
 
-@pytest.mark.parametrize("alpha", (1.05, 1.45, 2.5, 5.4))
+@pytest.mark.parametrize("alpha", (1.05, 1.45, 1.5, 2.5, 5.4))
 @pytest.mark.parametrize("lam", (0.5, 2.0))
 def test_cov_matches_the_four_block_route(alpha, lam):
     ref = [_four_block_cov(alpha, lam, tau) for tau in NOISE_LAGS]

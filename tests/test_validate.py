@@ -47,7 +47,6 @@ def test_fast_suites_pass_with_absolute_tolerance_semantics(suite):
         assert c.tolerance >= 0.0
 
 
-@pytest.mark.filterwarnings("ignore::tplab.errors.DivergenceWarning")
 def test_asymptotics_suite_makes_no_lobe_sum(monkeypatch):
     # the small-time coefficient is a closed form, not a cosine transform
     def fourier_cos_halfline(*args, **kwargs):
