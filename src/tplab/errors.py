@@ -44,8 +44,8 @@ class SlowDecay(NonConvergence):
 class NotPSD(TplabError, RuntimeError):
     """Covariance matrix stayed indefinite past the jitter cap.
 
-    This signals a kernel bug (a covariance function that is not positive
-    semidefinite), not a user error.
+    With accurate kernel entries this means the Gram is numerically
+    singular on its grid: too many points, or too close, for float64.
     """
 
 

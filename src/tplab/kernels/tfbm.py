@@ -59,13 +59,21 @@ def tfbm_ct_coefficient(p: FracOUParams, t):
     As lambda|t| -> 0 this tends to Gamma(1-2H) cos(H pi) / (H pi), the
     untempered self-similarity constant; as lambda|t| -> infinity the
     Bessel term dies and c_t |t|^(2H) -> 2 sigma^2.  Broadcasts over an
-    array of t; a scalar gives a float.
+    array of t; a scalar gives a float.  The two terms cancel as
+    lambda|t| -> 0, so 0 < lambda|t| < 1e-6 is a DomainError.
     """
     p.require_hurst_in_unit()
     t = np.abs(np.asarray(t, dtype=float))
     if (t == 0.0).any():
         raise DomainError("c_t is undefined at t = 0")
-    fou.require_reduced_lags(p.lam, t)
+    # lead and tail are both about (lambda t)^-2H against c_t = O(1), so
+    # lead - tail keeps about eps (lambda t)^-2H of relative accuracy.
+    # This route stays off D: it is the independent side of the
+    # ct-decomposition identity
+    if (p.lam * t < 1e-6).any():
+        raise DomainError(
+            "c_t needs lambda*|t| >= 1e-06 (its two terms cancel below "
+            "it), got %g" % np.min(p.lam * t))
     h = p.hurst
     x = 2.0 * p.lam * t
     # np.power, not **: a numpy scalar's ** is libm's pow, which can
@@ -105,11 +113,8 @@ def tfbm_increment_cov(p: FracOUParams, lag_tau, t_minus_s):
     increment variance 2 D(tau).  Broadcasts like tfbm_cov.
     """
     tau, d = np.broadcast_arrays(lag_tau, t_minus_s)
-    # D refuses a sub-floor tau too: the second difference would keep no
-    # digit even where d and d +- tau clear the floor
-    floor = np.asarray(lag_tau, dtype=float) if d.size else np.empty(0)
-    d_plus, d_minus, d_mid, _ = _stacked(lambda u: _structure(p, u),
-                                         d + tau, d - tau, d, floor)
+    d_plus, d_minus, d_mid = _stacked(lambda u: _structure(p, u),
+                                      d + tau, d - tau, d)
     out = (d_plus + d_minus) - 2.0 * d_mid
     return float(out) if out.ndim == 0 else out
 

@@ -86,8 +86,6 @@ def tmbm_gram(h: HurstProfile, lam, times):
     a row and column at the origin are D(t_j) - D(t_j) = 0."""
     times = np.asarray(times, dtype=float)
     h.spot_check(times)
-    # the whole grid's smallest lag is the one a refusal names
-    fou.require_reduced_lags(lam, np.append(np.diff(np.sort(times)), times))
     al = np.array([h.alpha(t) for t in times])
     n = len(times)
     iu, ju = np.triu_indices(n)

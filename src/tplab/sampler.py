@@ -216,8 +216,10 @@ def _cholesky_with_jitter(gram):
     """Lower factor plus the diagonal jitter that made it succeed.
 
     Ladder: 1e-14 * mean diagonal, stepping by 10 up to the cap
-    1e-10 * trace/n.  Exceeding the cap means the kernel produced a
-    genuinely indefinite matrix, which is a bug, not a user error.
+    1e-10 * trace/n.  The kernels' entries are accurate to a few ulps,
+    so a Gram that fails at the cap is numerically singular on its grid:
+    its points are too close for float64 to tell the process apart at
+    them.
     """
     n = gram.shape[0]
     if n == 0:  # every grid point is pinned: nothing to factor
@@ -238,8 +240,9 @@ def _cholesky_with_jitter(gram):
         except np.linalg.LinAlgError:
             jit *= 10.0
     raise NotPSD(
-        "Cholesky failed with jitter up to %g (cap 1e-10*trace/n); the "
-        "kernel Gram matrix is not positive semidefinite" % cap)
+        "Cholesky failed with jitter up to %g (cap 1e-10*trace/n): the "
+        "Gram matrix is numerically singular on this grid; use fewer "
+        "points or a larger dt" % cap)
 
 
 def sample_exact(process: ProcessDescriptor, grid: TimeGrid, seed,

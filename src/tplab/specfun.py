@@ -18,6 +18,12 @@ Algorithms
                  for K.  One route covers the whole box, integer and
                  half-integer orders included; each element stops on its
                  own terms, so its value depends on (nu, x) alone.
+    besselk_deficit  Gamma(nu)/2 - (x/2)^nu K_nu(x) at 0 < x <= 2 with
+                 nothing subtracted: Temme's series with the K_(mu+1)
+                 sum started at its k = 1 term, then the order
+                 recurrence G_(nu+1) = nu G_nu - (x/2)^2 F_(nu-1).
+    rgamma       1/Gamma(z), z >= 1/2, in numpy alone: Temme's Gamma_1
+                 and Gamma_2 give 1/Gamma(1+mu), the recurrence the rest.
     kummer_u     U(a,b,z) = (1/Gamma(a)) int_0^inf e^(-zt) t^(a-1)
                  (1+t)^(b-a-1) dt, mapped to [0,1) by t = u/(1-u); for
                  a < 1 the additional u = v^(1/a) substitution absorbs
@@ -113,8 +119,8 @@ def _iterate(step, done, state, slots):
     is done, so its result depends on its own inputs only, never on the
     rest of the batch.  A state of floats is iterated on Python floats:
     the same step and the same IEEE arithmetic, without numpy's per-call
-    overhead; _besselk_array takes this route for each element of a
-    batch of at most _FLOAT_BATCH.
+    overhead; _batched takes this route for each element of a batch of
+    at most _FLOAT_BATCH.
     """
     if isinstance(state[0], float):
         state = tuple(float(v) for v in state)
@@ -154,6 +160,20 @@ def _temme_gammas(mu):
         g2 = g2 * m2 + _RGAMMA1P[k]
         g1 = g1 * m2 - _RGAMMA1P[k + 1]
     return g1, g2
+
+
+def rgamma(z):
+    """1/Gamma(z) elementwise over an array z >= 1/2, with numpy alone:
+    1/Gamma(1+mu) = Gamma_2 - mu Gamma_1 at mu = z - 1 - m, |mu| <= 1/2,
+    m = round(z - 1), then m steps of 1/Gamma(w + 1) = 1/(w Gamma(w))."""
+    z = np.asarray(z, dtype=float)
+    m = np.round(z - 1.0)
+    mu = z - 1.0 - m
+    g1, g2 = _temme_gammas(mu)
+    out = g2 - mu * g1
+    for j in range(1, int(m.max(initial=0.0)) + 1):
+        out = np.where(m >= j, out / (mu + j), out)
+    return out
 
 
 def _series_step(i, mu, dd, f, p, q, c, s0, s1, a0, a1, t0, t1):
@@ -209,6 +229,47 @@ def _temme_series(mu, x):
     rnd = _ROUND + 2.0 * _EPS * abs(e)
     scale = 2.0 / x
     return s0, scale * s1, rnd * a0 + t0, scale * (rnd * a1 + t1)
+
+
+def _deficit_step(i, n, mu, y, g, f_lo, f_hi):
+    # G_(nu+1) = nu G_nu - y F_(nu-1), F_(nu+1) = y F_(nu-1) + nu F_nu,
+    # nu = i + mu: from (G, F) at orders i + mu and i - 1 + mu, i + mu
+    nu = i + mu
+    return n, mu, y, nu * g - y * f_lo, f_hi, y * f_lo + nu * f_hi
+
+
+def _deficit_done(i, n, mu, y, g, f_lo, f_hi):
+    return n <= i + 1
+
+
+def _deficit_block(nu, x):
+    """(besselk_deficit,) for nu and x both floats or both 1d arrays."""
+    n = float(round(nu)) if isinstance(x, float) else np.round(nu)
+    mu = nu - n
+    start, e = _series_start(mu, x)
+    # the K_(mu+1) sum and its magnitude start at their k = 1 terms
+    start = start[:7] + (0.0, start[8], 0.0) + start[10:]
+    s0, s1 = _iterate(_series_step, _series_done, start, (6, 7))
+    h = np.exp(-e)                        # (x/2)^mu
+    return _iterate(_deficit_step, _deficit_done, (
+        n, mu, 0.25 * x * x, -h * s1, h * s0, h * (start[3] + s1)), (3,))
+
+
+def besselk_deficit(nu, x):
+    """G_nu(x) = Gamma(nu)/2 - (x/2)^nu K_nu(x) over 1d arrays with
+    round(nu) >= 1 and 0 < x <= 2, formed with nothing subtracted.
+
+    With n = round(nu) and mu = nu - n, Temme's series (J. Comput. Phys.
+    19, 1975) gives F_mu = (x/2)^mu K_mu = (x/2)^mu sum_k c_k f_k and
+    F_(1+mu) = (x/2)^mu sum_k c_k (p_k - k f_k), whose k = 0 term is
+    Gamma(1+mu)/2; its sum started at k = 1 is -G_(1+mu).  n - 1 steps
+    of G_(nu+1) = nu G_nu - y F_(nu-1), y = (x/2)^2, carry it up.  The
+    recurrence amplifies rounding by about ln(2/x) near mu = 0 and by
+    about (2/x)^(-2 mu) for mu < 0.  Batches run as in besselk_grid, so
+    each value depends on its own (nu, x) alone.
+    """
+    return _batched(_deficit_block, np.asarray(nu, dtype=float),
+                    np.asarray(x, dtype=float), 1)[0]
 
 
 def _cf2_step(i, a, b, c, d, h, dh, q, q1, q2, s, ds):
@@ -294,8 +355,8 @@ def _besselk_block(nu, x):
     return _iterate(_recur_step, _recur_done, (n, nu - n, x, *pair), (3, 5))
 
 
-def _besselk_array(nu, x):
-    """K_nu(x) and its absolute error estimate over matching 1d arrays.
+def _batched(block, nu, x, rows):
+    """The rows results of block(nu, x) over matching 1d arrays.
 
     A batch of at most _FLOAT_BATCH elements runs element by element on
     Python floats, transcendentals through the same numpy functions, so
@@ -303,20 +364,25 @@ def _besselk_array(nu, x):
     _BLOCK elements, which bounds the working set; an element's value
     does not depend on its block.
     """
+    out = np.empty((rows, x.size))
+    if x.size <= _FLOAT_BATCH:
+        for k, (a, b) in enumerate(zip(nu.tolist(), x.tolist())):
+            out[:, k] = block(a, b)
+        return out
+    for lo in range(0, x.size, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        out[:, blk] = block(nu[blk], x[blk])
+    return out
+
+
+def _besselk_array(nu, x):
+    """K_nu(x) and its absolute error estimate over matching 1d arrays."""
     nu = np.asarray(nu, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
     inside = ((np.abs(nu) <= BESSEL_NU_MAX) & (x >= BESSEL_X_MIN)
               & (x <= BESSEL_X_MAX))
     _check_box((x <= 0.0).any(), inside.all())
-    value, err = np.empty_like(x), np.empty_like(x)
-    if x.size <= _FLOAT_BATCH:
-        for k, (a, b) in enumerate(zip(np.abs(nu).tolist(), x.tolist())):
-            value[k], err[k] = _besselk_block(a, b)
-        return value, err
-    for lo in range(0, x.size, _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        value[blk], err[blk] = _besselk_block(np.abs(nu[blk]), x[blk])
-    return value, err
+    return _batched(_besselk_block, np.abs(nu), x, 2)
 
 
 def besselk_grid(nu, x):

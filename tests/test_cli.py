@@ -798,12 +798,34 @@ def test_fou_cov_at_tiny_tempering_rate(tmp_path, capsys, alpha):
 ), ids=("cov-tfbm-1.25", "cov-tfbm-0.75", "cov-tmbm", "sample-exact",
         "sample-spectral", "sample-tmbm"))
 def test_reduced_process_below_the_lag_floor_exits_2(tmp_path, capsys,
-                                                      argv):
+                                                      argv, structure_mp):
     # at lambda = 1e-9, sigma^2 ~ 1e13 against a variance ~ 1e-2 at
-    # t = 0.05 for alpha = 1.25: sigma^2 - C(t) would be rounding noise
-    assert cli.main(argv + ["--lambda", "1e-9", "--out", str(tmp_path)]) == 2
-    assert ("reduced covariance needs lambda*|tau| >= 1e-06"
-            in capsys.readouterr().err)
+    # t = 0.05 for alpha = 1.25: sigma^2 - C(t) would be rounding noise,
+    # and these lags, below the former floor lambda |tau| = 1e-6, were
+    # refused (exit 2).  D no longer subtracts: they run, and the cov
+    # CSV keeps its digits
+    assert cli.main(argv + ["--lambda", "1e-9", "--out", str(tmp_path)]) == 0
+    if argv[0] != "cov":
+        return
+    _, rows = _read_csv(capsys.readouterr().out.strip())
+    assert len(rows) == 256
+    alpha = float(argv[-1].split(":")[-1])
+    for k in (1, 10, 100, 255):
+        t, v = map(float, rows[k])
+        taus, weights = (t, 0.5, t - 0.5), (1, 1, -1)
+        ref = structure_mp(alpha, 1e-9, taus, weights)
+        terms = sum(structure_mp(alpha, 1e-9, u) for u in taus)
+        assert abs(v - ref) <= 2e-13 * abs(ref) + 16.0 * 2.0 ** -52 * terms
+
+
+def test_tfbm_grid_past_the_old_jitter_cap_samples(tmp_path):
+    # exited 3 ("the kernel Gram matrix is not positive semidefinite")
+    # while D subtracted sigma^2 - C(tau)
+    argv = ["sample", "--process", "tfbm", "--alpha", "2.5", "--lambda",
+            "1e-3", "--t0", "0", "--dt", "0.01", "--n", "256", "--paths",
+            "100", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert len(_values(tmp_path)) == 100
 
 
 def test_overflowing_grid_extent_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tplab import kernels as K
-from tplab import quad, sampler
+from tplab import quad, sampler, specfun
 from tplab.kernels import fou
 from tplab.errors import DomainError
 from tplab.kernels.params import FracOUParams
@@ -163,21 +164,31 @@ def gamma_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("n", (9, 130))
-def test_grams_take_gamma_once_per_element_of_their_index(gamma_calls, n):
-    # D takes Gamma(alpha) and Gamma(2 alpha - 1) once per element of its
-    # own alpha: one per index pair and term kind for tmbm, a scalar for
-    # tfbm
+def test_grams_take_gamma_once_per_element_of_their_index(gamma_calls,
+                                                          monkeypatch, n):
+    # at lambda |tau| <= 2, D takes 1/Gamma of (alpha, nu + 1, 1 - mu) in
+    # one numpy call per D call, at its own alpha's shape: once per index
+    # pair and argument for tmbm, three values for tfbm; no math.gamma
+    sizes = []
+    real = specfun.rgamma
+
+    def counting(z):
+        sizes.append(np.size(z))
+        return real(z)
+
+    monkeypatch.setattr(specfun, "rgamma", counting)
     times = np.linspace(0.0, 2.0, n)
     K.tmbm_gram(K.HurstProfile.saturating_ramp(0.8, 0.1), 0.7, times)
-    assert 0 < len(gamma_calls) <= n * (n + 1)
-    gamma_calls.clear()
+    assert sum(sizes) == 3 * n * (n + 1) // 2
+    sizes.clear()
     p = FracOUParams(0.75, 0.7)
     K.tfbm_gram(p, times)
-    assert 0 < len(gamma_calls) <= 2
-    gamma_calls.clear()
+    assert sizes == [3]
+    sizes.clear()
     grid = sampler.TimeGrid(0.0, times[1], n)
     sampler.build_gram(sampler.ProcessDescriptor("tfbm", p), grid)
-    assert 0 < len(gamma_calls) <= 2
+    assert sizes == [3]
+    assert not gamma_calls
 
 
 # --- the structure function D = sigma^2 - C of the reduced families ------
@@ -236,14 +247,24 @@ def test_elementwise_lambda_is_the_per_lambda_calls_bitwise():
 
 
 @pytest.mark.parametrize("alpha", _D_ALPHAS)
-def test_structure_function_is_variance_minus_covariance(alpha):
+def test_structure_function_is_variance_minus_covariance(alpha,
+                                                         structure_mp):
+    # beyond lambda |tau| = 2 D is sigma^2 - C(tau); at or below it D
+    # cancels sigma^2 analytically, so there it is held to 50-digit
+    # mpmath by the bound of the accuracy grid below (sigma^2 - C is
+    # itself up to 7 ulps of sigma^2 off mpmath near lambda |tau| = 2)
     for lam in (0.05, 1.0):
         p = FracOUParams(alpha, lam)
         tau = _D_X / lam
         sig2 = K.fou_var(p)
-        ref = sig2 - K.fou_cov(p, tau)
         got = fou.structure_alpha_grid(alpha, lam, tau)
-        assert np.abs(got - ref).max() <= 4.0 * np.spacing(sig2)
+        far = _D_X > 2.0
+        ref = sig2 - K.fou_cov(p, tau[far])
+        assert np.abs(got[far] - ref).max() <= 4.0 * np.spacing(sig2)
+        for d, t in zip(got[~far], tau[~far]):
+            err = abs(d - structure_mp(alpha, lam, t))
+            assert err <= 16.0 * np.spacing(sig2)
+            assert err <= 2e-13 * d
 
 
 @pytest.mark.parametrize("alpha lam".split(), (
@@ -259,3 +280,57 @@ def test_hurst_property():
     assert FracOUParams(1.25, 1.0).hurst == 0.75
     with pytest.raises(DomainError):
         FracOUParams(1.6, 1.0).require_hurst_in_unit()
+
+
+# --- D against 50-digit mpmath, from the smallest lags up to underflow -----
+
+_ACC_ALPHAS = (0.51, 0.75, 0.85, 1.0, 1.25, 1.45, 1.49, 1.499, 1.5, 1.501,
+               2.0, 2.45, 2.5, 2.55, 3.0, 4.5, 5.45, 5.5)
+_ACC_X = (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 10.0, 700.0)
+
+
+@pytest.mark.parametrize("alpha", _ACC_ALPHAS)
+def test_structure_function_against_mpmath(alpha, structure_mp):
+    # near-integer nu = alpha - 1/2 included: the series' 1/sin(nu pi)
+    # and Temme's recurrence are both exercised, as is sigma^2 - C
+    for lam in (1e-4, 1.0, 30.0):
+        taus = np.array(_ACC_X) / lam
+        sig2 = K.fou_var(FracOUParams(alpha, lam))
+        for d, t in zip(fou.structure_alpha_grid(alpha, lam, taus), taus):
+            ref = structure_mp(alpha, lam, t)
+            assert abs(d - ref) <= 2e-13 * ref, (lam, t)
+            assert abs(d - ref) <= 16.0 * np.spacing(sig2), (lam, t)
+
+
+def _structure_leading_mp(alpha, lam, tau):
+    """D at lambda |tau| <= 1e-300 from the two leading terms of its
+    series, in 100-digit mpmath: the omitted ones are (lambda tau / 2)^2
+    smaller.  An integer nu = alpha - 1/2 is moved by 1e-40, which moves
+    D by about 1e-40 of itself."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(100):
+        a, lm, t = mpmath.mpf(alpha), mpmath.mpf(lam), mpmath.mpf(tau)
+        nu = a - mpmath.mpf(0.5)
+        if nu == int(nu):
+            nu += mpmath.mpf(10) ** -40
+        half = lm * t / 2
+        g = mpmath.pi / (2 * mpmath.sinpi(nu)) * (
+            half ** (2 * nu) / mpmath.gamma(1 + nu)
+            - half ** 2 / mpmath.gamma(2 - nu))
+        return float(lm ** (-2 * nu) / (mpmath.sqrt(mpmath.pi)
+                                        * mpmath.gamma(a)) * g)
+
+
+@pytest.mark.parametrize("x", (1e-300, 5e-324))
+def test_structure_function_at_the_smallest_lags(x):
+    # D is a normal double at some of these cells and underflows at others
+    for alpha in (0.51, 0.75, 1.0, 1.25, 1.5, 2.5, 5.5):
+        for lam in (1e-4, 1.0):
+            tau = x / lam
+            d = float(fou.structure_alpha_grid(alpha, lam, tau))
+            ref = _structure_leading_mp(alpha, lam, tau)
+            assert math.isfinite(d) and d >= 0.0
+            if ref >= sys.float_info.min:
+                assert abs(d - ref) <= 2e-13 * ref, (alpha, lam)
+            elif ref < 0.5 * math.ulp(0.0):
+                assert d == 0.0, (alpha, lam)

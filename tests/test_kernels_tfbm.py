@@ -12,6 +12,7 @@ from tplab.kernels.params import (FracOUParams, HurstProfile, MixtureParams,
                                   TmbmParams)
 
 PARAM_SETS = ((0.75, 0.5), (1.25, 1.0), (0.6, 2.0), (1.4, 0.25))
+EPS = np.finfo(float).eps
 
 
 # --- reduced (nonstationary) covariance -----------------------------------
@@ -72,7 +73,9 @@ def bessel_sizes(monkeypatch):
     lambda p: K.tfbm_increment_cov(p, np.array([0.1, 0.2]), 0.5),
 ), ids=("cov", "cov-grid", "ct", "ct-grid", "increment", "increment-lags"))
 def test_reduced_routes_make_one_bessel_batch(bessel_sizes, call):
-    call(FracOUParams(1.25, 0.5))
+    # lags beyond lambda |tau| = 2, where D takes Bessel K (at or below
+    # it D makes none: test_gram_makes_no_bessel_call_at_small_lags)
+    call(FracOUParams(1.25, 50.0))
     assert len(bessel_sizes) == 1
 
 
@@ -80,9 +83,24 @@ def test_reduced_routes_make_one_bessel_batch(bessel_sizes, call):
                          ((0.0, 2 * 63 + 64 * 63), (0.5, 2 * 64 + 64 * 63)))
 def test_gram_evaluates_t_s_and_the_lags_at_their_own_sizes(
         bessel_sizes, t0, bessel_elements):
-    # n + n + n^2 arguments, not 3 n^2; zero ones are no Bessel value
-    K.tfbm_gram(FracOUParams(0.75, 0.5), t0 + 0.05 * np.arange(64))
+    # n + n + n^2 arguments, not 3 n^2; zero ones are no Bessel value.
+    # Every nonzero lambda |tau| is beyond 2, where D takes Bessel K
+    K.tfbm_gram(FracOUParams(0.75, 50.0), t0 + 0.05 * np.arange(64))
     assert bessel_sizes == [bessel_elements]
+
+
+def test_gram_makes_no_bessel_call_at_small_lags(bessel_sizes):
+    # every lambda |tau| <= 2: D is its series or, near an integer nu,
+    # Temme's form, and no Bessel K is evaluated.  The first two are the
+    # benchmark's tmbm and tfbm grids
+    times = 0.005 * np.arange(256)
+    K.tmbm_gram(HurstProfile.saturating_ramp(0.8, 0.1), 1.0, times)
+    sampler.build_gram(sampler.ProcessDescriptor(
+        "tfbm", FracOUParams(0.75, 0.05)), sampler.TimeGrid(0.0, 0.01, 512))
+    K.tmbm_gram(HurstProfile.saturating_ramp(1.39, 0.1), 1.0, times)
+    sampler.build_gram(sampler.ProcessDescriptor(
+        "tfbm", FracOUParams(2.5, 1.0)), sampler.TimeGrid(0.3, 0.005, 64))
+    assert bessel_sizes == []
 
 
 def test_pinned_origin_and_symmetry():
@@ -225,12 +243,14 @@ def test_plateau_needs_positive_time():
         K.tfbm_lrd_plateau(FracOUParams(0.75, 1.0), 0.0)
 
 
-def test_normalization_factor_documented_not_applied():
+def test_normalization_factor_documented_not_applied(structure_mp):
     p = FracOUParams(0.75, 1.0)
     assert K.ms_normalization_factor(p) == math.gamma(0.75) ** 2
-    # the kernel itself is untouched by the factor
-    assert abs(K.tfbm_var(p, 1.0)
-               - 2.0 * (K.fou_var(p) - K.fou_cov(p, 1.0))) <= 1e-15
+    # the kernel itself is untouched by the factor: 2 D(1) to 1e-15, D
+    # in 50-digit mpmath (at lambda t = 1 D no longer subtracts sigma^2
+    # - C, which is 3 ulps off there)
+    ref = 2.0 * structure_mp(0.75, 1.0, 1.0)
+    assert abs(K.tfbm_var(p, 1.0) - ref) <= 1e-15
 
 
 # --- gram matrices ----------------------------------------------------------
@@ -297,47 +317,64 @@ def test_variance_and_increment_covariance_broadcast():
                            K.tfbm_increment_cov(p, 0.5, 1.0)])
 
 
-# --- the lag floor of the reduced routes -------------------------------------
+# --- lags below the former floor lambda |tau| >= 1e-6 -----------------------
 
 _BELOW = FracOUParams(1.25, 1e-9)
 _T = 0.5e-6 / _BELOW.lam
+_FAR = 1.0 / _BELOW.lam
 
 
-@pytest.mark.parametrize("call", (
-    lambda: K.tfbm_cov(_BELOW, _T, 1.0 / _BELOW.lam),
-    lambda: K.tfbm_var(_BELOW, _T),
-    lambda: K.tfbm_ct_coefficient(_BELOW, _T),
-    lambda: K.tfbm_increment_cov(_BELOW, _T, 0.0),
-    lambda: K.tfbm_increment_cov(_BELOW, _T, 1.0 / _BELOW.lam),
-    lambda: K.tfbm_gram(_BELOW, [0.0, _T]),
-    lambda: K.mixed_cov(MixtureParams(((1.0, _BELOW),)), _T, _T),
-    lambda: K.tmbm_gram(HurstProfile.constant(1.25), _BELOW.lam, [0.0, _T]),
+@pytest.mark.parametrize("call taus weights".split(), (
+    (lambda: K.tfbm_cov(_BELOW, _T, _FAR), (_T, _FAR, _T - _FAR), (1, 1, -1)),
+    (lambda: K.tfbm_var(_BELOW, _T), (_T,), (2,)),
+    (None, None, None),
+    (lambda: K.tfbm_increment_cov(_BELOW, _T, 0.0), (_T,), (2,)),
+    (lambda: K.tfbm_increment_cov(_BELOW, _T, _FAR),
+     (_FAR + _T, _FAR - _T, _FAR), (1, 1, -2)),
+    (lambda: K.tfbm_gram(_BELOW, [0.0, _T])[1, 1], (_T,), (2,)),
+    (lambda: K.mixed_cov(MixtureParams(((1.0, _BELOW),)), _T, _T), (_T,),
+     (2,)),
+    (lambda: K.tmbm_gram(HurstProfile.constant(1.25), _BELOW.lam,
+                         [0.0, _T])[1, 1], (_T,), (2,)),
 ), ids=("cov", "var", "ct", "increment", "increment-separated", "gram",
         "mixed", "tmbm"))
-def test_reduced_routes_refuse_lags_below_the_floor(call):
-    # sigma^2 - C(tau) would keep no digit here (sigma^2 ~ 1e13, the
-    # variance ~ 1e-10); the kernel alone has nothing to cancel
-    with pytest.raises(DomainError, match=r"lambda\*\|tau\| >= 1e-06"):
-        call()
+def test_reduced_routes_refuse_lags_below_the_floor(call, taus, weights,
+                                                    structure_mp):
+    # sigma^2 ~ 1e13 against a variance ~ 1e-10: D no longer subtracts,
+    # so these lags, refused below lambda |tau| = 1e-6 before, keep their
+    # digits.  The c_t route still subtracts, and still refuses them
+    if call is None:
+        with pytest.raises(DomainError, match=r"lambda\*\|t\| >= 1e-06"):
+            K.tfbm_ct_coefficient(_BELOW, _T)
+        return
+    ref = structure_mp(_BELOW.alpha, _BELOW.lam, taus, weights)
+    # a far time puts D terms of size ~1e13 into the four-term forms:
+    # their rounding, 16 ulps of the terms, bounds any D there
+    terms = sum(abs(w * structure_mp(_BELOW.alpha, _BELOW.lam, t))
+                for w, t in zip(weights, taus))
+    assert abs(call() - ref) <= 2e-13 * abs(ref) + 16.0 * EPS * terms
     assert K.fou_cov(_BELOW, _T) > 0.0
 
 
 @pytest.mark.parametrize("alpha", (0.75, 1.25, 1.45))
 @pytest.mark.parametrize("lam", (1.0, 1e-9))
-def test_variance_at_the_lag_floor_against_mpmath(alpha, lam):
-    # the cancellation loss eps (lambda t)^-(2 alpha - 1) peaks near
-    # 1e-4 as alpha -> 3/2 at the floor lambda t = 1e-6
-    mpmath = pytest.importorskip("mpmath")
+def test_variance_at_the_lag_floor_against_mpmath(alpha, lam, structure_mp):
+    # sigma^2 - C(t) kept about eps (lambda t)^-(2 alpha - 1) here, 1e-4
+    # as alpha -> 3/2; D's series does not subtract
     t = 1e-6 / lam
-    with mpmath.workdps(50):
-        a, lm, tt = mpmath.mpf(alpha), mpmath.mpf(lam), mpmath.mpf(t)
-        sig2 = mpmath.gamma(2 * a - 1) / (mpmath.gamma(a) ** 2
-                                          * (2 * lm) ** (2 * a - 1))
-        c = ((tt / (2 * lm)) ** (a - 0.5) * mpmath.besselk(a - 0.5, lm * tt)
-             / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(a)))
-        ref = float(2 * (sig2 - c))
+    ref = structure_mp(alpha, lam, t, (2,))
     v = K.tfbm_var(FracOUParams(alpha, lam), t)
-    assert abs(v - ref) <= 1e-4 * ref
+    assert abs(v - ref) <= 2e-13 * ref
+
+
+@pytest.mark.parametrize("alpha", (2.0, 3.0))
+def test_variance_at_tiny_tempering_against_mpmath(alpha, structure_mp):
+    # sigma^2 - C(t) was off by 4.9e-4 (alpha = 2) and 9.3e-3 (alpha = 3)
+    p = FracOUParams(alpha, 1e-4)
+    ref = structure_mp(alpha, 1e-4, 0.01, (2,))
+    v = K.tfbm_var(p, 0.01)
+    assert abs(v - ref) <= 2e-13 * ref
+    assert abs(v - ref) <= 32.0 * np.spacing(K.fou_var(p))
 
 
 # --- mixtures ----------------------------------------------------------------

@@ -197,7 +197,8 @@ def test_structural_gram_evaluates_each_argument_once(monkeypatch, t0,
         return real(nu, x)
 
     monkeypatch.setattr(specfun, "besselk_grid", counting)
-    sampler.build_gram(ProcessDescriptor("tfbm", FracOUParams(0.75, 0.5)),
+    # every nonzero lambda |tau| is beyond 2, where D takes Bessel K
+    sampler.build_gram(ProcessDescriptor("tfbm", FracOUParams(0.75, 50.0)),
                        TimeGrid(t0, 0.05, 64))
     # lag 0 is the closed-form variance, not a Bessel value
     assert sum(sizes) == bessel_elements
@@ -264,6 +265,29 @@ def test_jitter_ladder_rejects_indefinite_matrix():
         sampler._cholesky_with_jitter(np.diag([2.0, -1.0]))
     with pytest.raises(NotPSD):
         sampler._cholesky_with_jitter(np.diag([0.0, 0.0]))
+
+
+def test_jitter_ladder_failure_says_the_grid_is_numerically_singular():
+    # two points whose covariance exceeds both variances by more than the
+    # cap, so no jitter rung rescues them.  With D accurate, no tfbm grid
+    # of an 840-grid scan (alpha 0.55-5.5, lambda 1e-4-100) fails the
+    # ladder, nor do n = 4096 grids up to alpha = 5.5: a failure is the
+    # grid's resolution, not the kernel, and the message says so
+    gram = np.array([[1.0, 1.0 + 1e-9], [1.0 + 1e-9, 1.0]])
+    with pytest.raises(NotPSD, match="numerically singular on this grid; "
+                                     "use fewer points or a larger dt"):
+        sampler._cholesky_with_jitter(gram)
+
+
+def test_grid_once_past_the_jitter_cap_factors_at_its_exact_rung():
+    # tfbm at alpha = 2.5, lambda = 1e-3 exited 3 while D subtracted
+    # sigma^2 - C(tau) (relative error ~1e-4 at lambda dt = 1e-5); its Gram
+    # computed in 50 digits and rounded once factors at the 1e-13 rung
+    gram = sampler.build_gram(
+        ProcessDescriptor("tfbm", FracOUParams(2.5, 1e-3)),
+        TimeGrid(0.0, 0.01, 256))[1:, 1:]
+    _, jit = sampler._cholesky_with_jitter(gram)
+    assert jit <= 1e-13 * np.trace(gram) / 255 * (1.0 + 1e-12)
 
 
 # --- validation --------------------------------------------------------------

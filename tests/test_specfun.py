@@ -419,3 +419,37 @@ def test_whittaker_no_valid_branch():
 def test_whittaker_needs_positive_argument():
     with pytest.raises(DomainError):
         specfun.whittaker_w(0.0, 0.25, 0.0)
+
+
+# --- 1/Gamma and the Bessel K deficit --------------------------------------
+
+def test_rgamma_matches_math_gamma():
+    z = np.concatenate((np.linspace(0.5, 12.0, 400), [1.0, 2.0, 6.5]))
+    got = specfun.rgamma(z)
+    ref = np.array([1.0 / math.gamma(v) for v in z])
+    assert np.all(np.abs(got - ref) <= 8 * np.spacing(ref))
+    assert got.tolist() == [float(specfun.rgamma(v)) for v in z]
+
+
+def test_besselk_deficit_against_mpmath():
+    # G_nu(x) = Gamma(nu)/2 - (x/2)^nu K_nu(x), its cancellation resolved
+    # by the working precision; integer, near-integer and half-integer nu,
+    # wherever the recurrence from mu = nu - round(nu) < 0 is stable:
+    # round(nu) = 1, or |mu| ln(2/x) <= 1/2, as the structure function
+    # routes it
+    mpmath = pytest.importorskip("mpmath")
+    nus = (0.51, 0.99, 1.0, 1.01, 1.5, 1.98, 2.0, 2.3, 3.0, 4.49, 5.0)
+    xs = (1e-9, 1e-4, 0.01, 0.3, 1.0, 2.0)
+    nu, x = (a.ravel() for a in np.meshgrid(nus, xs))
+    mu = nu - np.round(nu)
+    keep = (np.round(nu) == 1.0) | (-mu * np.log(2.0 / x) <= 0.5)
+    nu, x = nu[keep], x[keep]
+    got = specfun.besselk_deficit(nu, x)
+    for g, n, v in zip(got, nu, x):
+        with mpmath.workdps(80):
+            a, b = mpmath.mpf(n), mpmath.mpf(v)
+            ref = mpmath.gamma(a) / 2 - (b / 2) ** a * mpmath.besselk(a, b)
+        assert abs(g - float(ref)) <= 1e-13 * float(ref), (n, v)
+    # a batch of at most 32 runs on floats, with the same bits
+    assert got.tolist() == [float(specfun.besselk_deficit([n], [v])[0])
+                            for n, v in zip(nu, x)]
