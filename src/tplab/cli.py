@@ -297,54 +297,57 @@ def _flat_values(v):
     return a if np.isfinite(a).all() else None
 
 
-def _load_paths(path_file):
-    paths = []
-    first = None
+def _json_lines(path_file):
+    """(line number, record) of each nonblank line of a UTF-8 file."""
     try:
-        fh = open(path_file)
+        with open(path_file, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                if raw.strip():
+                    yield lineno, json.loads(raw)
     except OSError as exc:
         raise DomainError("cannot read paths file: %s" % exc)
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DomainError(
-                    "%s line %d: invalid JSON (%s)"
-                    % (path_file, lineno, exc))
-            if not isinstance(rec, dict) or set(rec) != set(_PATH_KEYS):
-                raise DomainError(
-                    "%s line %d: record keys must be exactly %s"
-                    % (path_file, lineno, ", ".join(_PATH_KEYS)))
-            values = _flat_values(rec["values"])
-            # abs(), not math.isfinite: that overflows on a huge integer
-            for key, ok, need in (
-                    ("values", values is not None,
-                     "a flat list of finite numbers, not empty"),
-                    ("t0", type(rec["t0"]) in _NUMBERS
-                     and abs(rec["t0"]) <= sys.float_info.max,
-                     "a finite number"),
-                    ("dt", type(rec["dt"]) in _NUMBERS
-                     and abs(rec["dt"]) <= sys.float_info.max,
-                     "a finite number"),
-                    ("seed", type(rec["seed"]) is int, "an integer")):
-                if not ok:
-                    raise DomainError("%s line %d: field %s must be %s"
-                                      % (path_file, lineno, key, need))
-            shape = (rec["t0"], rec["dt"], values.size, rec["family"])
-            if first is None:
-                first = shape
-            elif shape != first:
-                raise DomainError(
-                    "%s line %d: grid/family %s does not match the first "
-                    "record %s" % (path_file, lineno, shape, first))
-            grid = sampler.TimeGrid(rec["t0"], rec["dt"], values.size)
-            proc = sampler.ProcessDescriptor(rec["family"], None)
-            paths.append(sampler.GaussianPath(
-                grid, values, proc, rec["seed"], rec["method"]))
+    except UnicodeDecodeError as exc:
+        raise DomainError("%s is not UTF-8 text (%s)" % (path_file, exc))
+    except json.JSONDecodeError as exc:
+        raise DomainError("%s line %d: invalid JSON (%s)"
+                          % (path_file, lineno, exc))
+
+
+def _load_paths(path_file):
+    paths, first = [], None
+    for lineno, rec in _json_lines(path_file):
+        if not isinstance(rec, dict) or set(rec) != set(_PATH_KEYS):
+            raise DomainError(
+                "%s line %d: record keys must be exactly %s"
+                % (path_file, lineno, ", ".join(_PATH_KEYS)))
+        values = _flat_values(rec["values"])
+        # abs(), not math.isfinite: that overflows on a huge integer
+        for key, ok, need in (
+                ("values", values is not None,
+                 "a flat list of finite numbers, not empty"),
+                ("t0", type(rec["t0"]) in _NUMBERS
+                 and abs(rec["t0"]) <= sys.float_info.max,
+                 "a finite number"),
+                ("dt", type(rec["dt"]) in _NUMBERS
+                 and abs(rec["dt"]) <= sys.float_info.max,
+                 "a finite number"),
+                ("seed", type(rec["seed"]) is int, "an integer"),
+                ("family", type(rec["family"]) is str, "a string"),
+                ("method", type(rec["method"]) is str, "a string")):
+            if not ok:
+                raise DomainError("%s line %d: field %s must be %s"
+                                  % (path_file, lineno, key, need))
+        shape = (rec["t0"], rec["dt"], values.size, rec["family"])
+        if first is None:
+            first = shape
+        elif shape != first:
+            raise DomainError(
+                "%s line %d: grid/family %s does not match the first "
+                "record %s" % (path_file, lineno, shape, first))
+        grid = sampler.TimeGrid(rec["t0"], rec["dt"], values.size)
+        proc = sampler.ProcessDescriptor(rec["family"], None)
+        paths.append(sampler.GaussianPath(
+            grid, values, proc, rec["seed"], rec["method"]))
     if not paths:
         raise DomainError("%s holds no path records" % path_file)
     return paths

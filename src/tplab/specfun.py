@@ -491,8 +491,8 @@ def kummer_u(a, b, z):
     require("kummer_u", "z", z, z > 0.0, " > 0")
     f, top, pref = _kummer_integrand(a, b, z)
     n = a.size
-    probe = quad._rule_pairs(f, np.full(n, -0.5), top, np.arange(n))
-    tol = np.maximum(1e-13, 1e-12 * np.abs([p[0] for p in probe]))
+    probe = quad._rule_pairs(f, np.full(n, -0.5), top, np.arange(n))[0]
+    tol = np.maximum(1e-13, 1e-12 * np.abs(probe))
     # the probe can miss a boundary layer at u -> 1 when z is tiny and the
     # integral is huge, leaving tol unattainable; the partial is then
     # judged by the accuracy contract on the final scale (the bisection

@@ -26,8 +26,9 @@ from hypothesis import strategies as st
 
 import tplab
 from tplab import cli, estimators, kernels, sampler, validate
-from tplab.errors import (AccuracyError, EmbeddingFailure, EmbeddingWarning,
-                          NonConvergence, NotPSD, SlowDecay)
+from tplab.errors import (AccuracyError, DivergenceWarning, EmbeddingFailure,
+                          EmbeddingWarning, NonConvergence, NotPSD,
+                          RegimeWarning, SlowDecay)
 from tplab.kernels import FracOUParams
 
 
@@ -500,8 +501,12 @@ def test_flat_values_takes_numbers_only():
     ("values", [1.0, 10 ** 400]),
     ("t0", 10 ** 400),
     ("dt", True),
+    ("family", [1]),
+    ("family", {"a": 1}),
+    ("method", [1]),
 ), ids=("values-string", "values-bool", "values-empty", "values-huge-int",
-        "t0-huge-int", "dt-bool"))
+        "t0-huge-int", "dt-bool", "family-list", "family-dict",
+        "method-list"))
 @pytest.mark.parametrize("lineno", (1, 2))
 def test_estimate_refuses_a_field_naming_file_and_line(tmp_path, capsys,
                                                        field, value, lineno):
@@ -513,6 +518,15 @@ def test_estimate_refuses_a_field_naming_file_and_line(tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert err == [err[0]]
     assert "%s line %d: field %s must be" % (bad, lineno, field) in err[0]
+
+
+def test_estimate_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(json.dumps(_RECORD).encode() + b"\n\xff\xfe\n")
+    assert cli.main(["estimate", str(bad), "--estimator", "hurst"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: %s is not UTF-8 text" % bad)
 
 
 def test_estimate_rejects_mixed_grids(tmp_path, capsys):
@@ -936,23 +950,30 @@ def _sample_runs(draw):
     return cfg
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(_sample_runs())
 def test_sample_inputs_in_the_documented_domain_keep_the_exit_contract(cfg):
     # a run works, or refuses the input (2), or reports a numerical
-    # failure (3), in one line and within its time budget
+    # failure (3), in one line and within its time budget; a run that
+    # works warns only in the library's own one-line warnings
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.cfg")
         with open(path, "w") as fh:
             fh.writelines("%s=%s\n" % kv for kv in cfg.items())
         start = time.perf_counter()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
             code = cli.main(["sample", "--config", path, "--out", tmp])
         assert time.perf_counter() - start < 2.0
         assert code in (0, 2, 3)
         if code == 0:
             assert len(_values(pathlib.Path(tmp))) == cfg["paths"]
+            for w in caught:
+                assert issubclass(w.category, (
+                    DivergenceWarning, EmbeddingWarning, RegimeWarning)), w
+                assert "\n" not in str(w.message), w
             return
     lines = err.getvalue().splitlines()
     assert len(lines) == 1, lines
@@ -973,7 +994,7 @@ def _cov_runs(draw):
     return cfg
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(_cov_runs())
 def test_cov_inputs_in_the_documented_domain_keep_the_exit_contract(cfg):
     out, err = io.StringIO(), io.StringIO()

@@ -99,19 +99,50 @@ def _kummer_probe():
     (_kummer_probe(), (-0.5, -0.25, 0.0, 0.25, 0.5 ** 0.7)),
 ))
 def test_batched_panels_equal_single_panels_bitwise(f, edges):
-    calls = []
+    # the panels between edges and random pieces of them, in batches of
+    # 1, 2, 33 and 64 in shuffled order
+    rng = np.random.default_rng(18)
+    base = list(zip(edges[:-1], edges[1:]))
+    pieces = [np.sort(lo + (hi - lo) * rng.random(2)).tolist()
+              for lo, hi in (base[i] for i in rng.integers(len(base),
+                                                           size=64))]
+    lo, hi = np.array(base + pieces).T
+    single = [list(zip(*(a.tolist() for a in quad._rule_pairs(
+        lambda x, k: f(x), [a], [b], [0])))) for a, b in zip(lo, hi)]
+    for n in (1, 2, 33, 64):
+        calls = []
 
-    def counted(x):
-        calls.append(x.size)
-        return f(x)
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
 
-    n = len(edges) - 1
-    batch = quad._rule_pairs(lambda x, k: counted(x), edges[:-1], edges[1:],
-                             np.zeros(n, dtype=int))
-    assert calls == [22 * n]
-    single = [quad._rule_pairs(lambda x, k: f(x), [lo], [hi], [0])[0]
-              for lo, hi in zip(edges[:-1], edges[1:])]
-    assert batch == single
+        pick = rng.permutation(lo.size)[:n]
+        batch = quad._rule_pairs(lambda x, k: counted(x), lo[pick], hi[pick],
+                                 np.zeros(n, dtype=int))
+        assert calls == [22 * n]
+        assert list(zip(*(a.tolist() for a in batch))) == [
+            single[i][0] for i in pick]
+
+
+@pytest.mark.parametrize("f lo_range".split(), (
+    (lambda x: np.sin(40.0 * x) / (1.0 + x), (0.0, 10.0)),
+    (lambda x: np.exp(30.0 * x), (-5.0, 5.0)),
+    (lambda x: np.exp(-30.0 * x), (-5.0, 5.0)),
+    (lambda x: x ** -0.5, (0.0, 1.0)),
+), ids=("sin40-over-1px", "exp30", "exp-30", "inverse-sqrt"))
+def test_panel_sums_stay_within_half_the_rounding_floor(f, lo_range):
+    # the row reductions against correctly rounded sums of the same terms
+    rng = np.random.default_rng(7)
+    lo = rng.uniform(*lo_range, size=500)
+    hi = lo + 10.0 ** rng.uniform(-6.0, 0.7, size=500)
+    i15 = quad._rule_pairs(lambda x, k: f(x), lo, hi,
+                           np.zeros(lo.size, dtype=int))[0]
+    h = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + h[:, None] * quad._X15
+    terms = quad._W15 * f(nodes)
+    for v, hk, t in zip(i15, h, terms):
+        bound = 0.5 * quad.ROUNDING_FLOOR * abs(hk) * math.fsum(abs(t))
+        assert abs(v - hk * math.fsum(t)) <= bound
 
 
 # --- many integrals in lockstep ---------------------------------------------
