@@ -7,11 +7,11 @@ and the validation harness.
     tplab validate --suite NAME [--seed S]                   -> JSON report
 
 Every command is deterministic given its configuration, and each
-sampled path is a pure function of (seed, path index).  TPLAB_THREADS
-is not read; the last bits of exact paths may differ between BLAS
-thread counts.  A subcommand accepts only the options it reads (see
-_OPTIONS), as flags or as keys of a `key=value` config file (`--config`);
-flags take precedence over file entries.
+sampled path is a pure function of (seed, path index); exact paths are
+byte-identical for any BLAS thread count.  A subcommand accepts only
+the options it reads (see _OPTIONS), as flags or as keys of a
+`key=value` config file (`--config`); flags take precedence over file
+entries.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or config error,
 3 numerical failure.

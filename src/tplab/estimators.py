@@ -59,11 +59,18 @@ def _lag_steps(lags, dt, n):
 
 
 def _mean_sq_increments(values, ks):
-    """gamma_hat(k dt) averaged over paths and t, fixed order."""
+    """gamma_hat(k dt) averaged over paths and t, fixed order.  Each lag's
+    increments are squared in place in one reused flat buffer, as one
+    contiguous array, so the mean sums them in the same order as over a
+    fresh array."""
+    p, n = values.shape
+    buf = np.empty(p * max(n - 1, 0))
     out = np.empty(len(ks))
     for i, k in enumerate(ks):
-        d = values[:, k:] - values[:, :-k]
-        out[i] = float(np.mean(d * d))
+        d = buf[:p * (n - k)].reshape(p, n - k)
+        np.subtract(values[:, k:], values[:, :-k], out=d)
+        d *= d
+        out[i] = float(np.mean(d))
     return out
 
 

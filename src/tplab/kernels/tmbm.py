@@ -71,8 +71,12 @@ def tmbm_var(h: HurstProfile, lam, t):
     return tfbm.tfbm_var(FracOUParams(h.alpha(t), lam), t)
 
 
-# index pairs per D call in tmbm_gram, which bounds its working arrays
-_PAIR_BLOCK = 8192
+def _pair_block(n):
+    """Index pairs per D call in an n-point tmbm_gram.  D holds up to
+    about 1.5 kB a pair while it works (on its Bessel route), so n^2/1024
+    pairs keep that under a fifth of the Gram's 8 n^2 bytes; at least
+    1024 pairs amortize its per-call cost."""
+    return max(1024, n * n // 1024)
 
 
 def tmbm_gram(h: HurstProfile, lam, times):
@@ -80,18 +84,25 @@ def tmbm_gram(h: HurstProfile, lam, times):
 
     Every D term varies with the pair (i,j) through the averaged index,
     which is exactly symmetric, as is |t_i - t_j|.  The upper triangle's
-    pairs go in blocks of at most _PAIR_BLOCK, one D call each, over the
+    pairs go in blocks of at most _pair_block(n), one D call each, over the
     lag, t_i and t_j at the pair's index; (D(t_i) + D(t_j)) - D(t_i - t_j)
     fills both (i,j) and (j,i).  So the matrix is bitwise symmetric, and
-    a row and column at the origin are D(t_j) - D(t_j) = 0."""
+    a row and column at the origin are D(t_j) - D(t_j) = 0.  Each D value
+    depends on its own arguments only, so the blocks do not change bits."""
     times = np.asarray(times, dtype=float)
     h.spot_check(times)
     al = np.array([h.alpha(t) for t in times])
     n = len(times)
-    iu, ju = np.triu_indices(n)
+    # pair k of the row-major upper triangle is (i, i + k - first[i]),
+    # made a block at a time: no n^2 index arrays
+    r = np.arange(n)
+    first = r * n - r * (r - 1) // 2
+    pairs, block = n * (n + 1) // 2, _pair_block(n)
     out = np.empty((n, n))
-    for lo in range(0, len(iu), _PAIR_BLOCK):
-        i, j = iu[lo:lo + _PAIR_BLOCK], ju[lo:lo + _PAIR_BLOCK]
+    for lo in range(0, pairs, block):
+        k = np.arange(lo, min(lo + block, pairs))
+        i = np.searchsorted(first, k, side="right") - 1
+        j = i + (k - first[i])
         d_lag, d_i, d_j = fou.structure_alpha_grid(
             0.5 * (al[i] + al[j]), lam,
             np.stack((times[i] - times[j], times[i], times[j])))

@@ -11,9 +11,10 @@ covariance, computed once per batch, and cumulative summation.
 Every path is driven by its own counter-based RNG stream keyed by a
 substream seed derived from (master seed, path index), so each path is
 a pure function of (seed, index), whatever the number of paths drawn.
-Exact draws are stacked into fixed-width blocks with one BLAS product
-per block; TPLAB_THREADS is not read, and the last bits of a path may
-differ between BLAS thread counts.
+The exact route holds one n^2 buffer: the Gram is assembled in it, its
+live part factored in place in fixed panels, and the draws are stacked
+into fixed-width blocks with one BLAS product per block.  Exact paths
+are byte-identical for any BLAS thread count (OPENBLAS_NUM_THREADS).
 
 FAMILIES is the one table of process families, read by the Gram
 assembly, both samplers and the CLI: a family is added there and
@@ -134,24 +135,50 @@ def _rng_for(seed):
 # --- Gram assembly ------------------------------------------------------
 
 
+def _toeplitz(row):
+    """Read-only n x n view T[i, j] = row[|i - j|] of a lag row, strided
+    over one 2n - 1 array: no n^2 index or copy."""
+    n = len(row)
+    ext = np.concatenate([row[:0:-1], row])
+    return np.lib.stride_tricks.sliding_window_view(ext, n)[::-1]
+
+
 def _stationary_gram(cov_of_lag, grid):
     """Toeplitz Gram from a vectorized lag-covariance function."""
     lags = grid.dt * np.arange(grid.n)
-    row = np.asarray(cov_of_lag(lags), dtype=float)
-    idx = np.abs(np.arange(grid.n)[:, None] - np.arange(grid.n)[None, :])
-    return row[idx]
+    return _toeplitz(np.asarray(cov_of_lag(lags), dtype=float)).copy()
 
 
-def _reduced_gram(p: FracOUParams, grid):
-    """tfbm Gram (D(t_i) + D(t_j)) - D(t_i - t_j) from the structure
-    function at the n grid lags and the n grid times (the lag row itself
-    when t0 = 0); bitwise symmetric.  At t0 = 0, D(0) = 0 makes row and
-    column 0 hold D(t_j) - D(t_j), exactly 0."""
-    lag = _stationary_gram(
-        lambda lg: fou.structure_alpha_grid(p.alpha, p.lam, lg), grid)
-    d_t = lag[0] if grid.t0 == 0.0 else fou.structure_alpha_grid(
-        p.alpha, p.lam, grid.times())
-    return (d_t[:, None] + d_t[None, :]) - lag
+# Gram rows per block where a mixture adds its later parts
+_ROWS = 64
+
+
+def _reduced_gram(parts, grid):
+    """sum over parts of b^2 ((D(t_i) + D(t_j)) - D(t_i - t_j)), from the
+    structure function at the n grid lags and the n grid times (the lag
+    row itself when t0 = 0); bitwise symmetric.  The first part fills the
+    one n^2 array in place, and each later part is added to it in blocks
+    of _ROWS rows.  At t0 = 0, D(0) = 0 makes row and column 0 hold
+    D(t_j) - D(t_j), exactly 0."""
+    terms = []
+    for b, p in parts:
+        lag = fou.structure_alpha_grid(p.alpha, p.lam,
+                                       grid.dt * np.arange(grid.n))
+        d_t = lag if grid.t0 == 0.0 else fou.structure_alpha_grid(
+            p.alpha, p.lam, grid.times())
+        terms.append((b * b, d_t, _toeplitz(lag)))
+    (w, d_t, lag), rest = terms[0], terms[1:]
+    out = np.add.outer(d_t, d_t)
+    out -= lag
+    out *= w
+    for r in range(0, grid.n, _ROWS):
+        rows = slice(r, r + _ROWS)
+        for w, d_t, lag in rest:
+            term = np.add.outer(d_t[rows], d_t)
+            term -= lag[rows]
+            term *= w
+            out[rows] += term
+    return out
 
 
 def _twoindex_lag(q: TwoIndexParams, lags, tol=None):
@@ -206,43 +233,90 @@ def build_gram(process: ProcessDescriptor, grid: TimeGrid):
     """Dense covariance matrix of the family on the grid."""
     fam, p = FAMILIES[process.family], _params(process)
     if fam.parts is not None:
-        return sum(b * b * _reduced_gram(c, grid) for b, c in fam.parts(p))
+        return _reduced_gram(fam.parts(p), grid)
     if fam.lag is None:
         return fam.gram(p, grid)
     return _stationary_gram(lambda lags: fam.lag(p, lags), grid)
 
 
+# columns per panel of the in-place Cholesky factorization
+_PANEL = 64
+_LOWER = np.tri(_PANEL, dtype=bool)
+
+
+def _panels(n):
+    """(j0, j1, lower-triangle mask of the diagonal block) per panel."""
+    for j0 in range(0, n, _PANEL):
+        j1 = min(j0 + _PANEL, n)
+        yield j0, j1, _LOWER[:j1 - j0, :j1 - j0]
+
+
+def _factor_in_place(a):
+    """Lower Cholesky factor of a into a's lower triangle, diagonal
+    included, in fixed panels of _PANEL columns; reads only that lower
+    triangle, so the strict upper triangle keeps what it held.  Raises
+    LinAlgError where a panel's diagonal block is not positive definite.
+
+    Panel [j0, j1) takes one GEMM update by the factor's columns left of
+    it, np.linalg.cholesky on its diagonal block, and a solve for the
+    rows below (the left-looking form of LAPACK's blocked potrf).  Each
+    call's shape is set by n alone, so the factor's bits do not depend on
+    the BLAS thread count; np.linalg.cholesky on the whole matrix gave
+    other bits at one and two OpenBLAS threads from n = 128 up."""
+    n = a.shape[0]
+    for j0, j1, lower in _panels(n):
+        b = j1 - j0
+        if j0:
+            col = a[j0:, :j0] @ a[j0:j1, :j0].T
+            np.subtract(a[j0:, j0:j1], col, out=col)
+        else:
+            col = a[:, :j1]
+        l11 = np.linalg.cholesky(col[:b])
+        if j1 < n:
+            a[j1:, j0:j1] = np.linalg.solve(l11, col[b:].T).T
+        np.copyto(a[j0:j1, j0:j1], l11, where=lower)
+
+
 def _cholesky_with_jitter(gram):
-    """Lower factor plus the diagonal jitter that made it succeed.
+    """Lower factor plus the diagonal jitter that made it succeed; the
+    factor is gram itself, overwritten in place (so pass a copy to keep
+    the matrix).
 
     Ladder: 1e-14 * mean diagonal, stepping by 10 up to the cap
-    1e-10 * trace/n.  The kernels' entries are accurate to a few ulps,
-    so a Gram that fails at the cap is numerically singular on its grid:
-    its points are too close for float64 to tell the process apart at
-    them.
+    1e-10 * trace/n.  Between rungs the strict upper triangle, which the
+    factorization leaves untouched, restores the lower one.  The
+    kernels' entries are accurate to a few ulps, so a Gram that fails at
+    the cap is numerically singular on its grid: its points are too close
+    for float64 to tell the process apart at them.
     """
     n = gram.shape[0]
     if n == 0:  # every grid point is pinned: nothing to factor
         return gram, 0.0
+    diag = np.diagonal(gram).copy()
     mean_diag = float(np.trace(gram)) / n
     if mean_diag <= 0.0:
         raise NotPSD("Gram trace is not positive")
-    try:
-        return np.linalg.cholesky(gram), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    jit = 1e-14 * mean_diag
+    jit = 0.0
     cap = 1e-10 * mean_diag
-    while jit <= cap * (1.0 + 1e-12):
+    while True:
         try:
-            factor = np.linalg.cholesky(gram + jit * np.eye(n))
-            return factor, jit
+            _factor_in_place(gram)
+            break
         except np.linalg.LinAlgError:
-            jit *= 10.0
-    raise NotPSD(
-        "Cholesky failed with jitter up to %g (cap 1e-10*trace/n): the "
-        "Gram matrix is numerically singular on this grid; use fewer "
-        "points or a larger dt" % cap)
+            jit = 1e-14 * mean_diag if jit == 0.0 else jit * 10.0
+        if jit > cap * (1.0 + 1e-12):
+            raise NotPSD(
+                "Cholesky failed with jitter up to %g (cap 1e-10*trace/n): "
+                "the Gram matrix is numerically singular on this grid; use "
+                "fewer points or a larger dt" % cap)
+        for j0, j1, lower in _panels(n):
+            gram[j1:, j0:j1] = gram[j0:j1, j1:].T
+            np.copyto(gram[j0:j1, j0:j1], gram[j0:j1, j0:j1].T, where=lower)
+        np.fill_diagonal(gram, diag + jit)
+    for j0, j1, lower in _panels(n):
+        gram[j0:j1, j1:] = 0.0
+        np.copyto(gram[j0:j1, j0:j1], 0.0, where=~lower)
+    return gram, jit
 
 
 def sample_exact(process: ProcessDescriptor, grid: TimeGrid, seed,
@@ -259,23 +333,39 @@ def sample_exact(process: ProcessDescriptor, grid: TimeGrid, seed,
         derive_substream_seed(seed, i) for i in range(int(n_paths))])
 
 
+def _live_front(gram, live):
+    """The Gram's rows and columns at the indices live, moved to the front
+    of gram's own buffer as one contiguous m x m square (gram is
+    overwritten).  Each block of _ROWS rows is read whole before it is
+    written, and square row k ends at (k + 1) m <= (k + 1) n <= n
+    live[k + 1], where the next Gram row still to be read starts."""
+    n, m = len(gram), len(live)
+    if m == n:
+        return gram
+    flat = gram.reshape(-1)
+    for k in range(0, m, _ROWS):
+        rows = gram[np.ix_(live[k:k + _ROWS], live)]
+        flat[k * m:k * m + rows.size] = rows.reshape(-1)
+    return flat[:m * m].reshape(m, m)
+
+
 def _cholesky_paths(process, grid, subs):
     """Paths from one Gram and factor; path k draws from stream subs[k].
 
-    The draws go in fixed-width blocks of _BLOCK columns, one column per
-    path, and each block is one factor @ Z product.  Path k is a pure
-    function of (subs[k], k), whatever len(subs) is.  Its last bits may
-    differ between BLAS thread counts, as any BLAS product's may.
+    The Gram, its live part, its factor and the draws' left operand are
+    one n^2 buffer.  The draws go in fixed-width blocks of _BLOCK
+    columns, one column per path, and each block is one factor @ Z
+    product.  Path k is a pure function of (subs[k], k), whatever
+    len(subs) is, and its bytes do not depend on the BLAS thread count.
     """
     if grid.n > MAX_EXACT_N:
         raise DomainError(
             "exact sampling is capped at n = %d points, got %d"
             % (MAX_EXACT_N, grid.n))
     gram = build_gram(process, grid)
-    live = np.diag(gram) > 0.0
-    factor, jit = _cholesky_with_jitter(gram[np.ix_(live, live)])
-    del gram  # the draws need only the factor; frees n^2 floats for them
-    n_live = int(live.sum())
+    live = np.flatnonzero(np.diagonal(gram) > 0.0)
+    factor, jit = _cholesky_with_jitter(_live_front(gram, live))
+    n_live = len(live)
     values = np.zeros((len(subs), grid.n))
     z = np.zeros((_BLOCK, n_live))
     for start in range(0, len(subs), _BLOCK):

@@ -26,8 +26,8 @@ Routes used as the second opinion, named in each record's provenance:
 
 The Monte Carlo suite is deterministic for a given master seed: every
 path is a pure function of (seed, path index), drawn from its own
-counter-based substream, and aggregation is order-fixed.  TPLAB_THREADS
-is not read; the last bits may differ between BLAS thread counts.
+counter-based substream, and aggregation is order-fixed.  Its report
+is byte-identical for any BLAS thread count.
 """
 
 import json

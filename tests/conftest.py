@@ -1,6 +1,19 @@
 import math
+import os
 
 import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+@pytest.fixture
+def child_env():
+    """The environment for tplab in a child interpreter: this tree's src
+    first on PYTHONPATH, which pytest's pythonpath setting does not pass
+    on to subprocesses."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH")))))
 
 
 @pytest.fixture

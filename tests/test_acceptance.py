@@ -5,7 +5,6 @@ run prints exactly one pass/fail line per criterion.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -193,20 +192,38 @@ def test_criterion_7_figure1_reproduction(tmp_path, capsys):
     _budget(t0, 5.0)
 
 
-def test_criterion_8_worker_count_determinism(tmp_path):
-    # the full MC suite under 1 worker and 8 workers must emit
-    # byte-identical reports (modulo the wall-clock field, the only
+# the MC suite's report and two exact paths files (the benchmark's tfbm
+# and tmbm grids), written by one child interpreter into argv[1]
+_BLAS_RUN = (
+    "import sys\n"
+    "from tplab import cli, validate\n"
+    "out = sys.argv[1]\n"
+    "with open(out + '/mc.json', 'w') as fh:\n"
+    "    fh.write(validate.run_suite('mc').canonical_payload())\n"
+    "for name, argv in (\n"
+    "        ('tfbm', ['--process', 'tfbm', '--alpha', '0.75', '--lambda',\n"
+    "                  '0.05', '--dt', '0.01', '--n', '512']),\n"
+    "        ('tmbm', ['--process', 'tmbm', '--profile', 'ramp:0.8,0.1',\n"
+    "                  '--lambda', '1.0', '--dt', '0.005', '--n', '256'])):\n"
+    "    assert cli.main(['sample', *argv, '--t0', '0', '--paths', '500',\n"
+    "                     '--seed', '11', '--out', out + '/' + name]) == 0\n")
+
+
+def test_criterion_8_blas_thread_count_determinism(tmp_path, child_env):
+    # the MC report and exact paths files have the same bytes at one and
+    # two BLAS threads (the report without its wall-clock field, the only
     # timing entry)
-    script = (
-        "import sys\n"
-        "from tplab import validate\n"
-        "sys.stdout.write(validate.run_suite('mc').canonical_payload())\n")
+    files = ("mc.json", "tfbm/paths.jsonl", "tmbm/paths.jsonl")
     outs = []
-    for workers in ("1", "8"):
-        env = dict(os.environ, TPLAB_THREADS=workers)
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, timeout=300)
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = dict(child_env, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _BLAS_RUN, str(out)],
+                              env=env, capture_output=True, timeout=300)
         assert proc.returncode == 0, proc.stderr.decode()
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
-    assert json.loads(outs[0])["passed"] is True
+        outs.append([(out / f).read_bytes() for f in files])
+    for f, one, two in zip(files, *outs):
+        assert one == two, f
+    assert json.loads(outs[0][0])["passed"] is True

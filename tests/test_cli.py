@@ -427,21 +427,19 @@ _PLATEAU_FRESH = ("import sys; from tplab.cli import main; "
                   "print('numpy.ma' in sys.modules); sys.exit(code)")
 
 
-def test_estimate_plateau_merges_lags_that_round_together(tmp_path, capsys):
+def test_estimate_plateau_merges_lags_that_round_together(tmp_path, capsys,
+                                                         child_env):
     # on a four-point grid 3/4 of the span rounds onto the whole span
     assert cli.main(["sample", "--process", "fou", "--alpha", "0.75",
                      "--lambda", "10.0", "--dt", "1.0", "--n", "4",
                      "--paths", "150", "--seed", "3", "--out",
                      str(tmp_path)]) == 0
     capsys.readouterr()
-    src = os.path.dirname(os.path.dirname(tplab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-c", _PLATEAU_FRESH, "estimate",
          str(tmp_path / "paths.jsonl"), "--estimator", "plateau",
          "--lambda", "10.0", "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=120, env=env)
+        capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.returncode == 0, proc.stderr
     # sorting three lags must not pay for importing numpy.ma
     assert proc.stdout.splitlines()[-1] == "False"
@@ -856,11 +854,11 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
-def test_console_script_runs():
+def test_console_script_runs(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "tplab.cli", "validate", "--suite",
          "specfun"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
 
@@ -871,14 +869,11 @@ _FALLBACK = ["sample", "--process", "tfbm", "--alpha", "2.5", "--lambda",
              "--method", "spectral", "--seed", "1"]
 
 
-def test_a_warning_is_one_line_in_the_users_terms(tmp_path):
-    src = os.path.dirname(os.path.dirname(tplab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
+def test_a_warning_is_one_line_in_the_users_terms(tmp_path, child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "tplab.cli", *_FALLBACK, "--out",
          str(tmp_path)], capture_output=True, text=True, timeout=120,
-        env=env)
+        env=child_env)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(
@@ -903,13 +898,10 @@ _WITHOUT_MPMATH = ("import sys; sys.modules['mpmath'] = None; "
     ["cov", "--process", "tfbm2", "--alpha", "0.9", "--beta", "0.8",
      "--lambda", "1", "--n", "8"],
 ), ids=("validate-asymptotics", "cov-tfbm2"))
-def test_runs_where_mpmath_cannot_be_imported(tmp_path, argv):
-    src = os.path.dirname(os.path.dirname(tplab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
+def test_runs_where_mpmath_cannot_be_imported(tmp_path, argv, child_env):
     proc = subprocess.run(
         [sys.executable, "-c", _WITHOUT_MPMATH, *argv, "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=120, env=env)
+        capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -920,32 +912,47 @@ def _floats(lo, hi):
 
 
 _log_lam = _floats(-4.0, 2.0).map(lambda e: 10.0 ** e)
-_component = st.tuples(_floats(0.1, 2.0), _floats(0.51, 6.0), _log_lam).map(
-    lambda c: "%r:%r:%r" % c)
+# FOU's Bessel box, alpha - 1/2 <= 5, which every reduced law shares
+_alpha = _floats(0.51, 5.5)
+# a ramp's base and base + gain both lie in (1/2, 3/2)
+_ramp = _floats(0.55, 1.45).flatmap(lambda b: _floats(
+    max(-0.3, 0.51 - b), min(0.3, 1.49 - b)).map(
+        lambda g: "ramp:%r,%r" % (b, g)))
 
-# one strategy per config key a family needs, as config-file text
-_NEEDS = {
-    "alpha": _floats(0.51, 6.0).map(repr),
-    "beta": _floats(0.05, 1.0).map(repr),
-    "lam": _log_lam.map(repr),
-    "profile": st.one_of(
-        _floats(0.55, 1.45).map(lambda a: "constant:%r" % a),
-        st.tuples(_floats(0.55, 1.2), _floats(-0.3, 0.3)).map(
-            lambda bg: "ramp:%r,%r" % bg)),
-    "components": st.lists(_component, min_size=1, max_size=3).map(",".join),
+# per family, the config entries its parameters take, drawn inside its
+# documented domain
+_PARAMS = {
+    "fou": st.fixed_dictionaries({"alpha": _alpha, "lam": _log_lam}),
+    "tfbm": st.fixed_dictionaries({"alpha": _alpha, "lam": _log_lam}),
+    "mixed": st.lists(
+        st.tuples(_floats(0.1, 2.0), _alpha, _log_lam), min_size=1,
+        max_size=3, unique_by=lambda c: c[1]).map(
+            lambda cs: {"components": ",".join("%r:%r:%r" % c for c in cs)}),
+    # alpha * beta > 1/2
+    "tfbm2": _alpha.flatmap(lambda a: st.fixed_dictionaries({
+        "alpha": st.just(a), "beta": _floats(0.51 / a, 1.0),
+        "lam": _log_lam})),
+    "tmbm": st.fixed_dictionaries({
+        "profile": st.one_of(
+            _floats(0.55, 1.45).map(lambda a: "constant:%r" % a), _ramp),
+        "lam": _log_lam}),
+    # a pointwise variance needs alpha > 3/2
+    "tfgn": st.fixed_dictionaries({"alpha": _floats(1.51, 5.5),
+                                   "lam": _log_lam}),
 }
 
 
 @st.composite
 def _sample_runs(draw):
     family = draw(st.sampled_from(tuple(sampler.FAMILIES)))
-    cfg = {"family": family}
-    for key in sampler.FAMILIES[family].needs:
-        cfg[key] = draw(_NEEDS[key])
-    cfg["method"] = draw(st.sampled_from(tuple(sampler.METHODS)))
+    cfg = {"family": family, **draw(_PARAMS[family])}
+    # only the reduced families synthesize spectrally, from t0 = 0
+    cfg["method"] = draw(st.sampled_from(tuple(sampler.METHODS))) if (
+        sampler.FAMILIES[family].parts is not None) else "exact"
     cfg["n"] = draw(st.integers(1, 16))
     cfg["paths"] = draw(st.integers(1, 4))
-    cfg["t0"] = draw(st.sampled_from((0.0, 0.5)))
+    cfg["t0"] = 0.0 if cfg["method"] == "spectral" else draw(
+        st.sampled_from((0.0, 0.5)))
     cfg["dt"] = draw(st.sampled_from((0.01, 0.1, 1.0)))
     return cfg
 
@@ -984,9 +991,7 @@ def test_sample_inputs_in_the_documented_domain_keep_the_exit_contract(cfg):
 @st.composite
 def _cov_runs(draw):
     family = draw(st.sampled_from(tuple(sampler.FAMILIES)))
-    cfg = {"family": family}
-    for key in sampler.FAMILIES[family].needs:
-        cfg[key] = draw(_NEEDS[key])
+    cfg = {"family": family, **draw(_PARAMS[family])}
     cfg["n"] = draw(st.integers(1, 16))
     cfg["t0"] = draw(st.sampled_from((0.0, 0.5)))
     cfg["dt"] = draw(st.sampled_from((0.01, 0.1, 1.0)))

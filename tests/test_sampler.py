@@ -6,6 +6,7 @@ fallback behavior.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,102 @@ def test_gram_agrees_with_the_family_covariance(family):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def _gram_with_whole_matrix_temporaries(process, grid):
+    """build_gram as assembled before it held one n^2 array: an int64
+    |i - j| matrix indexes the lag row, each reduced part is a whole
+    matrix summed from 0, and tmbm takes all np.triu_indices at once."""
+    fam, p = sampler.FAMILIES[process.family], process.params
+    n, t = grid.n, grid.times()
+    lags = grid.dt * np.arange(n)
+    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    if fam.lag is not None:
+        return np.asarray(fam.lag(p, lags), dtype=float)[idx]
+    if fam.parts is not None:
+        total = 0
+        for b, c in fam.parts(p):
+            lag = K.fou.structure_alpha_grid(c.alpha, c.lam, lags)
+            d_t = lag if grid.t0 == 0.0 else K.fou.structure_alpha_grid(
+                c.alpha, c.lam, t)
+            total = total + b * b * ((d_t[:, None] + d_t[None, :])
+                                     - lag[idx])
+        return total
+    al = np.array([p.profile.alpha(x) for x in t])
+    iu, ju = np.triu_indices(n)
+    out = np.empty((n, n))
+    for lo in range(0, len(iu), 8192):
+        i, j = iu[lo:lo + 8192], ju[lo:lo + 8192]
+        d_lag, d_i, d_j = K.fou.structure_alpha_grid(
+            0.5 * (al[i] + al[j]), p.lam, np.stack((t[i] - t[j], t[i], t[j])))
+        out[i, j] = out[j, i] = (d_i + d_j) - d_lag
+    return out
+
+
+@pytest.mark.parametrize("t0", (0.0, 0.5))
+@pytest.mark.parametrize("family", tuple(sampler.FAMILIES))
+def test_gram_is_bitwise_the_whole_matrix_assembly(family, t0):
+    # 150 points span three row blocks and twelve tmbm pair blocks
+    desc = ProcessDescriptor(family, FAMILY_PARAMS[family])
+    grid = TimeGrid(t0, 0.02, 150)
+    got = sampler.build_gram(desc, grid)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == _gram_with_whole_matrix_temporaries(
+        desc, grid).tobytes()
+
+
+_PEAK_N = 1024
+
+
+@pytest.mark.parametrize("family params t0 dt".split(), (
+    ("fou", FracOUParams(0.75, 1.0), 0.0, 0.005),
+    ("tfbm", FracOUParams(0.75, 0.05), 0.0, 0.005),
+    ("tfbm", FracOUParams(0.75, 0.05), 0.5, 0.005),
+    ("mixed", MIX, 0.0, 0.005),
+    # lambda t <= 1: traced, D's Bessel route takes over 10 s here; the
+    # next test bounds its pair blocks there
+    ("tmbm", TmbmParams(HurstProfile.saturating_ramp(0.8, 0.1), 1.0), 0.0,
+     0.001),
+), ids=("fou", "tfbm", "tfbm-t0", "mixed", "tmbm"))
+def test_exact_sampling_holds_about_one_gram(monkeypatch, family, params,
+                                            t0, dt):
+    # the Gram, its live part, its factor and the draws' operand share one
+    # n^2 buffer; the rest is panels, row blocks and D's pair blocks.  One
+    # traced run reads the peak as build_gram returns, then at the end
+    peaks = {}
+    real = sampler.build_gram
+
+    def build_gram(process, grid):
+        gram = real(process, grid)
+        peaks["build_gram"] = tracemalloc.get_traced_memory()[1]
+        return gram
+
+    monkeypatch.setattr(sampler, "build_gram", build_gram)
+    tracemalloc.start()
+    try:
+        sample_exact(ProcessDescriptor(family, params),
+                     TimeGrid(t0, dt, _PEAK_N), 3, 4)
+        peaks["sample_exact"] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 2
+    for name, peak in peaks.items():
+        assert peak <= 1.25 * 8 * _PEAK_N ** 2, (name, peak / 8 / _PEAK_N ** 2)
+
+
+def test_a_tmbm_pair_block_works_in_a_fifth_of_the_gram():
+    # one D call of tmbm_gram at n = _PEAK_N, every argument on D's Bessel
+    # route (lambda |tau| > 2), the route with the most working memory
+    k = K.tmbm._pair_block(_PEAK_N)
+    t = np.linspace(2.5, 5.0, k)
+    alpha, taus = np.linspace(0.8, 0.9, k), np.stack((t, 2.0 * t, 3.0 * t))
+    tracemalloc.start()
+    try:
+        K.fou.structure_alpha_grid(alpha, 1.0, taus)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.2 * 8 * _PEAK_N ** 2
+
+
 # --- jitter ladder -----------------------------------------------------------
 
 def test_jitter_zero_for_well_conditioned_gram():
@@ -254,10 +351,52 @@ def test_jitter_zero_for_well_conditioned_gram():
 
 def test_jitter_ladder_rescues_rank_deficient_matrix():
     gram = np.ones((3, 3))
-    factor, jit = sampler._cholesky_with_jitter(gram)
+    factor, jit = sampler._cholesky_with_jitter(gram.copy())
     assert jit > 0.0
     resid = np.abs(factor @ factor.T - gram).max()
     assert resid <= 1e-9
+
+
+def test_jitter_ladder_restores_a_matrix_spanning_three_panels():
+    # I + 1 1^T on the first two panels, all ones on the last two rows:
+    # the two panels factor, the third's Schur complement is the singular
+    # 2 x 2 block of 1/129, so the first rung restores the lower triangle
+    # the two panels overwrote from the untouched upper one
+    n = 2 * sampler._PANEL + 2
+    gram = np.ones((n, n)) + np.diag(np.r_[np.ones(n - 2), 0.0, 0.0])
+    work = gram.copy()
+    factor, jit = sampler._cholesky_with_jitter(work)
+    assert factor is work
+    assert jit > 0.0
+    assert np.array_equal(np.triu(factor, 1), np.zeros((n, n)))
+    resid = np.abs(factor @ factor.T - (gram + jit * np.eye(n))).max()
+    assert resid <= 8 * n * np.finfo(float).eps
+
+
+def test_factor_bits_do_not_depend_on_the_upper_triangle():
+    gram = sampler.build_gram(
+        ProcessDescriptor("fou", FracOUParams(0.75, 1.0)),
+        TimeGrid(0.0, 0.1, 150))
+    junk = gram.copy()
+    junk[np.triu_indices(150, 1)] = np.nan
+    want, _ = sampler._cholesky_with_jitter(gram.copy())
+    got, _ = sampler._cholesky_with_jitter(junk)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_panel_factor_meets_the_componentwise_cholesky_bound():
+    # |A - L L^T| <= gamma_(n+1) |L| |L|^T (Higham, Accuracy and Stability
+    # of Numerical Algorithms, Thm 10.3) on the benchmark's tfbm grid,
+    # eight panels of live points
+    gram = sampler.build_gram(
+        ProcessDescriptor("tfbm", FracOUParams(0.75, 0.05)),
+        TimeGrid(0.0, 0.01, 513))[1:, 1:]
+    factor, jit = sampler._cholesky_with_jitter(gram.copy())
+    assert jit == 0.0
+    n, u = len(gram), np.finfo(float).eps / 2
+    bound = (n + 1) * u / (1 - (n + 1) * u) * (np.abs(factor)
+                                                @ np.abs(factor).T)
+    assert np.all(np.abs(factor @ factor.T - gram) <= bound)
 
 
 def test_jitter_ladder_rejects_indefinite_matrix():
@@ -286,8 +425,9 @@ def test_grid_once_past_the_jitter_cap_factors_at_its_exact_rung():
     gram = sampler.build_gram(
         ProcessDescriptor("tfbm", FracOUParams(2.5, 1e-3)),
         TimeGrid(0.0, 0.01, 256))[1:, 1:]
+    rung = 1e-13 * np.trace(gram) / 255 * (1.0 + 1e-12)
     _, jit = sampler._cholesky_with_jitter(gram)
-    assert jit <= 1e-13 * np.trace(gram) / 255 * (1.0 + 1e-12)
+    assert jit <= rung
 
 
 # --- validation --------------------------------------------------------------
