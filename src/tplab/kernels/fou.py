@@ -49,17 +49,6 @@ def _power(base, exponent):
     return np.power(base, exponent).reshape(shape)
 
 
-def _besselk_by_x(nu, x):
-    """specfun.besselk_grid over 1d arrays, its elements in increasing
-    x: a block then steps CF2 only until its own slowest element
-    converges.  Each value depends on its own (nu, x) alone, so the
-    order changes no bit."""
-    order = np.argsort(x, kind="stable")
-    out = np.empty_like(x)
-    out[order] = specfun.besselk_grid(nu[order], x[order])
-    return out
-
-
 def _sigma2(alpha, lam, gam):  # gam is Gamma(alpha)
     a2 = 2.0 * alpha - 1.0
     return _gammas(a2) / (gam ** 2 * _power(2.0 * lam, a2))
@@ -92,7 +81,7 @@ def _alpha_grid(alpha, lam, tau, structure):
         lam_l = lam if lam.ndim == 0 else lam_b[live]
         tau_l = tau_b[live]
         nu = alpha_b[live] - 0.5
-        bes = _besselk_by_x(nu, lam_l * tau_l)
+        bes = specfun.besselk_grid(nu, lam_l * tau_l)
         # a power, not exp(nu log(.)): the exponential would amplify the
         # rounding of its argument, nu |log(tau / 2 lambda)| ulps
         c = (_power(tau_l / (2.0 * lam_l), nu) * bes

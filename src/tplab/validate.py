@@ -176,11 +176,13 @@ def _fou_cov_by_quadrature(ps, taus, tols):
     a positive, exponentially decaying integrand: nothing cancels, so
     float64 adaptive quadrature meets tol with no extended precision.
     The route shares nothing with specfun.bessel_k, which sums Temme's
-    series or Steed's continued fraction for K at the reduced order and
-    recurs upward in the order: here no series, fraction or recurrence
-    is summed; the integrand is algebraic with an endpoint singularity
-    v^(1-alpha), the rule is adaptive 15/7-point Gauss-Legendre, and the
-    half-line is covered by geometric panels with tail extrapolation.
+    series and recurs upward in the order (x <= 2) or sums a trapezoid
+    rule on equal steps of a cosh integral (x > 2): here no series or
+    recurrence is summed; the integrand is algebraic with an endpoint
+    singularity v^(1-alpha), the rule is adaptive 15/7-point
+    Gauss-Legendre, and the half-line is covered by geometric panels
+    with tail extrapolation.  suite_specfun's 30-digit K pins use no
+    quadrature.
     One cell per (p, tau, tol) of the lists ps, taus and tols, all in
     one quad.integrate_batch.  Returns a list with a QuadResult for C at
     each cell; the first NonConvergence propagates.

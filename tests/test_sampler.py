@@ -54,17 +54,6 @@ def test_exact_rerun_is_bit_identical():
     assert not np.array_equal(a[0].values, c[0].values)
 
 
-def test_exact_results_do_not_depend_on_worker_count(monkeypatch):
-    p = ProcessDescriptor("tfbm", FracOUParams(1.25, 0.5))
-    grid = TimeGrid(0.0, 0.2, 12)
-    monkeypatch.setenv("TPLAB_THREADS", "1")
-    serial = sample_exact(p, grid, 99, 6)
-    monkeypatch.setenv("TPLAB_THREADS", "5")
-    threaded = sample_exact(p, grid, 99, 6)
-    for pa, pb in zip(serial, threaded):
-        assert np.array_equal(pa.values, pb.values)
-
-
 @pytest.mark.parametrize("t0", (0.0, 0.37))
 def test_exact_path_depends_only_on_seed_and_index(t0):
     # a path's bytes must not depend on how many paths are drawn with it,

@@ -128,15 +128,15 @@ def _box_grid():
 
 def test_besselk_stopping_rule_leaves_a_remainder_below_the_estimate(
         monkeypatch):
-    # the remainder a series or fraction leaves when it stops, measured
-    # against the same route run on to a 2^11 times tighter stop
+    # the remainder Temme's series leaves when it stops, measured against
+    # the same series run on to a 2^11 times tighter stop
     nu, x = _box_grid()
     steps = []
-    for name in ("_series_step", "_cf2_step"):
-        def counting(i, *state, _step=getattr(specfun, name)):
-            steps.append(i)
-            return _step(i, *state)
-        monkeypatch.setattr(specfun, name, counting)
+
+    def counting(i, *state, _step=specfun._series_step):
+        steps.append(i)
+        return _step(i, *state)
+    monkeypatch.setattr(specfun, "_series_step", counting)
     value, err = specfun._besselk_array(nu, x)
     assert np.all(err <= specfun.TOL_BOX * np.maximum(1.0, value))
     taken = len(steps)
@@ -144,11 +144,20 @@ def test_besselk_stopping_rule_leaves_a_remainder_below_the_estimate(
     longer, _ = specfun._besselk_array(nu, x)
     assert len(steps) > 2 * taken
     assert np.all(np.abs(longer - value) <= err)
+    # the trapezoid's spacing and cut (x > 2), against twice the nodes
+    # and a cut e^-10 further down the integrand
+    above = x > 2.0
+    n = 2 * specfun._NODES
+    monkeypatch.setattr(specfun, "_NODES", n)
+    monkeypatch.setattr(specfun, "_ORDER", np.r_[2:n + 1:2, 1:n:2] * 1.0)
+    monkeypatch.setattr(specfun, "_CUT", specfun._CUT + 10.0)
+    finer, _ = specfun._besselk_array(nu[above], x[above])
+    assert np.all(np.abs(finer - value[above]) <= err[above])
 
 
 # orders near an integer (mu ~ 0), near a half-integer (mu ~ +-1/2) and
 # at the box edges; arguments at the box edges and either side of x = 2,
-# where the series switches to the continued fraction
+# where the series switches to the trapezoid rule
 ESTIMATE_NUS = (0.0, 1e-12, -3e-9, 0.37, 0.5, 0.5 - 1e-9, 0.5 + 1e-9,
                 -1.5 + 1e-12, 1.4999999, 2.0 + 1e-7, 2.5, 3.7, -4.2, 5.0,
                 -5.0)
@@ -220,6 +229,25 @@ def test_besselk_grid_is_bitwise_invariant_under_permuting_and_splitting(
     # every element on arrays, then every element on floats
     for small in (0, nu.size):
         monkeypatch.setattr(specfun, "_FLOAT_BATCH", small)
+        assert np.array_equal(specfun.besselk_grid(nu, x), whole)
+
+
+def test_besselk_agrees_across_the_seam_at_two():
+    # Temme's series at x = 2, the trapezoid rule one ulp above
+    nu = np.array(ESTIMATE_NUS)
+    below, e_below = specfun._besselk_array(nu, np.full(nu.size, 2.0))
+    above, e_above = specfun._besselk_array(
+        nu, np.full(nu.size, np.nextafter(2.0, 3.0)))
+    assert np.all(np.abs(above - below) <= e_below + e_above)
+
+
+def test_besselk_trapezoid_blocks_change_no_bit(monkeypatch):
+    rng = np.random.default_rng(7)
+    nu = rng.uniform(-5.0, 5.0, 200)
+    x = np.exp(rng.uniform(math.log(2.0), math.log(700.0), 200))
+    whole = specfun.besselk_grid(nu, x)
+    for size in (1, 3, 64):
+        monkeypatch.setattr(specfun, "_TRAP_BLOCK", size)
         assert np.array_equal(specfun.besselk_grid(nu, x), whole)
 
 
