@@ -87,7 +87,6 @@ _OPTIONS = {
                        help="preset: FOU and reduced curves at s=0.5, "
                             "lambda=0.5, H=0.75 over t in [0, 10]"),
     "plateau_t": _Option(None, float, ("estimate",), 1.0),
-    "tol": _Option(None, float, ("cov",)),
 }
 
 
@@ -252,7 +251,7 @@ def cmd_cov(rc):
         fam = sampler.FAMILIES[rc.family]
         times = sampler.TimeGrid(rc.t0, rc.dt, rc.n).times()
         if fam.lag is not None:
-            vals = fam.lag(desc.params, times, rc.tol)
+            vals = fam.lag(desc.params, times)
         else:
             if not math.isfinite(rc.s):
                 raise DomainError("s must be finite, got %g" % rc.s)

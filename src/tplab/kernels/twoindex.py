@@ -16,13 +16,121 @@ import warnings
 import numpy as np
 
 from .. import quad, specfun
-from ..errors import DivergenceWarning, DomainError, NonConvergence
+from ..errors import DivergenceWarning, DomainError
 from . import fou
 from .params import FracOUParams, TwoIndexParams
 
-# lags per quadrature batch: a lag's panels take about 14 kB until its
-# batch ends, and blocks this size run as fast as one whole batch
-_LAG_BLOCK = 64
+# A trapezoid rule (Takahasi and Mori, Publ. RIMS 9, 1974; Trefethen and
+# Weideman, SIAM Review 56, 2014) in s = asinh(u/w) + (W/_CAP) asinh(u/W),
+# u = log x: a step in u of _STEP w at x = 1, _STEP _CAP out to |u| = W,
+# past e^(-cx)'s fall, geometric beyond.  The path dips _DIP w below x = 1,
+# where h's base vanishes as b -> 1, in a Gaussian of width w, which halves
+# per octave of c from 16 to 1024 so that e^(-cx) grows at most e^8 on it.
+_STEP = 0.07
+_CAP = 2.0
+_WIDTH = 0.25
+_DIP = 0.7
+
+
+def _less_linear(v):
+    """1 - e^(-v) - v; for |v| < 1/2 as -v^2 sum_j (-v)^j / (j+2)!."""
+    out, small = -(np.expm1(-v) + v), np.abs(v) < 0.5
+    w, acc = -v[small], 0.0
+    for j in range(17, -1, -1):
+        acc = acc * w + 1.0 / math.factorial(j + 2)
+    out[small] = -w * w * acc
+    return out
+
+
+# g(v) of each kind; 1 - e^(-v) is 1 in float64 well before v = 800
+_G = (lambda v: np.exp(-v),
+      lambda v: -np.expm1(-np.minimum(v.real, 800.0) - 1j * v.imag),
+      _less_linear)
+
+
+def _rule(q: TwoIndexParams, octave, kind):
+    """Nodes x_k from an even k, weights h(x_k) x'(s_k) _STEP and the
+    tail bound in c, for c = lambda tau in [2^(octave-1), 2^octave) and
+    g(cx) = e^(-cx), 1 - e^(-cx) or 1 - e^(-cx) - cx (kind 0, 1, 2).
+    Before x_0, |Im h| <= 2a |sin(pi b)| x^(2b), |g| <= (cx)^kind /
+    kind!; past X, e^(-cx) <= e^-800, |Im h| <= 2 x^(-2ab), |g| <= 1 +
+    cx, and D's nodes run on until that is e^-40 of D."""
+    a, b = q.alpha, q.beta
+    ab = a * b
+    w = _WIDTH * 0.5 ** min(max(octave - 4, 0), 6)
+    ln_c = octave * math.log(2.0)
+    wide = abs(ln_c) + 7.0
+    edge = math.log(4.0 * (a + 1.0)) / (2.0 * b)   # where the bounds hold
+    u_lo = min(0.0, -ln_c) - max(38.0 / (2.0 * b + 1.0), edge)
+    u_hi = math.log(1600.0) - ln_c
+    if kind:
+        u_hi = min(max(u_hi, edge) + 40.0 / (2.0 * ab - kind), 700.0)
+
+    def s_of(u):
+        return np.arcsinh(u / w) + wide / _CAP * np.arcsinh(u / wide)
+
+    def slope(u):
+        return 1.0 / (1.0 / np.hypot(u, w)
+                      + 1.0 / (_CAP * np.hypot(1.0, u / wide)))
+
+    k = np.arange(2 * math.floor(0.5 * s_of(u_lo) / _STEP),
+                  math.ceil(s_of(u_hi) / _STEP) + 1)
+    # Newton from 0: s(u) is odd, increasing, concave for u > 0
+    u = np.zeros(k.size)
+    for _ in range(100):
+        step = (k * _STEP - s_of(u)) * slope(u)
+        u = u + step
+        if not (np.abs(step) > 1e-15 * (1.0 + np.abs(u))).any():
+            break
+    bump = _DIP * w * np.exp(-0.5 * (u / w) ** 2)
+    z = u - 1j * bump
+    # e^(i pi b) from the exact 1 - b: Im stays accurate as b -> 1, +0 at 1
+    d = math.pi * (1.0 - b)
+    rot = complex(-math.cos(d), math.sin(d))
+    # h x, past x = 1 as x^(1-2ab) (x^(-2b) + e^(i pi b))^(-a): no overflow
+    hx = np.empty_like(z)
+    near, far = z[u <= 0.0], z[u > 0.0]
+    hx[u <= 0.0] = (1.0 + np.exp(2.0 * b * near) * rot) ** -a * np.exp(near)
+    hx[u > 0.0] = (np.exp((1.0 - 2.0 * ab) * far)
+                   * (np.exp(-2.0 * b * far) + rot) ** -a)
+    x0 = math.exp(u_lo)
+    left = (2.0 * a * abs(math.sin(d)) * x0 ** (2.0 * b + 1.0)
+            / (2.0 * b + 1.0) / math.factorial(kind))
+
+    def tails(c):
+        return left * (c * x0) ** kind + sum(
+            2.0 * c ** m * math.exp((1.0 + m - 2.0 * ab) * u_hi)
+            / (2.0 * ab - 1.0 - m) for m in range(kind))
+
+    weights = hx * slope(u) * (1.0 + 1j * bump * u / (w * w)) * _STEP
+    return np.exp(z), weights, tails
+
+
+def _trapezoid(q: TwoIndexParams, c, structure):
+    """-(lambda^(1-2ab)/pi) Im int_0^inf h(x) g(cx) dx, g(v) = e^(-v) or,
+    for D, 1 - e^(-v), less v where ab > 1 (D has no linear term) and
+    the terms' linear parts would cancel to lose 4 bits: values,
+    estimates and node counts at each lag c, each lag a row of its
+    octave's rule summed along it, so its result depends on c alone."""
+    octave = np.frexp(c)[1]
+    ab = q.alpha * q.beta
+    value, err, nodes = np.empty((3, c.size))
+    for key in sorted(set(octave.tolist())):
+        kind = 0 if not structure else (
+            2 if (2.0 * ab - 2.0) * -key * math.log(2.0) > 3.0 else 1)
+        at = np.flatnonzero(octave == key)
+        x, f, tails = _rule(q, key, kind)
+        rows = max(1, 2 ** 15 // x.size)
+        for i in (at[lo:lo + rows] for lo in range(0, at.size, rows)):
+            terms = (f * _G[kind](c[i, None] * x)).imag
+            even = terms[:, ::2].sum(axis=1)
+            odd = terms[:, 1::2].sum(axis=1)
+            value[i] = even + odd
+            err[i] = (np.abs(odd - even) + tails(c[i])
+                      + specfun._ROUND * np.abs(terms).sum(axis=1))
+        nodes[at] = x.size
+    scale = q.lam ** (1.0 - 2.0 * ab) / math.pi
+    return -scale * value, scale * err, nodes
 
 
 def twoindex_spectral(q: TwoIndexParams, k, variant="Y"):
@@ -52,93 +160,32 @@ def twoindex_var(q: TwoIndexParams):
             * q.lam ** (1.0 - 2.0 * q.alpha * q.beta))
 
 
-def twoindex_cov(q: TwoIndexParams, tau, tol=None):
+def twoindex_cov(q: TwoIndexParams, tau):
     """Covariance (1/pi) int_0^inf (k^(2b) + lambda^(2b))^(-a) cos(k tau)
-    dk, a Laplace integral on k = i u; with v = u tau and c = lambda tau
+    dk, a Laplace integral on k = i lambda x; with c = lambda tau
 
-        C(tau) = -lambda^(1 - 2ab) / (pi c) Im int_0^inf h(v/c) e^(-v) dv,
+        C(tau) = -(lambda^(1 - 2ab) / pi) Im int_0^inf h(x) e^(-cx) dx,
         h(x) = (1 + x^(2b) e^(i pi b))^(-a).
 
-    As b -> 1 the base of h nearly vanishes at v = c (the fOU branch
-    point at b = 1), so the contour dips below the real axis, where h is
-    analytic, on a parabola of depth rho = min(c/2, 1) (e^(-v) stays
-    within e of e^(-c)); past c + rho it runs on log v.
-
-    tol, when given, is the absolute tolerance on C; without it the
-    error budget is 1e-7 |C|.  The estimate is never below float64's
-    rounding floor; a tol below it raises NonConvergence with the
-    partial result.  tau = 0 gives the closed-form variance.
-
-    tau may be an array: the result then holds arrays of its shape, and
-    the lags' integrals run through quad.integrate_batch in blocks of
-    _LAG_BLOCK, each as it would alone; the first lag that fails raises.
+    A lag is a weighted sum of e^(-c x_k) over fixed nodes below the axis
+    at x = 1, the fOU branch point at b = 1 (see _rule).  The estimate is
+    |T_h - T_2h|, plus 16 ulps of the terms' magnitudes, plus tail
+    bounds.  tau = 0 gives the variance; 0 < lambda |tau| < 1e-300 is a
+    DomainError.  An array tau gives arrays of its shape, each lag's
+    value, estimate and node count (subdivisions) what it gets alone.
     """
     shape, (tau,) = specfun.flat_args(tau)
-    tau = np.abs(tau)
     specfun.require("twoindex_cov", "tau", tau)
-    out = [None] * tau.size
-    lags = np.flatnonzero(tau)
-    if lags.size < tau.size:
-        var = twoindex_var(q)
-        out = [quad.QuadResult(var, abs(var) * 1e-15, 0)] * tau.size
-    c = q.lam * tau[lags]
-    if (c < 1e-300).any():
-        raise DomainError("lambda*|tau| must be 0 or >= 1e-300, got %g"
-                          % c[c < 1e-300][0])
-    rho = np.minimum(0.5 * c, 1.0)
-    lo, hi = c - rho, c + rho
-    scale = -q.lam ** (1.0 - 2.0 * q.alpha * q.beta) / (math.pi * c)
-    # e^(i pi b) from the exact 1 - b: Im stays accurate as b -> 1, +0 at 1
-    d = math.pi * (1.0 - q.beta)
-    rot = complex(-math.cos(d), math.sin(d))
-
-    a, two_b = q.alpha, 2.0 * q.beta
-
-    def axis(v, k):
-        return scale[k] * (((1.0 + (v / c[k]) ** two_b * rot) ** -a).imag
-                           * np.exp(-v))
-
-    def dip(s, k):
-        t = (s - c[k]) / rho[k]
-        v = s - 1j * (rho[k] * (1.0 - t * t))
-        dv = 1.0 + 2j * t
-        return scale[k] * ((1.0 + (v / c[k]) ** two_b * rot) ** -a
-                           * np.exp(-v) * dv).imag
-
-    def log_axis(s, k):
-        # v = hi e^(s - hi) > c, h in a form that cannot overflow
-        v = hi[k] * np.exp(s - hi[k])
-        y = (v / c[k]) ** -two_b
-        return scale[k] * v * np.exp(-v) * (y ** a * (y + rot) ** -a).imag
-
-    def f(s, k):
-        out = np.empty_like(s)
-        for sel, segment in ((s < lo[k], axis),
-                             ((s >= lo[k]) & (s < hi[k]), dip),
-                             (s >= hi[k], log_axis)):
-            if sel.any():
-                out[sel] = segment(s[sel], k[sel])
-        return out
-
-    # e^(-v) is 0 in float64 past v = 746, so the contour ends there; a
-    # panel per doubling of log v keeps each rule pair from reading zeros
-    points, ends = [], []
-    for lo_k, hi_k in zip(lo.tolist(), hi.tolist()):
-        t_end = math.log(max(746.0 / hi_k, 1.0))
-        cuts = [hi_k + 2.0 ** k for k in range(-1, 10) if 2.0 ** k < t_end]
-        points.append([lo_k, hi_k, *cuts] if lo_k < 746 else [])
-        ends.append(hi_k + t_end if lo_k < 746 else 746.0)
-    abs_tol, rel_tol = (0.0, 1e-7) if tol is None else (tol, 0.0)
-    for at in range(0, lags.size, _LAG_BLOCK):
-        blk = slice(at, at + _LAG_BLOCK)
-        for i, r in zip(lags[blk], quad.integrate_batch(
-                lambda s, k: f(s, k + at), 0.0, ends[blk], abs_tol,
-                points[blk], rel_tol)):
-            if isinstance(r, NonConvergence):
-                raise r
-            out[i] = r
-    return out[0] if not shape else quad.QuadResult(*(
-        np.reshape(v, shape) for v in zip(*(vars(r).values() for r in out))))
+    c = q.lam * np.abs(tau)
+    specfun.require("twoindex_cov", "lambda*|tau|", c,
+                    (c == 0.0) | (c >= 1e-300), " of 0 or >= 1e-300")
+    var = twoindex_var(q)
+    out = np.array([[var], [abs(var) * 1e-15], [0.0]]).repeat(c.size, 1)
+    out[:, c > 0.0] = _trapezoid(q, c[c > 0.0], False)
+    value, err, nodes = out[0], out[1], out[2].astype(int)
+    if not shape:
+        return quad.QuadResult(float(value[0]), float(err[0]), int(nodes[0]))
+    return quad.QuadResult(*(v.reshape(shape) for v in (value, err, nodes)))
 
 
 def twoindex_cov_tail_series(q: TwoIndexParams, tau, n_terms):
@@ -209,7 +256,7 @@ def twoindex_smalltime_incvar(q: TwoIndexParams, t=0.0):
 
 
 def twoindex_increment_var(q: TwoIndexParams, t):
-    """Exact increment variance 2 (C(0) - C(t)) at tight tolerance."""
-    var = twoindex_var(q)
-    cov = twoindex_cov(q, t, tol=max(1e-13, 1e-10 * var))
-    return 2.0 * (var - cov.value)
+    """Increment variance 2 D(t), D(t) = C(0) - C(t) with nothing
+    subtracted: twoindex_cov's nodes with -expm1(-cx) for e^(-cx)."""
+    c = q.lam * abs(float(t))
+    return 2.0 * float(_trapezoid(q, np.array([c]), True)[0][0]) if c else 0.0

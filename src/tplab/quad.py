@@ -2,15 +2,14 @@
 
 Public entry points:
 
-    integrate_adaptive(f, a, b, tol, points, rel)
+    integrate_adaptive(f, a, b, tol)
         globally adaptive quadrature with a 15/7-point Gauss-Legendre
         rule pair (not nested: the two rules share only the node 0) over
-        the panels between a, points and b; b may be math.inf (geometric
-        panel extension, empirical tail extrapolation).  Every error
-        indicator carries QUADPACK's rounding floor, so no result claims
-        more than float64 certifies.
+        [a, b]; b may be math.inf (geometric panel extension, empirical
+        tail extrapolation).  Every error indicator carries QUADPACK's
+        rounding floor, so no result claims more than float64 certifies.
 
-    integrate_batch(f, a, b, tol, points, rel)
+    integrate_batch(f, a, b, tol)
         many such integrals in lockstep, the k-th of f(x, k) on [a[k], b[k]].
 
     fourier_cos_halfline(g, tau, tol, decay_p)
@@ -19,24 +18,19 @@ Public entry points:
         the zeros of cos(k tau); the alternating sequence of partial sums
         is accelerated with a repeated-averaging (Euler transform) table.
 
-Tempered amplitudes make I(tau) exponentially small in tau while the
-individual lobe integrals stay polynomially large, so for large tau the
-lobe sum cancels; a tolerance below its rounding floor raises
-NonConvergence with the partial.  No kernel calls it: the kernels use
-closed forms or rotate such transforms onto the imaginary axis, where
-they are Laplace integrals, and the lobe sum is the independent
-reference that tests hold them against.
+For large tau the lobe sum of a tempered amplitude cancels; a tolerance
+below its rounding floor raises NonConvergence with the partial.  The
+kernels sum such transforms, rotated onto the imaginary axis, by fixed
+trapezoid rules; this engine serves only the lobe sum, which tests hold
+them against, and the validation oracle, so neither shares their rules.
 
-Integrands take a 1-d float64 array of nodes, batch integrands also an
-integer array k naming each node's integral, and return their values
-there as an array of the same shape.  Each round, every unfinished
-integral bisects its worst panel, and all the halves (or all initial
-panels) are evaluated in one call, so a numpy integrand pays the
-interpreter once per round, not per node or per integral.  Each integral
-keeps its own panel sums (array reductions in an order fixed per panel),
-rounding floor, settled panels, heap order and tie-breaks, failure tests
-and cap: when f at a node depends on (x, k) alone, its result is bitwise
-what it gets alone, whatever else shares its batch.
+Integrands take a 1-d float64 array of nodes (batch integrands also an
+integer array k naming each node's integral) and return their values
+there.  Each round every unfinished integral bisects its worst panel and
+all the halves are evaluated in one call.  Each integral keeps its own
+panel sums, rounding floor, heap order, failure tests and cap: when f at
+a node depends on (x, k) alone, its result is bitwise what it gets
+alone, whatever else shares its batch.
 
 All routines are pure, reentrant and float64 throughout.
 """
@@ -83,12 +77,9 @@ def _rule_pairs(f, lo, hi, k):
 
     The indicator is |15pt - 7pt|, raised to the panel's rounding floor
     ROUNDING_FLOOR * h * sum |w_i f(x_i)|; the flag says it sits there,
-    where bisecting the panel cannot lower it.  Each sum is a numpy
-    reduction along the panel's own contiguous row of terms, whose order
-    is fixed by the row length, so a panel's bits do not depend on the
-    other panels.  In any order, 15 terms sum to within 14 u sum |w_i
-    f(x_i)| (u = eps/2), and the product by h adds u more: 15 % of the
-    floor, so the indicator still never claims what float64 cannot give.
+    where bisecting cannot lower it.  Each sum reduces the panel's own
+    row, so its bits do not depend on the other panels; in any order it
+    is within 15 u sum |w_i f(x_i)| (u = eps/2), 15 % of the floor.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     h = 0.5 * (hi - lo)
@@ -102,45 +93,37 @@ def _rule_pairs(f, lo, hi, k):
     return i15, np.maximum(diff, floor), diff <= floor
 
 
-def _bisect(points, tol, cap, rel=0.0):
-    """One integral by globally adaptive bisection over the panels
-    between points under one error budget max(tol, rel * |value|), as a
-    generator: it yields the edges of the panels it needs, points first
-    and then (lo, mid, hi) for each bisection, and is sent a list of
-    their _rule_pairs (value, indicator, flag).  Panels whose indicator
-    sits at its rounding floor are settled and never bisected.  Returns
-    (value, err, n_intervals); raises NonConvergence past cap, or as
-    soon as the settled panels alone exceed the budget and the open ones
-    add no more than that again.
+def _bisect(edges, tol, cap):
+    """One integral by globally adaptive bisection of the panel between
+    edges = (a, b) under the error budget tol, as a generator: it yields
+    the edges of the panels it needs, edges first and then (lo, mid, hi)
+    for each bisection, and is sent a list of their _rule_pairs (value,
+    indicator, flag).  Panels whose indicator sits at its rounding floor
+    are settled and never bisected.  Returns (value, err, n_intervals);
+    raises NonConvergence past cap, or as soon as the settled panels
+    alone exceed tol and the open ones add no more than that again.
     """
     # max-heap of the open panels on the error indicator; the counter
     # breaks ties deterministically
-    heap, done = [], []
-    floor_err = total_err = total = 0.0
-    pairs = yield points
-    for tick, (lo, hi, (v, e, s)) in enumerate(
-            zip(points[:-1], points[1:], pairs)):
-        total += v
-        total_err += e
-        if s:
-            done.append(v)
-            floor_err += e
-        else:
-            heappush(heap, (-e, tick, lo, hi, v, e))
-    tick = nseg = len(points) - 1
-    a, b = points[0], points[-1]
+    a, b = edges
+    (total, total_err, settled), = yield edges
+    done, heap, floor_err = [], [], 0.0
+    if settled:
+        done, floor_err = [total], total_err
+    else:
+        heap = [(-total_err, 0, a, b, total, total_err)]
+    tick = nseg = 1
 
     def failure(reason):
         return NonConvergence(reason, partial=QuadResult(
             math.fsum(done + [seg[4] for seg in heap]), total_err, nseg))
 
-    budget = max(tol, rel * abs(total))
-    while total_err > budget:
-        if not heap or (floor_err > budget and total_err <= 2.0 * floor_err):
+    while total_err > tol:
+        if not heap or (floor_err > tol and total_err <= 2.0 * floor_err):
             # bisection can only shrink the open panels' share, which is
-            # already within the float64 floor that the budget lies below
+            # already within the float64 floor that tol lies below
             raise failure("tol=%g is below float64 resolution on [%g, %g]:"
-                          " rounding floor %g" % (budget, a, b, floor_err))
+                          " rounding floor %g" % (tol, a, b, floor_err))
         if nseg >= cap:
             raise failure("subdivision cap %d hit on [%g, %g]" % (cap, a, b))
         neg_e, _, lo, hi, v, e = heappop(heap)
@@ -150,7 +133,7 @@ def _bisect(points, tol, cap, rel=0.0):
             # further cannot reduce the estimate
             heappush(heap, (neg_e, tick, lo, hi, v, e))
             raise failure("interval at floating resolution with err=%g > "
-                          "tol=%g" % (total_err, budget))
+                          "tol=%g" % (total_err, tol))
         (v1, e1, s1), (v2, e2, s2) = yield lo, mid, hi
         total += v1 + v2 - v
         total_err += e1 + e2 - e
@@ -163,19 +146,16 @@ def _bisect(points, tol, cap, rel=0.0):
                 heappush(heap, (-ei, tick, lo_i, hi_i, vi, ei))
             tick += 1
         nseg += 1
-        budget = max(tol, rel * abs(total))
     return math.fsum(done + [seg[4] for seg in heap]), total_err, nseg
 
 
 def _to_inf(a, tol, cap):
     """[a, inf) by doubling panels with geometric tail extrapolation, as
     a generator like _bisect, whose runs on the panels it delegates to.
-
     Stops when the extrapolated remainder (ratio of the last two panel
     integrals, assumed to keep contracting) drops below tol/2.  A panel
-    that cannot meet its share of tol contributes its partial and the
-    extension goes on, so the NonConvergence finally raised carries a
-    partial over the whole half-line.
+    that misses its share of tol contributes its partial and the
+    extension goes on, so a NonConvergence covers the whole half-line.
     """
     k0 = max(1.0, abs(a) + 1.0)
     vals, errs = [], []
@@ -245,22 +225,19 @@ def _lockstep(f, runs):
         replies = {k: list(islice(pairs, len(e) - 1)) for k, e in asks.items()}
 
 
-def integrate_batch(f, a, b, tol=1e-10, points=None, rel=0.0):
+def integrate_batch(f, a, b, tol=1e-10):
     """Integrate f(x, k) over [a[k], b[k]] for every k, in lockstep.
 
-    a, b, tol and rel broadcast; points is None or one sequence per
-    integral.  Each integral keeps integrate_adaptive's contract; a
-    DomainError raises before f is called.  Returns, per integral, its
-    QuadResult or the NonConvergence (with partial) it raises alone.
+    a, b and tol broadcast.  Each integral keeps integrate_adaptive's
+    contract; a DomainError raises before f is called.  Returns, per
+    integral, its QuadResult or the NonConvergence (with partial) it
+    raises alone.
     """
-    a, b, tol, rel = (v.ravel().tolist() for v in np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (a, b, tol, rel))))
-    points = [()] * len(a) if points is None else list(points)
-    if len(points) != len(a):
-        raise DomainError("points needs one sequence per integral")
+    a, b, tol = (v.ravel().tolist() for v in np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (a, b, tol))))
     runs = {}
-    for k, (lo, hi, tk, pk, rk) in enumerate(zip(a, b, tol, points, rel)):
-        if not (tk > 0.0 or rk > 0.0):
+    for k, (lo, hi, tk) in enumerate(zip(a, b, tol)):
+        if not tk > 0.0:
             raise DomainError("tol must be positive")
         if not math.isfinite(lo):
             raise DomainError("lower limit must be finite, got %g" % lo)
@@ -269,46 +246,27 @@ def integrate_batch(f, a, b, tol=1e-10, points=None, rel=0.0):
                               % (lo, hi))
         if hi == lo:
             continue
-        if math.isinf(hi):
-            if len(pk) or rk:
-                raise DomainError("points and rel need a finite upper limit")
-            runs[k] = _to_inf(lo, tk, SUBDIVISION_CAP)
-            continue
-        edges = (lo, *pk, hi)
-        if not all(x <= y for x, y in zip(edges[:-1], edges[1:])):
-            raise DomainError("points must lie in [a, b] in nondecreasing "
-                              "order, got %s" % (tuple(pk),))
-        runs[k] = _bisect(edges, tk, SUBDIVISION_CAP, rk)
+        runs[k] = (_to_inf(lo, tk, SUBDIVISION_CAP) if math.isinf(hi)
+                   else _bisect((lo, hi), tk, SUBDIVISION_CAP))
     out = _lockstep(f, runs)
     return [out.get(k, QuadResult(0.0, 0.0, 0)) for k in range(len(a))]
 
 
-def integrate_adaptive(f, a, b, tol=1e-10, points=(), rel=0.0):
-    """Integrate f over [a, b], a finite and a <= b <= math.inf.
+def integrate_adaptive(f, a, b, tol=1e-10):
+    """Integrate f over [a, b], a finite and a <= b <= math.inf; the
+    one-integral case of integrate_batch.
 
-    f maps an array of nodes to its values there (see the module
-    docstring).  It must be finite on the open interval; integrable
-    endpoint singularities are tolerated because the rules are open, but
-    the caller is responsible for substituting away anything stronger.
-    points must lie in [a, b] in nondecreasing order (a repeated point
-    makes an empty panel).  Limits or points outside that contract, NaN
-    included, raise DomainError.
-
-    On a finite interval the panels between a, points and b share one
-    budget max(tol, rel * |value|).  For b = inf the tail is extrapolated
-    from two doubling panels, which assumes it keeps one sign.
-
-    abs_error_estimate is never below the rounding floor of the panels,
-    ROUNDING_FLOOR * int |f| in effect.  Raises NonConvergence, with a
-    .partial over the whole of [a, b], when the subdivision cap is hit
-    or when the budget lies below that floor (float64 cannot certify
-    it).  The second case gives up as soon as the panels at their floor
-    alone exceed the budget and the others add at most as much again,
-    far short of the cap.
-
-    This is integrate_batch with one integral.
+    f maps an array of nodes to its values there and must be finite on
+    the open interval; the open rules tolerate integrable endpoint
+    singularities.  Limits outside that contract, NaN included, raise
+    DomainError.  For b = inf the tail is extrapolated from two doubling
+    panels, which assumes it keeps one sign.  abs_error_estimate is never
+    below the panels' rounding floor, ROUNDING_FLOOR * int |f| in effect.
+    NonConvergence, with a .partial over all of [a, b], is raised at the
+    subdivision cap, or once the panels at their floor alone exceed tol
+    and the others add at most as much again.
     """
-    r, = integrate_batch(lambda x, k: f(x), a, b, tol, [points], rel)
+    r, = integrate_batch(lambda x, k: f(x), a, b, tol)
     if isinstance(r, NonConvergence):
         raise r
     return r

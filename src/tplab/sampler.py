@@ -181,19 +181,13 @@ def _reduced_gram(parts, grid):
     return out
 
 
-def _twoindex_lag(q: TwoIndexParams, lags, tol=None):
-    return twoindex.twoindex_cov(q, np.asarray(lags, dtype=float), tol).value
-
-
 @dataclass(frozen=True)
 class Family:
     """Parameter type, the config keys its constructor takes in order,
-    and the covariance: lag(p, lags, tol=None) at each lag for a
-    stationary family (tol bounds the absolute error where quadrature
-    computes it; closed forms ignore it), else the two-time cov(p, t, s)
-    and either the Gram gram(p, grid) or, for a reduced family, the
-    independent reduced fOU processes it sums, as
-    parts(p) = ((weight, FracOUParams), ...)."""
+    and the covariance: lag(p, lags) at each lag for a stationary
+    family, else the two-time cov(p, t, s) and either the Gram
+    gram(p, grid) or, for a reduced family, the independent reduced fOU
+    processes it sums, as parts(p) = ((weight, FracOUParams), ...)."""
 
     params: type
     needs: tuple
@@ -205,19 +199,20 @@ class Family:
 
 FAMILIES = {
     "fou": Family(FracOUParams, ("alpha", "lam"),
-                  lag=lambda p, lags, tol=None: fou.fou_cov(p, lags)),
+                  lag=lambda p, lags: fou.fou_cov(p, lags)),
     "tfbm": Family(FracOUParams, ("alpha", "lam"), cov=tfbm.tfbm_cov,
                    parts=lambda p: ((1.0, p),)),
     "mixed": Family(MixtureParams, ("components",), cov=mixed.mixed_cov,
                     parts=lambda m: m.components),
     "tfbm2": Family(TwoIndexParams, ("alpha", "beta", "lam"),
-                    lag=_twoindex_lag),
+                    lag=lambda p, lags: twoindex.twoindex_cov(
+                        p, np.asarray(lags, dtype=float)).value),
     "tmbm": Family(TmbmParams, ("profile", "lam"),
                    gram=lambda p, grid: tmbm.tmbm_gram(p.profile, p.lam,
                                                        grid.times()),
                    cov=lambda p, t, s: tmbm.tmbm_cov(p.profile, p.lam, t, s)),
     "tfgn": Family(FracOUParams, ("alpha", "lam"),
-                   lag=lambda p, lags, tol=None: tfgn.tfgn_cov_values(
+                   lag=lambda p, lags: tfgn.tfgn_cov_values(
                        p.alpha, p.lam, lags)),
 }
 

@@ -616,6 +616,16 @@ def test_config_file_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_config_that_sets_tol_exits_2(tmp_path, capsys):
+    # tfbm2 lags are computed at full precision; no key bounds their error
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol=1e-8\n")
+    assert cli.main(["cov", "--config", str(cfg), "--process", "tfbm2",
+                     "--alpha", "0.9", "--beta", "0.8", "--lambda", "1",
+                     "--n", "3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: unknown config key 'tol'\n"
+
+
 def test_unknown_suite_in_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("suite=bogus\n")
@@ -627,7 +637,7 @@ def test_unknown_suite_in_config_exits_2(tmp_path, capsys):
 # the options each subcommand reads, written out as the contract
 _READS = {
     "cov": {"family", "alpha", "beta", "lam", "profile", "components", "s",
-            "t0", "dt", "n", "tol", "figure1", "out"},
+            "t0", "dt", "n", "figure1", "out"},
     "sample": {"family", "alpha", "beta", "lam", "profile", "components",
                "t0", "dt", "n", "method", "paths", "seed", "out"},
     "estimate": {"lam", "estimator", "plateau_t", "out"},
@@ -646,7 +656,7 @@ _FLAGS = {
 _KEY_TEXT = {
     "family": "fou", "alpha": "0.75", "beta": "0.5", "lam": "1.0",
     "profile": "constant:0.8", "components": "1.0:0.7:1.0", "s": "0.5",
-    "t0": "0", "dt": "0.1", "n": "4", "tol": "1e-8", "figure1": "0",
+    "t0": "0", "dt": "0.1", "n": "4", "figure1": "0",
     "out": "out", "method": "exact", "paths": "2", "seed": "1",
     "suite": "specfun", "estimator": "hurst", "plateau_t": "1.0",
 }

@@ -1,4 +1,4 @@
-"""Two-index kernel checks: the quadrature-backed covariance against
+"""Two-index kernel checks: the fixed-rule covariance against
 pinned high-precision values and against the cosine-transform lobe sum,
 the closed-form variance, the beta = 1 collapse onto the single-index
 family, and both asymptotic laws (large-lag series, small-time
@@ -12,8 +12,8 @@ import pytest
 
 from tplab import kernels as K
 from tplab import quad
-from tplab.errors import DivergenceWarning, DomainError, NonConvergence
-from tplab.kernels import FracOUParams, TwoIndexParams, twoindex
+from tplab.errors import DivergenceWarning, DomainError
+from tplab.kernels import FracOUParams, TwoIndexParams
 
 
 # --- variance and beta = 1 collapse -----------------------------------------
@@ -57,12 +57,6 @@ def test_cov_even_and_reproducible():
     assert r_neg.value == r_pos.value
     # a repeat call recomputes the same result
     assert K.twoindex_cov(q, 0.8) == r_pos
-
-
-def test_cov_explicit_tolerance_is_honored():
-    q = TwoIndexParams(0.9, 0.6, 1.0)
-    r = K.twoindex_cov(q, 1.3, tol=1e-9)
-    assert r.abs_error_estimate <= 1e-9
 
 
 # --- covariance against pinned references ----------------------------------
@@ -151,7 +145,7 @@ def test_cov_matches_the_lobe_sum_where_it_converges(alpha, beta, tau, ref):
     # lambda tau <= 1: the float64 cosine-transform lobe sum converges on
     # its own and is a second opinion from the original axis
     tol = 1e-10 * ref
-    r = K.twoindex_cov(TwoIndexParams(alpha, beta, 1.0), tau, tol=tol)
+    r = K.twoindex_cov(TwoIndexParams(alpha, beta, 1.0), tau)
     lobes = quad.fourier_cos_halfline(
         lambda k: (k ** (2.0 * beta) + 1.0) ** -alpha / math.pi, tau,
         tol=tol, decay_p=2.0 * alpha * beta)
@@ -160,76 +154,42 @@ def test_cov_matches_the_lobe_sum_where_it_converges(alpha, beta, tau, ref):
             <= r.abs_error_estimate + lobes.abs_error_estimate)
 
 
-@pytest.mark.parametrize("alpha beta tau tol nseg".split(), (
-    (0.9, 0.6, 10.0, None, 13), (1.5, 0.7, 40.0, None, 14),
-    (0.9, 0.6, 0.01, None, 10), (3.0, 0.999, 0.5, None, 11),
-    (1.5, 0.6, 2e5, None, 14), (1.5, 0.7, 1.02, None, 10),
-    # 745 < lambda tau < 747: the contour ends on a repeated point
-    (0.9, 0.6, 746.0, None, 16), (1.2, 0.8, 0.3, 1e-12, 21)))
-def test_cov_subdivisions_are_pinned(alpha, beta, tau, tol, nseg):
-    # pinned counts: evaluating a batch of panels in one integrand call
-    # must not move a single bisection
-    r = K.twoindex_cov(TwoIndexParams(alpha, beta, 1.0), tau, tol=tol)
-    assert r.subdivisions == nseg
-
-
 def test_cov_refuses_lags_below_its_floor():
     with pytest.raises(DomainError, match="lambda\\*\\|tau\\|"):
         K.twoindex_cov(TwoIndexParams(0.9, 0.6, 1.0), 1e-310)
 
 
-def test_cov_below_float64_resolution_keeps_partial():
-    ref = _GRID_REFS[-1][1][0]       # alpha = 3, beta = 0.999, tau = 1e-3
-    with pytest.raises(NonConvergence) as exc:
-        K.twoindex_cov(TwoIndexParams(3.0, 0.999, 1.0), 1e-3,
-                       tol=1e-14 * ref)
-    partial = exc.value.partial
-    assert partial is not None
-    assert abs(partial.value - ref) <= partial.abs_error_estimate
-    assert partial.abs_error_estimate > 1e-14 * ref
-
-
-@pytest.mark.parametrize("tol", (None, 1e-12))
-def test_cov_on_arrays_equals_its_scalar_calls_bitwise(tol):
-    # the lags share one batch; each keeps its own contour, cuts and count
+def test_cov_on_arrays_equals_its_scalar_calls_bitwise():
+    # each lag takes its own octave's nodes and sums its own row
     q = TwoIndexParams(1.2, 0.8, 1.0)
     taus = np.array([[0.0, 0.01, -0.3], [1.02, 40.0, 746.0]])
-    r = K.twoindex_cov(q, taus, tol=tol)
+    r = K.twoindex_cov(q, taus)
     assert r.value.shape == r.subdivisions.shape == taus.shape
     for i in np.ndindex(taus.shape):
-        one = K.twoindex_cov(q, taus[i], tol=tol)
+        one = K.twoindex_cov(q, taus[i])
         assert (r.value[i], r.abs_error_estimate[i], r.subdivisions[i]) == (
             one.value, one.abs_error_estimate, one.subdivisions)
 
 
-def test_cov_in_lag_blocks_is_one_batch_bitwise(monkeypatch):
-    # blocks bound the panels held at once; no lag's integral notices
-    q = TwoIndexParams(0.9, 0.8, 1.0)
-    taus = 0.37 * np.arange(11)
+@pytest.mark.parametrize("alpha beta".split(), ((0.9, 0.6), (1.0, 1.0),
+                                                (3.0, 0.999)))
+def test_each_lag_is_bitwise_the_same_in_any_batch(alpha, beta):
+    # lags share octaves and blocks in some batches and not in others:
+    # permuted, split, repeated past a block and mixed with far octaves,
+    # each lag keeps its value and estimate
+    q = TwoIndexParams(alpha, beta, 1.0)
+    taus = np.concatenate((np.geomspace(1e-6, 2e3, 41), [1e-100, 3e5]))
     whole = K.twoindex_cov(q, taus)
-    batches = []
-    real = quad.integrate_batch
-
-    def counting(f, a, b, *args):
-        batches.append(len(b))
-        return real(f, a, b, *args)
-
-    monkeypatch.setattr(twoindex, "_LAG_BLOCK", 4)
-    monkeypatch.setattr(quad, "integrate_batch", counting)
-    blocked = K.twoindex_cov(q, taus)
-    assert batches == [4, 4, 2]
-    for name in ("value", "abs_error_estimate", "subdivisions"):
-        assert np.array_equal(getattr(blocked, name), getattr(whole, name))
-
-
-def test_cov_on_arrays_raises_the_first_failing_lag():
-    ref = _GRID_REFS[-1][1][0]       # alpha = 3, beta = 0.999, tau = 1e-3
-    q = TwoIndexParams(3.0, 0.999, 1.0)
-    with pytest.raises(NonConvergence) as alone:
-        K.twoindex_cov(q, 1e-3, tol=1e-14 * ref)
-    with pytest.raises(NonConvergence) as batch:
-        K.twoindex_cov(q, [0.0, 1e-3, 0.5], tol=1e-14 * ref)
-    assert batch.value.partial == alone.value.partial
+    perm = np.random.default_rng(4).permutation(taus.size)
+    batches = (K.twoindex_cov(q, taus[perm]),
+               K.twoindex_cov(q, np.repeat(taus, 200)))
+    for name in ("value", "abs_error_estimate"):
+        got = getattr(whole, name)
+        assert np.array_equal(getattr(batches[0], name), got[perm])
+        assert np.array_equal(getattr(batches[1], name)[::200], got)
+        for lo in range(0, taus.size, 7):
+            part = K.twoindex_cov(q, taus[lo:lo + 7])
+            assert np.array_equal(getattr(part, name), got[lo:lo + 7])
 
 
 def test_cov_refuses_non_finite_lags_by_name():
@@ -346,11 +306,33 @@ def test_increment_variance_approaches_smalltime_law():
     assert 0.98 <= ratio <= 1.02
 
 
+@pytest.mark.parametrize("alpha", (0.75, 1.25, 2.5, 4.0))
+def test_increment_variance_matches_the_fou_structure_function(alpha):
+    # beta = 1 is fou, whose D is Temme's series with nothing subtracted:
+    # two cancellation-free routes, down to lags where C(0) - C(t) would
+    # keep no digit
+    q = TwoIndexParams(alpha, 1.0, 0.8)
+    for t in (1e-12, 1e-6, 1e-3, 0.4, 3.0, 30.0):
+        ref = 2.0 * float(K.fou.structure_alpha_grid(alpha, 0.8, t))
+        got = K.twoindex_increment_var(q, t)
+        assert abs(got - ref) <= 1e-13 * ref, t
+
+
+@pytest.mark.parametrize("lam", (0.3, 1.0, 4.0))
+def test_increment_variance_at_unit_indices_is_closed_form(lam):
+    # alpha = beta = 1: C(t) = e^(-lambda t) / (2 lambda), so the
+    # increment variance is -expm1(-lambda t) / lambda at every scale
+    q = TwoIndexParams(1.0, 1.0, lam)
+    for t in (1e-300, 1e-100, 1e-9, 1e-2, 1.0, 50.0):
+        ref = -math.expm1(-lam * t) / lam
+        assert abs(K.twoindex_increment_var(q, t) - ref) <= 1e-14 * ref
+
+
 def test_increment_variance_consistent_with_cov():
     q = TwoIndexParams(1.2, 0.8, 0.7)
     t = 0.6
     var = K.twoindex_var(q)
-    manual = 2.0 * (var - K.twoindex_cov(q, t, tol=1e-10 * var).value)
+    manual = 2.0 * (var - K.twoindex_cov(q, t).value)
     got = K.twoindex_increment_var(q, t)
     assert abs(got - manual) <= 1e-12 * abs(got)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tplab import quad, specfun
+from tplab import quad
 from tplab.errors import DomainError, NonConvergence, SlowDecay
 
 # pinned offline at 30 significant digits
@@ -55,39 +55,28 @@ def test_infinite_lower_limit_rejected():
         quad.integrate_adaptive(lambda x: x, -math.inf, 1.0)
 
 
-@pytest.mark.parametrize("a b points".split(), (
-    (0.0, -math.inf, ()),       # was the integral over [0, +inf)
-    (math.nan, 1.0, ()),
-    (0.0, math.nan, ()),        # was value nan, with nothing raised
-    (1.0, 0.0, ()),             # was NonConvergence after bisecting
-    (0.0, 1.0, (1.5,)),
-    (0.0, 1.0, (-0.5,)),
-    (0.0, 1.0, (0.7, 0.3)),
-    (0.0, 1.0, (math.nan,)),
+@pytest.mark.parametrize("a b".split(), (
+    (0.0, -math.inf),           # was the integral over [0, +inf)
+    (math.nan, 1.0),
+    (0.0, math.nan),            # was value nan, with nothing raised
+    (1.0, 0.0),                 # was NonConvergence after bisecting
 ))
-def test_limits_and_points_outside_the_contract_rejected(a, b, points):
+def test_limits_outside_the_contract_rejected(a, b):
     with pytest.raises(DomainError):
-        quad.integrate_adaptive(lambda x: np.exp(-x), a, b, points=points)
-
-
-def test_repeated_points_make_empty_panels():
-    # twoindex_cov ends its contour on a repeated point for
-    # 745 < lambda tau < 747; an empty panel adds nothing
-    plain = quad.integrate_adaptive(np.exp, 0.0, 1.0, points=(0.5,))
-    for points in ((0.5, 0.5), (0.0, 0.5), (0.5, 1.0)):
-        r = quad.integrate_adaptive(np.exp, 0.0, 1.0, points=points)
-        assert r.value == plain.value
-        assert r.abs_error_estimate == plain.abs_error_estimate
+        quad.integrate_adaptive(lambda x: np.exp(-x), a, b)
 
 
 # --- one integrand call per batch of panels ---------------------------------
 
-def _kummer_probe():
-    # straddles the sign change of its variable, like kummer_u's probe
-    g = specfun._kummer_integrand(*np.array([[0.7], [2.4], [2e-6]]))[0]
+def _two_sided():
+    # a different formula on each side of x = 0, written by masks
 
     def f(x):
-        return g(x, np.zeros(x.shape, dtype=int))
+        out = np.empty_like(x)
+        neg = x < 0.0
+        out[neg] = np.exp(0.1 / x[neg]) / -x[neg]
+        out[~neg] = x[~neg] ** 0.3 * np.exp(-x[~neg])
+        return out
 
     return f
 
@@ -96,7 +85,7 @@ def _kummer_probe():
     (np.exp, (0.0, 0.3, 1.0, 2.5)),
     (lambda x: 1.0 / np.sqrt(x), (0.0, 1e-9, 1e-3, 1.0)),
     (lambda x: np.sin(40.0 * x) / (1.0 + x), (0.0, 1.0, 1.0, 2.0, 7.5)),
-    (_kummer_probe(), (-0.5, -0.25, 0.0, 0.25, 0.5 ** 0.7)),
+    (_two_sided(), (-0.5, -0.25, 0.0, 0.25, 0.5 ** 0.7)),
 ))
 def test_batched_panels_equal_single_panels_bitwise(f, edges):
     # the panels between edges and random pieces of them, in batches of
@@ -147,26 +136,25 @@ def test_panel_sums_stay_within_half_the_rounding_floor(f, lo_range):
 
 # --- many integrals in lockstep ---------------------------------------------
 
-# (f, a, b, points, tol, rel): finite and half-line, breakpoints, an empty
-# panel, a relative budget, an empty interval, and two that cannot meet
+# (f, a, b, tol): finite and half-line, an endpoint singularity, an
+# oscillation, a tiny scale, an empty interval, and two that cannot meet
 # tol: the float64 floor on [0, 1] and on [0, inf)
 _MIXED = (
-    (np.exp, 0.0, 1.0, (), 1e-13, 0.0),
-    (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, (1e-3, 0.2), 1e-10, 0.0),
-    (lambda x: np.sin(40.0 * x) / (1.0 + x), 0.0, 7.5, (1.0, 1.0, 2.0),
-     0.0, 1e-9),
-    (lambda x: np.exp(-x), 0.0, math.inf, (), 1e-12, 0.0),
-    (lambda x: 1.0 / (1.0 + x * x), 0.5, math.inf, (), 1e-10, 0.0),
-    (np.exp, 2.0, 2.0, (), 1e-10, 0.0),
-    (np.exp, 0.0, 1.0, (), 1e-25, 0.0),
-    (lambda x: np.exp(-x), 0.0, math.inf, (), 1e-25, 0.0),
-    (lambda x: 1e-30 * np.exp(x), -1.0, 1.0, (0.0,), 0.0, 1e-12),
+    (np.exp, 0.0, 1.0, 1e-13),
+    (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 1e-10),
+    (lambda x: np.sin(40.0 * x) / (1.0 + x), 0.0, 7.5, 1e-9),
+    (lambda x: np.exp(-x), 0.0, math.inf, 1e-12),
+    (lambda x: 1.0 / (1.0 + x * x), 0.5, math.inf, 1e-10),
+    (np.exp, 2.0, 2.0, 1e-10),
+    (np.exp, 0.0, 1.0, 1e-25),
+    (lambda x: np.exp(-x), 0.0, math.inf, 1e-25),
+    (lambda x: 1e-30 * np.exp(x), -1.0, 1.0, 1e-42),
 )
 
 
-def _alone(f, a, b, points, tol, rel):
+def _alone(f, a, b, tol):
     try:
-        return quad.integrate_adaptive(f, a, b, tol, points, rel)
+        return quad.integrate_adaptive(f, a, b, tol)
     except NonConvergence as exc:
         return exc
 
@@ -192,8 +180,7 @@ def _batch(cases):
 
     res = quad.integrate_batch(
         f, [c[1] for c in cases], [c[2] for c in cases],
-        [c[4] for c in cases], [c[3] for c in cases],
-        [c[5] for c in cases])
+        [c[3] for c in cases])
     return res, calls
 
 
@@ -219,8 +206,7 @@ def test_batch_member_at_the_cap_keeps_its_partial_alone(monkeypatch):
     # a cap hit stops only its own integral, whose partial matches the
     # single call's, and the rest of the batch is untouched
     monkeypatch.setattr(quad, "SUBDIVISION_CAP", 40)
-    wiggle = (lambda x: np.sin(300.0 * x) / (1.0 + x), 0.0, 30.0, (),
-              1e-12, 0.0)
+    wiggle = (lambda x: np.sin(300.0 * x) / (1.0 + x), 0.0, 30.0, 1e-12)
     cases = [_MIXED[0], wiggle, _MIXED[3], _MIXED[2]]
     res, _ = _batch(cases)
     assert "cap 40" in str(res[1])
@@ -236,11 +222,8 @@ def test_batch_domain_errors_raise_before_any_evaluation():
 
     with pytest.raises(DomainError):
         quad.integrate_batch(f, [0.0, 0.0], [1.0, math.nan], 1e-10)
-    with pytest.raises(DomainError):
-        quad.integrate_batch(f, 0.0, [1.0, math.inf], 1e-10,
-                             [(0.5,), (0.5,)])
-    with pytest.raises(DomainError, match="one sequence per integral"):
-        quad.integrate_batch(f, 0.0, [1.0, 2.0], 1e-10, [(0.5,)])
+    with pytest.raises(DomainError, match="tol must be positive"):
+        quad.integrate_batch(f, 0.0, [1.0, math.inf], [1e-10, 0.0])
 
 
 def test_unattainable_tolerance_keeps_partial():
@@ -301,22 +284,8 @@ def test_additivity_of_panels():
     assert abs(whole.value - (a.value + b.value)) < 1e-12
 
 
-def test_breakpoints_and_relative_budget():
-    # a kink on a breakpoint leaves two polynomial panels; a relative
-    # budget follows the value down to any scale
-    r = quad.integrate_adaptive(lambda x: abs(x - 0.3), 0.0, 1.0,
-                                points=(0.3,))
-    assert r.subdivisions == 2 and abs(r.value - 0.29) < 1e-15
-    r = quad.integrate_adaptive(lambda x: 1e-30 * np.exp(x), 0.0, 1.0,
-                                tol=0.0, rel=1e-12)
-    assert abs(r.value - 1e-30 * (math.e - 1.0)) <= r.abs_error_estimate
-    assert r.abs_error_estimate <= 1e-12 * r.value
-    with pytest.raises(DomainError):
-        quad.integrate_adaptive(np.exp, 0.0, math.inf, points=(1.0,))
-
-
 @given(st.floats(min_value=0.1, max_value=9.0))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 def test_known_gaussian_mass(scale):
     # int_0^inf e^(-(x/s)^2) dx = s sqrt(pi)/2
     r = quad.integrate_adaptive(
