@@ -42,10 +42,8 @@ def _less_linear(v):
     return out
 
 
-# g(v) of each kind; 1 - e^(-v) is 1 in float64 well before v = 800
-_G = (lambda v: np.exp(-v),
-      lambda v: -np.expm1(-np.minimum(v.real, 800.0) - 1j * v.imag),
-      _less_linear)
+# g(v) of each kind
+_G = (lambda v: np.exp(-v), lambda v: -np.expm1(-v), _less_linear)
 
 
 def _rule(q: TwoIndexParams, octave, kind):
@@ -57,7 +55,7 @@ def _rule(q: TwoIndexParams, octave, kind):
     cx, and D's nodes run on until that is e^-40 of D."""
     a, b = q.alpha, q.beta
     ab = a * b
-    w = _WIDTH * 0.5 ** min(max(octave - 4, 0), 6)
+    w = _WIDTH * 0.5 ** (0 if kind else min(max(octave - 4, 0), 6))
     ln_c = octave * math.log(2.0)
     wide = abs(ln_c) + 7.0
     edge = math.log(4.0 * (a + 1.0)) / (2.0 * b)   # where the bounds hold
@@ -103,7 +101,10 @@ def _rule(q: TwoIndexParams, octave, kind):
             / (2.0 * ab - 1.0 - m) for m in range(kind))
 
     weights = hx * slope(u) * (1.0 + 1j * bump * u / (w * w)) * _STEP
-    return np.exp(z), weights, tails
+    # g(cx) = 1 past cx = 800: cap x there so cx cannot overflow (complex
+    # minimum compares real parts first)
+    cap = math.log(2.0e3) - ln_c if kind == 1 else math.inf
+    return np.exp(np.minimum(z, cap)), weights, tails
 
 
 def _trapezoid(q: TwoIndexParams, c, structure):
@@ -116,15 +117,14 @@ def _trapezoid(q: TwoIndexParams, c, structure):
     ab = q.alpha * q.beta
     value, err, nodes = np.empty((3, c.size))
     for key in sorted(set(octave.tolist())):
-        kind = 0 if not structure else (
-            2 if (2.0 * ab - 2.0) * -key * math.log(2.0) > 3.0 else 1)
+        kind = structure and 1 + (
+            ab > 1.0 and (2.0 * ab - 2.0) * -key * math.log(2.0) > 3.0)
         at = np.flatnonzero(octave == key)
         x, f, tails = _rule(q, key, kind)
         rows = max(1, 2 ** 15 // x.size)
         for i in (at[lo:lo + rows] for lo in range(0, at.size, rows)):
             terms = (f * _G[kind](c[i, None] * x)).imag
-            even = terms[:, ::2].sum(axis=1)
-            odd = terms[:, 1::2].sum(axis=1)
+            even, odd = terms[:, ::2].sum(axis=1), terms[:, 1::2].sum(axis=1)
             value[i] = even + odd
             err[i] = (np.abs(odd - even) + tails(c[i])
                       + specfun._ROUND * np.abs(terms).sum(axis=1))

@@ -13,7 +13,7 @@ import pytest
 from tplab import kernels as K
 from tplab import quad
 from tplab.errors import DivergenceWarning, DomainError
-from tplab.kernels import FracOUParams, TwoIndexParams
+from tplab.kernels import FracOUParams, TwoIndexParams, twoindex
 
 
 # --- variance and beta = 1 collapse -----------------------------------------
@@ -312,7 +312,7 @@ def test_increment_variance_matches_the_fou_structure_function(alpha):
     # two cancellation-free routes, down to lags where C(0) - C(t) would
     # keep no digit
     q = TwoIndexParams(alpha, 1.0, 0.8)
-    for t in (1e-12, 1e-6, 1e-3, 0.4, 3.0, 30.0):
+    for t in (1e-12, 1e-6, 1e-3, 0.4, 3.0, 30.0, 1e4):
         ref = 2.0 * float(K.fou.structure_alpha_grid(alpha, 0.8, t))
         got = K.twoindex_increment_var(q, t)
         assert abs(got - ref) <= 1e-13 * ref, t
@@ -326,6 +326,22 @@ def test_increment_variance_at_unit_indices_is_closed_form(lam):
     for t in (1e-300, 1e-100, 1e-9, 1e-2, 1.0, 50.0):
         ref = -math.expm1(-lam * t) / lam
         assert abs(K.twoindex_increment_var(q, t) - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("alpha beta".split(), (
+    (0.9, 0.6), (10.4, 0.05), (2.6, 0.2), (0.52, 1.0), (8.0, 1.0)))
+def test_increment_variance_at_large_lags_is_twice_var_less_cov(alpha,
+                                                                beta):
+    # past lambda t ~ 1 C is small beside the variance, so C(0) - C(t)
+    # cancels nothing there and is a second opinion on D and its estimate
+    q = TwoIndexParams(alpha, beta, 1.0)
+    var = K.twoindex_var(q)
+    for t in (30.0, 1e4):
+        cov = K.twoindex_cov(q, t)
+        (d,), (err,), _ = twoindex._trapezoid(q, np.array([t]), True)
+        assert 2.0 * d == K.twoindex_increment_var(q, t)
+        assert abs(d - (var - cov.value)) <= err + cov.abs_error_estimate
+        assert err <= 1e-9 * d
 
 
 def test_increment_variance_consistent_with_cov():
