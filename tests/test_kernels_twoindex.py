@@ -159,10 +159,14 @@ def test_cov_refuses_lags_below_its_floor():
         K.twoindex_cov(TwoIndexParams(0.9, 0.6, 1.0), 1e-310)
 
 
-def test_cov_on_arrays_equals_its_scalar_calls_bitwise():
-    # each lag takes its own octave's nodes and sums its own row
+@pytest.mark.parametrize("far", (None, 1e-12))
+def test_cov_on_arrays_equals_its_scalar_calls_bitwise(far):
+    # each lag takes its own octave's nodes and sums its own row, also
+    # beside a lag from a far octave
     q = TwoIndexParams(1.2, 0.8, 1.0)
     taus = np.array([[0.0, 0.01, -0.3], [1.02, 40.0, 746.0]])
+    if far is not None:
+        taus = np.concatenate((taus, [[far, -far, 3.0]]))
     r = K.twoindex_cov(q, taus)
     assert r.value.shape == r.subdivisions.shape == taus.shape
     for i in np.ndindex(taus.shape):
