@@ -24,17 +24,28 @@ from .params import FracOUParams, TwoIndexParams
 # Weideman, SIAM Review 56, 2014) in s = asinh(u/w) + (W/_CAP) asinh(u/W),
 # u = log x: a step in u of _STEP w at x = 1, _STEP _CAP out to |u| = W,
 # past e^(-cx)'s fall, geometric beyond.  The path dips _DIP w below x = 1,
-# where h's base vanishes as b -> 1, in a Gaussian of width w, which halves
-# per octave of c from 16 to 1024 so that e^(-cx) grows at most e^8 on it.
+# where h's base vanishes as b -> 1, in a Gaussian of width w <= _WIDTH,
+# wide enough that h ~ (1 - x^2)^(-a) stays small on it up to a ~ 20.  Its
+# nodes left of x = 1 see e^(-cx) up to e^(2cw) times e^(-c), the size of
+# C as b -> 1, so w also stays below max(_GROW, a/2) / 2^octave, through
+# octave _LAST.
 _STEP = 0.07
 _CAP = 2.0
-_WIDTH = 0.25
+_WIDTH = 1.3
 _DIP = 0.7
+_GROW = 1.0
+_LAST = 10
+# an estimate above _TOL_C of |C| or _TOL_D of D raises AccuracyError; a
+# subnormal value is held to the least normal float instead
+_TOL_C = 1e-7
+_TOL_D = 1e-10
+_TINY = np.finfo(float).tiny
 
 
 def _less_linear(v):
-    """1 - e^(-v) - v; for |v| < 1/2 as -v^2 sum_j (-v)^j / (j+2)!."""
-    out, small = -(np.expm1(-v) + v), np.abs(v) < 0.5
+    """1 - e^(-v), less v where |v| < 1/2, there as -v^2 sum_j (-v)^j /
+    (j+2)!; the caller takes v off the rest through its f x weights."""
+    out, small = -np.expm1(-v), np.abs(v) < 0.5
     w, acc = -v[small], 0.0
     for j in range(17, -1, -1):
         acc = acc * w + 1.0 / math.factorial(j + 2)
@@ -47,22 +58,24 @@ _G = (lambda v: np.exp(-v), lambda v: -np.expm1(-v), _less_linear)
 
 
 def _rule(q: TwoIndexParams, octave, kind):
-    """Nodes x_k from an even k, weights h(x_k) x'(s_k) _STEP and the
-    tail bound in c, for c = lambda tau in [2^(octave-1), 2^octave) and
-    g(cx) = e^(-cx), 1 - e^(-cx) or 1 - e^(-cx) - cx (kind 0, 1, 2).
-    Before x_0, |Im h| <= 2a |sin(pi b)| x^(2b), |g| <= (cx)^kind /
-    kind!; past X, e^(-cx) <= e^-800, |Im h| <= 2 x^(-2ab), |g| <= 1 +
-    cx, and D's nodes run on until that is e^-40 of D."""
+    """Nodes x_k from an even k, weights f = h(x_k) x'(s_k) _STEP and f
+    x_k, the size of the exponents each term goes through, and the tail
+    bound in c, for c = lambda tau in [2^(octave-1), 2^octave) and g(cx)
+    = e^(-cx), 1 - e^(-cx) or 1 - e^(-cx) - cx (kind 0, 1, 2).  Before
+    x_0, |Im h| <= 2a |sin(pi b)| x^(2b), |g| <= (cx)^kind / kind!; past
+    X, e^(-cx) <= e^-800, |Im h| <= 2 x^(-2ab), |g| <= 1 + cx, and D's
+    nodes run on until that is e^-40 of D."""
     a, b = q.alpha, q.beta
     ab = a * b
-    w = _WIDTH * 0.5 ** (0 if kind else min(max(octave - 4, 0), 6))
+    w = _WIDTH if kind else min(
+        _WIDTH, max(_GROW, 0.5 * a) * 0.5 ** min(octave, _LAST))
     ln_c = octave * math.log(2.0)
     wide = abs(ln_c) + 7.0
     edge = math.log(4.0 * (a + 1.0)) / (2.0 * b)   # where the bounds hold
     u_lo = min(0.0, -ln_c) - max(38.0 / (2.0 * b + 1.0), edge)
     u_hi = math.log(1600.0) - ln_c
     if kind:
-        u_hi = min(max(u_hi, edge) + 40.0 / (2.0 * ab - kind), 700.0)
+        u_hi = max(u_hi, edge) + 40.0 / (2.0 * ab - kind)
 
     def s_of(u):
         return np.arcsinh(u / w) + wide / _CAP * np.arcsinh(u / wide)
@@ -85,12 +98,16 @@ def _rule(q: TwoIndexParams, octave, kind):
     # e^(i pi b) from the exact 1 - b: Im stays accurate as b -> 1, +0 at 1
     d = math.pi * (1.0 - b)
     rot = complex(-math.cos(d), math.sin(d))
-    # h x, past x = 1 as x^(1-2ab) (x^(-2b) + e^(i pi b))^(-a): no overflow
-    hx = np.empty_like(z)
+    # h x and, for kind 2 (ab > 1), h x^2; past x = 1 as x^(1-2ab) and
+    # x^(2-2ab) times (x^(-2b) + e^(i pi b))^(-a): no overflow
+    hx, hxx = np.zeros((2, z.size), complex)
     near, far = z[u <= 0.0], z[u > 0.0]
     hx[u <= 0.0] = (1.0 + np.exp(2.0 * b * near) * rot) ** -a * np.exp(near)
-    hx[u > 0.0] = (np.exp((1.0 - 2.0 * ab) * far)
-                   * (np.exp(-2.0 * b * far) + rot) ** -a)
+    base = (np.exp(-2.0 * b * far) + rot) ** -a
+    hx[u > 0.0] = np.exp((1.0 - 2.0 * ab) * far) * base
+    if kind == 2:
+        hxx[u <= 0.0] = hx[u <= 0.0] * np.exp(near)
+        hxx[u > 0.0] = np.exp((2.0 - 2.0 * ab) * far) * base
     x0 = math.exp(u_lo)
     left = (2.0 * a * abs(math.sin(d)) * x0 ** (2.0 * b + 1.0)
             / (2.0 * b + 1.0) / math.factorial(kind))
@@ -100,11 +117,14 @@ def _rule(q: TwoIndexParams, octave, kind):
             2.0 * c ** m * math.exp((1.0 + m - 2.0 * ab) * u_hi)
             / (2.0 * ab - 1.0 - m) for m in range(kind))
 
-    weights = hx * slope(u) * (1.0 + 1j * bump * u / (w * w)) * _STEP
-    # g(cx) = 1 past cx = 800: cap x there so cx cannot overflow (complex
-    # minimum compares real parts first)
-    cap = math.log(2.0e3) - ln_c if kind == 1 else math.inf
-    return np.exp(np.minimum(z, cap)), weights, tails
+    dx = slope(u) * (1.0 + 1j * bump * u / (w * w)) * _STEP
+    # 1 - e^(-cx) = 1 past cx = 800: cap x there so cx cannot overflow
+    # (complex minimum compares real parts first)
+    cap = math.log(2.0e3) - ln_c if kind else math.inf
+    # h's x^(1-2ab) carries eps (1-2ab) u, x = e^u eps u, relative to
+    # e^(-cx) eps (1 + u) cx, and to 1 - e^(-cx) that times the ratio
+    spread = (abs(1.0 - 2.0 * ab) * np.abs(u), 1.0 + np.abs(u))
+    return np.exp(np.minimum(z, cap)), hx * dx, hxx * dx, spread, tails
 
 
 def _trapezoid(q: TwoIndexParams, c, structure):
@@ -120,14 +140,20 @@ def _trapezoid(q: TwoIndexParams, c, structure):
         kind = structure and 1 + (
             ab > 1.0 and (2.0 * ab - 2.0) * -key * math.log(2.0) > 3.0)
         at = np.flatnonzero(octave == key)
-        x, f, tails = _rule(q, key, kind)
+        x, f, fx, spread, tails = _rule(q, key, kind)
         rows = max(1, 2 ** 15 // x.size)
         for i in (at[lo:lo + rows] for lo in range(0, at.size, rows)):
-            terms = (f * _G[kind](c[i, None] * x)).imag
-            even, odd = terms[:, ::2].sum(axis=1), terms[:, 1::2].sum(axis=1)
-            value[i] = even + odd
-            err[i] = (np.abs(odd - even) + tails(c[i])
-                      + specfun._ROUND * np.abs(terms).sum(axis=1))
+            v = c[i, None] * x
+            terms = f * _G[kind](v)
+            if kind == 2:
+                # v f from c f x, which stays finite where x is capped
+                terms -= np.where(np.abs(v) < 0.5, 0.0, c[i, None] * fx)
+            r = np.abs(v) + _TINY
+            if kind:
+                r = r * np.exp(-r) / -np.expm1(-r)
+            value[i], err[i] = specfun.row_sums(
+                terms.imag, spread[0] + spread[1] * r)
+            err[i] += tails(c[i])
         nodes[at] = x.size
     scale = q.lam ** (1.0 - 2.0 * ab) / math.pi
     return -scale * value, scale * err, nodes
@@ -160,6 +186,17 @@ def twoindex_var(q: TwoIndexParams):
             * q.lam ** (1.0 - 2.0 * q.alpha * q.beta))
 
 
+def _lags(fn, q: TwoIndexParams, tau):
+    """The shape of tau, tau as a 1d array and c = lambda |tau|; a lag
+    that is not finite, or 0 < c < 1e-300, is a DomainError."""
+    shape, (tau,) = specfun.flat_args(tau)
+    specfun.require(fn, "tau", tau)
+    c = q.lam * np.abs(tau)
+    specfun.require(fn, "lambda*|tau|", c, (c == 0.0) | (c >= 1e-300),
+                    " of 0 or >= 1e-300")
+    return shape, tau, c
+
+
 def twoindex_cov(q: TwoIndexParams, tau):
     """Covariance (1/pi) int_0^inf (k^(2b) + lambda^(2b))^(-a) cos(k tau)
     dk, a Laplace integral on k = i lambda x; with c = lambda tau
@@ -169,20 +206,19 @@ def twoindex_cov(q: TwoIndexParams, tau):
 
     A lag is a weighted sum of e^(-c x_k) over fixed nodes below the axis
     at x = 1, the fOU branch point at b = 1 (see _rule).  The estimate is
-    |T_h - T_2h|, plus 16 ulps of the terms' magnitudes, plus tail
-    bounds.  tau = 0 gives the variance; 0 < lambda |tau| < 1e-300 is a
-    DomainError.  An array tau gives arrays of its shape, each lag's
-    value, estimate and node count (subdivisions) what it gets alone.
+    |T_h - T_2h|, plus the terms' rounding (specfun.row_sums), plus tail
+    bounds, which past _TOL_C of |C| is an AccuracyError.  tau = 0
+    gives the variance; 0 < lambda |tau| < 1e-300 is a DomainError.
+    An array tau gives arrays of its shape, each lag's value, estimate
+    and node count (subdivisions) what it gets alone.
     """
-    shape, (tau,) = specfun.flat_args(tau)
-    specfun.require("twoindex_cov", "tau", tau)
-    c = q.lam * np.abs(tau)
-    specfun.require("twoindex_cov", "lambda*|tau|", c,
-                    (c == 0.0) | (c >= 1e-300), " of 0 or >= 1e-300")
+    shape, tau, c = _lags("twoindex_cov", q, tau)
     var = twoindex_var(q)
     out = np.array([[var], [abs(var) * 1e-15], [0.0]]).repeat(c.size, 1)
     out[:, c > 0.0] = _trapezoid(q, c[c > 0.0], False)
     value, err, nodes = out[0], out[1], out[2].astype(int)
+    specfun.check_estimate("twoindex_cov", err, np.maximum(
+        _TOL_C * np.abs(value), _TINY), tau=tau)
     if not shape:
         return quad.QuadResult(float(value[0]), float(err[0]), int(nodes[0]))
     return quad.QuadResult(*(v.reshape(shape) for v in (value, err, nodes)))
@@ -257,6 +293,12 @@ def twoindex_smalltime_incvar(q: TwoIndexParams, t=0.0):
 
 def twoindex_increment_var(q: TwoIndexParams, t):
     """Increment variance 2 D(t), D(t) = C(0) - C(t) with nothing
-    subtracted: twoindex_cov's nodes with -expm1(-cx) for e^(-cx)."""
-    c = q.lam * abs(float(t))
-    return 2.0 * float(_trapezoid(q, np.array([c]), True)[0][0]) if c else 0.0
+    subtracted: twoindex_cov's nodes with -expm1(-cx) for e^(-cx).  t
+    takes twoindex_cov's lags, arrays elementwise; an estimate past
+    _TOL_D of D is an AccuracyError."""
+    shape, t, c = _lags("twoindex_increment_var", q, t)
+    d, err = np.zeros((2, c.size))
+    d[c > 0.0], err[c > 0.0], _ = _trapezoid(q, c[c > 0.0], True)
+    specfun.check_estimate("twoindex_increment_var", err, np.maximum(
+        _TOL_D * d, _TINY), t=t)
+    return specfun.shaped(shape, 2.0 * d)

@@ -18,19 +18,26 @@ Public entry points:
         the zeros of cos(k tau); the alternating sequence of partial sums
         is accelerated with a repeated-averaging (Euler transform) table.
 
-For large tau the lobe sum of a tempered amplitude cancels; a tolerance
-below its rounding floor raises NonConvergence with the partial.  The
-kernels sum such transforms, rotated onto the imaginary axis, by fixed
-trapezoid rules; this engine serves only the lobe sum, which tests hold
-them against, and the validation oracle, so neither shares their rules.
+Tempered amplitudes make I(tau) exponentially small in tau while the
+individual lobe integrals stay polynomially large, so for large tau the
+lobe sum cancels; a tolerance below its rounding floor raises
+NonConvergence with the partial.  No kernel calls it: the kernels use
+closed forms or rotate such transforms onto the imaginary axis, where
+they are Laplace integrals, and the lobe sum is the independent
+reference that tests hold them against.  The kernels sum those Laplace
+integrals by fixed trapezoid rules, so the adaptive engine serves only
+the lobe sum and the validation oracle.
 
-Integrands take a 1-d float64 array of nodes (batch integrands also an
-integer array k naming each node's integral) and return their values
-there.  Each round every unfinished integral bisects its worst panel and
-all the halves are evaluated in one call.  Each integral keeps its own
-panel sums, rounding floor, heap order, failure tests and cap: when f at
-a node depends on (x, k) alone, its result is bitwise what it gets
-alone, whatever else shares its batch.
+Integrands take a 1-d float64 array of nodes, batch integrands also an
+integer array k naming each node's integral, and return their values
+there as an array of the same shape.  Each round, every unfinished
+integral bisects its worst panel, and all the halves (or all initial
+panels) are evaluated in one call, so a numpy integrand pays the
+interpreter once per round, not per node or per integral.  Each integral
+keeps its own panel sums (array reductions in an order fixed per panel),
+rounding floor, settled panels, heap order and tie-breaks, failure tests
+and cap: when f at a node depends on (x, k) alone, its result is bitwise
+what it gets alone, whatever else shares its batch.
 
 All routines are pure, reentrant and float64 throughout.
 """
@@ -77,9 +84,12 @@ def _rule_pairs(f, lo, hi, k):
 
     The indicator is |15pt - 7pt|, raised to the panel's rounding floor
     ROUNDING_FLOOR * h * sum |w_i f(x_i)|; the flag says it sits there,
-    where bisecting cannot lower it.  Each sum reduces the panel's own
-    row, so its bits do not depend on the other panels; in any order it
-    is within 15 u sum |w_i f(x_i)| (u = eps/2), 15 % of the floor.
+    where bisecting the panel cannot lower it.  Each sum is a numpy
+    reduction along the panel's own contiguous row of terms, whose order
+    is fixed by the row length, so a panel's bits do not depend on the
+    other panels.  In any order, 15 terms sum to within 14 u sum |w_i
+    f(x_i)| (u = eps/2), and the product by h adds u more: 15 % of the
+    floor, so the indicator still never claims what float64 cannot give.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     h = 0.5 * (hi - lo)
@@ -152,10 +162,12 @@ def _bisect(edges, tol, cap):
 def _to_inf(a, tol, cap):
     """[a, inf) by doubling panels with geometric tail extrapolation, as
     a generator like _bisect, whose runs on the panels it delegates to.
+
     Stops when the extrapolated remainder (ratio of the last two panel
     integrals, assumed to keep contracting) drops below tol/2.  A panel
-    that misses its share of tol contributes its partial and the
-    extension goes on, so a NonConvergence covers the whole half-line.
+    that cannot meet its share of tol contributes its partial and the
+    extension goes on, so the NonConvergence finally raised carries a
+    partial over the whole half-line.
     """
     k0 = max(1.0, abs(a) + 1.0)
     vals, errs = [], []
@@ -253,18 +265,26 @@ def integrate_batch(f, a, b, tol=1e-10):
 
 
 def integrate_adaptive(f, a, b, tol=1e-10):
-    """Integrate f over [a, b], a finite and a <= b <= math.inf; the
-    one-integral case of integrate_batch.
+    """Integrate f over [a, b], a finite and a <= b <= math.inf.
 
-    f maps an array of nodes to its values there and must be finite on
-    the open interval; the open rules tolerate integrable endpoint
-    singularities.  Limits outside that contract, NaN included, raise
-    DomainError.  For b = inf the tail is extrapolated from two doubling
-    panels, which assumes it keeps one sign.  abs_error_estimate is never
-    below the panels' rounding floor, ROUNDING_FLOOR * int |f| in effect.
-    NonConvergence, with a .partial over all of [a, b], is raised at the
-    subdivision cap, or once the panels at their floor alone exceed tol
-    and the others add at most as much again.
+    f maps an array of nodes to its values there (see the module
+    docstring).  It must be finite on the open interval; integrable
+    endpoint singularities are tolerated because the rules are open, but
+    the caller is responsible for substituting away anything stronger.
+    Limits outside that contract, NaN included, raise DomainError.
+
+    For b = inf the tail is extrapolated from two doubling panels, which
+    assumes it keeps one sign.
+
+    abs_error_estimate is never below the rounding floor of the panels,
+    ROUNDING_FLOOR * int |f| in effect.  Raises NonConvergence, with a
+    .partial over the whole of [a, b], when the subdivision cap is hit
+    or when tol lies below that floor (float64 cannot certify it).  The
+    second case gives up as soon as the panels at their floor alone
+    exceed tol and the others add at most as much again, far short of
+    the cap.
+
+    This is integrate_batch with one integral.
     """
     r, = integrate_batch(lambda x, k: f(x), a, b, tol)
     if isinstance(r, NonConvergence):

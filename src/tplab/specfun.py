@@ -283,6 +283,17 @@ def _recur_done(i, n, mu, x, lo, hi, elo, ehi):
     return n <= i
 
 
+def check_estimate(fn, err, bound, **args):
+    """AccuracyError at the first element whose estimate err is not within
+    bound, a NaN estimate included; args name its arguments, 1d each."""
+    bad = ~(err <= bound)
+    if bad.any():
+        i = bad.argmax()
+        raise AccuracyError("%s(%s) error estimate %g above contract %g" % (
+            fn, ", ".join("%s=%g" % (k, np.ravel(v)[i])
+                          for k, v in args.items()), err[i], bound[i]))
+
+
 def _check_box(nonpositive, inside):
     # inside is false for a NaN, so no NaN value or estimate escapes
     if nonpositive:
@@ -391,13 +402,8 @@ def besselk_grid(nu, x):
     nu_b, x_b = np.broadcast_arrays(np.asarray(nu, float),
                                     np.asarray(x, float))
     value, err = _besselk_array(nu_b.ravel(), x_b.ravel())
-    bound = TOL_BOX * np.maximum(1.0, np.abs(value))
-    if np.any(err > bound):
-        worst = int(np.argmax(err - bound))
-        raise AccuracyError(
-            "bessel_k error estimate %g exceeds %g at nu=%g x=%g"
-            % (err[worst], bound[worst], nu_b.ravel()[worst],
-               x_b.ravel()[worst]))
+    check_estimate("bessel_k", err, TOL_BOX * np.maximum(1.0, np.abs(value)),
+                   nu=nu_b.ravel(), x=x_b.ravel())
     return value.reshape(nu_b.shape)
 
 
@@ -408,11 +414,9 @@ def bessel_k(nu, x):
     |nu| is used.  Returns SpecFunResult.
     """
     value, err = _besselk_array([nu], [x])
-    v, e = float(value[0]), float(err[0])
-    if e > TOL_BOX * max(1.0, abs(v)):
-        raise AccuracyError(
-            "bessel_k(%g, %g) error estimate %g above contract" % (nu, x, e))
-    return SpecFunResult(v, e)
+    check_estimate("bessel_k", err, TOL_BOX * np.maximum(1.0, np.abs(value)),
+                   nu=[nu], x=[x])
+    return SpecFunResult(float(value[0]), float(err[0]))
 
 
 # --- Kummer U and Whittaker W -------------------------------------------
@@ -436,6 +440,19 @@ def each(fn, *args):
     return np.array([fn(*v) for v in zip(*(x.tolist() for x in args))])
 
 
+def row_sums(terms, spread=0.0):
+    """Trapezoid sums T_h along the rows of terms, whose first column is
+    an even node, and the estimates |T_h - T_2h| (T_2h is twice the even
+    columns) plus the rounding of each term, _ROUND and eps times spread
+    (the exponents it was computed through) of its magnitude; the caller
+    adds its tails.  Each row is summed alone, so its results depend on
+    it only.
+    """
+    even, odd = terms[:, ::2].sum(axis=1), terms[:, 1::2].sum(axis=1)
+    rounding = (_ROUND + _EPS * spread) * np.abs(terms)
+    return even + odd, np.abs(odd - even) + rounding.sum(axis=1)
+
+
 def require(fn, name, x, ok=True, need=""):
     """DomainError, naming the argument, at the first element of the
     array x that is not finite or where ok is False."""
@@ -448,9 +465,11 @@ def require(fn, name, x, ok=True, need=""):
 # Kummer U's step in s on t = T e^(s - e^-s) halves until a step in log t
 # at the peak of the integrand f, or at t = 1, is _KU_RES over the root of
 # the curvature of log f there.  Against 30-digit mpmath over a in [0.005,
-# 100], b in [-50, 30], z in [1e-300, 1e8], U is within 2e-14.
+# 100], b in [-50, 30], z in [1e-300, 1e8], U is within 2e-14; no row
+# there is longer than 113,072 nodes, a bit under half of _KU_ROW_MAX.
 _KU_STEP = 0.1
 _KU_RES = 0.27
+_KU_ROW_MAX = 2 ** 18
 
 
 def kummer_u(a, b, z):
@@ -462,8 +481,11 @@ def kummer_u(a, b, z):
     linear in s past T, so the cut at t ~ 1/z and the t^(b-1) plateau
     before it are resolved at any z.  A row ends where zt = 800 + 8
     max(b - 1, 0) and starts where the left tail is e^-50 of z^-a or 1;
-    lengths are padded to multiples of 16.  Each value and estimate
-    depend on the element's own (a, b, z).  Arrays broadcast.
+    lengths are padded to multiples of 16.  An element whose row would
+    pass _KU_ROW_MAX nodes (a |b| or a/z far outside the box above)
+    raises AccuracyError before any row is built, Gamma(a) past float64
+    DomainError.  Each value and estimate depend on the element's own
+    (a, b, z).  Arrays broadcast.
     """
     shape, (a, b, z) = flat_args(a, b, z)
     require("kummer_u", "a", a, a > 0.0, " > 0")
@@ -485,9 +507,16 @@ def kummer_u(a, b, z):
             + np.maximum(0.0, b - a - 1.0) * math.log(2.0)) / a
     k_hi = np.ceil((np.log(800.0 + 8.0 * np.maximum(0.0, b - 1.0))
                     - np.log(z) - log_t) / h)
-    n = (16.0 * np.ceil((k_hi + 1.0 + np.ceil(
-        np.log(np.maximum(need, 1.0)) / h)) / 16.0)).astype(int)
+    n = 16.0 * np.ceil((k_hi + 1.0 + np.ceil(
+        np.log(np.maximum(need, 1.0)) / h)) / 16.0)
+    if not (n <= _KU_ROW_MAX).all():
+        i = (~(n <= _KU_ROW_MAX)).argmax()
+        raise AccuracyError(
+            "kummer_u(%g, %g, %g) needs %g nodes, above the %d of a row"
+            % (a[i], b[i], z[i], n[i], _KU_ROW_MAX))
+    n = n.astype(int)
     k_hi += k_hi % 2.0 == 0.0        # the first node, k_hi - n + 1, even
+    pref = 1.0 / each(gamma_fn, a)
     value, err = np.empty((2, a.size))
     for length in sorted(set(n.tolist())):
         at = np.flatnonzero(n == length)
@@ -500,22 +529,14 @@ def kummer_u(a, b, z):
             t = np.exp(u)
             au, lp, zt = ai * u, (bi - ai - 1.0) * np.log1p(t), zi * t
             f = np.exp(au + lp - zt) * (1.0 + e) * hi
-            # |T_h - T_2h| (the first k is even), the rounding of each term,
-            # and the left tail, at most t^a max(1, 2^(b-a-1)) / a
-            even, odd = f[:, ::2].sum(axis=1), f[:, 1::2].sum(axis=1)
-            value[i] = even + odd
-            err[i] = np.abs(odd - even) + (f * (_ROUND + _EPS * (
-                np.abs(au) + np.abs(lp) + zt))).sum(axis=1) + (np.exp(
-                    au + np.maximum(0.0, bi - ai - 1.0) * math.log(2.0))
-                    / ai)[:, 0]
-    pref = 1.0 / each(math.gamma, a)
+            # the rounding of each term, and the left tail, at most t^a
+            # max(1, 2^(b-a-1)) / a
+            value[i], err[i] = row_sums(f, np.abs(au) + np.abs(lp) + zt)
+            err[i] += (np.exp(au + np.maximum(0.0, bi - ai - 1.0)
+                              * math.log(2.0)) / ai)[:, 0]
     value, err = pref * value, pref * err
-    over = err > TOL_BOX * np.maximum(1.0, np.abs(value))
-    if over.any():
-        i = over.argmax()
-        raise AccuracyError(
-            "kummer_u(%g, %g, %g) error estimate %g above contract"
-            % (a[i], b[i], z[i], err[i]))
+    check_estimate("kummer_u", err, TOL_BOX * np.maximum(1.0, np.abs(value)),
+                   a=a, b=b, z=z)
     return SpecFunResult(shaped(shape, value), shaped(shape, err))
 
 

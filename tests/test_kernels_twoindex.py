@@ -12,7 +12,7 @@ import pytest
 
 from tplab import kernels as K
 from tplab import quad
-from tplab.errors import DivergenceWarning, DomainError
+from tplab.errors import AccuracyError, DivergenceWarning, DomainError
 from tplab.kernels import FracOUParams, TwoIndexParams, twoindex
 
 
@@ -201,6 +201,30 @@ def test_cov_refuses_non_finite_lags_by_name():
         K.twoindex_cov(TwoIndexParams(0.9, 0.6, 1.0), [1.0, math.nan])
 
 
+# C at beta = 1, lambda = 1 past the Bessel box of fou_cov, from 40-digit
+# mpmath: (tau/2)^nu K_nu(tau) / (sqrt(pi) Gamma(alpha)), nu = alpha - 1/2.
+# h ~ (1 - x^2)^(-alpha) stays small only on a path that keeps well clear
+# of x = 1
+_LARGE_ALPHA_CELLS = [
+    (8.0, 0.01, 0.10473592529388428), (8.0, 3.0, 0.074830630547993719),
+    (12.0, 0.01, 0.084093847322727442), (12.0, 1.0, 0.082117897421246041),
+    (20.0, 0.01, 0.064292573435821609), (20.0, 3.0, 0.056953912310326066)]
+
+
+@pytest.mark.parametrize("alpha tau ref".split(), _LARGE_ALPHA_CELLS)
+def test_cov_at_large_alpha_matches_pinned_values(alpha, tau, ref):
+    r = K.twoindex_cov(TwoIndexParams(alpha, 1.0, 1.0), tau)
+    assert abs(r.value - ref) <= r.abs_error_estimate <= 1e-13 * ref
+
+
+def test_cov_raises_where_its_estimate_misses_the_contract():
+    # alpha = 20, beta = 1 at lambda tau = 300: C ~ 1e-113, while the dip,
+    # narrowed so that e^(-cx) stays near e^(-c) on it, passes next to
+    # the order-20 branch point of h
+    with pytest.raises(AccuracyError, match="twoindex_cov\\(tau=300\\)"):
+        K.twoindex_cov(TwoIndexParams(20.0, 1.0, 1.0), [1.0, 300.0])
+
+
 # --- spectral densities ------------------------------------------------------
 
 def test_spectral_y_even_and_positive():
@@ -325,11 +349,53 @@ def test_increment_variance_matches_the_fou_structure_function(alpha):
 @pytest.mark.parametrize("lam", (0.3, 1.0, 4.0))
 def test_increment_variance_at_unit_indices_is_closed_form(lam):
     # alpha = beta = 1: C(t) = e^(-lambda t) / (2 lambda), so the
-    # increment variance is -expm1(-lambda t) / lambda at every scale
+    # increment variance is -expm1(-lambda t) / lambda at every scale down
+    # to the lag floor lambda t >= 1e-300
     q = TwoIndexParams(1.0, 1.0, lam)
-    for t in (1e-300, 1e-100, 1e-9, 1e-2, 1.0, 50.0):
+    for t in (4e-300, 1e-100, 1e-9, 1e-2, 1.0, 50.0):
         ref = -math.expm1(-lam * t) / lam
         assert abs(K.twoindex_increment_var(q, t) - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("alpha", (0.5005, 0.505, 0.51))
+def test_increment_variance_near_the_finite_variance_edge(alpha):
+    # alpha beta -> 1/2: h's x^(-2 alpha) tail decays over 40 / (2 alpha
+    # - 1) e-folds of x, far past x = e^700; the nodes follow it there
+    q = TwoIndexParams(alpha, 1.0, 0.8)
+    for t in (1e-12, 1e-3, 1.0, 30.0, 1e4):
+        ref = 2.0 * float(K.fou.structure_alpha_grid(alpha, 0.8, t))
+        got = K.twoindex_increment_var(q, t)
+        assert abs(got - ref) <= 1e-14 * ref, t
+
+
+@pytest.mark.parametrize("alpha", (1.01, 1.05))
+def test_increment_variance_just_above_unit_product_at_tiny_lags(alpha):
+    # alpha beta a little above 1 at lambda t <= 1e-100: D less its linear
+    # part, whose tail x^(2 - 2 alpha beta) runs past x = e^700, where cx
+    # is taken from the weights times x so that nothing overflows
+    q = TwoIndexParams(alpha, 1.0, 1.0)
+    for t in (1e-280, 1e-200, 1e-100):
+        ref = 2.0 * float(K.fou.structure_alpha_grid(alpha, 1.0, t))
+        got = K.twoindex_increment_var(q, t)
+        assert abs(got - ref) <= 1e-13 * ref, t
+
+
+def test_increment_variance_on_arrays_equals_its_scalar_calls():
+    q = TwoIndexParams(0.9, 0.6, 1.0)
+    ts = np.array([[0.0, 1e-8, -0.3], [2.0, 40.0, 1e4]])
+    got = K.twoindex_increment_var(q, ts)
+    assert got.shape == ts.shape
+    for i in np.ndindex(ts.shape):
+        assert got[i] == K.twoindex_increment_var(q, ts[i])
+    assert K.twoindex_increment_var(q, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("t, match", ((math.nan, "finite tau"),
+                                      (math.inf, "finite tau"),
+                                      (1e-310, "lambda\\*\\|tau\\|")))
+def test_increment_variance_refuses_what_cov_refuses(t, match):
+    with pytest.raises(DomainError, match="twoindex_increment_var.*" + match):
+        K.twoindex_increment_var(TwoIndexParams(0.9, 0.6, 1.0), t)
 
 
 @pytest.mark.parametrize("alpha beta".split(), (

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tplab import quad, specfun
-from tplab.errors import DomainError, PoleError
+from tplab.errors import AccuracyError, DomainError, PoleError
 
 # pinned offline at 30 significant digits
 BESSELK_PINNED = (
@@ -381,6 +381,21 @@ def test_kummer_is_bitwise_the_same_in_any_batch():
     for lo in range(0, 300, 41):
         part = specfun.kummer_u(a[lo:lo + 41], b[lo:lo + 41], z[lo:lo + 41])
         assert np.array_equal(part.value, whole.value[lo:lo + 41])
+
+
+@pytest.mark.parametrize("b", (1e12, -1e12))
+def test_kummer_refuses_rows_past_the_cap_before_building_them(b):
+    # |b| = 1e12 would take a row of 6e8 nodes, gigabytes a working array:
+    # the row length is checked before any row is allocated
+    start = time.perf_counter()
+    with pytest.raises(AccuracyError, match="nodes, above the"):
+        specfun.kummer_u([1.0, 0.5], [1.5, b], 1.0)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_kummer_gamma_overflow_is_a_domain_error():
+    with pytest.raises(DomainError, match="gamma"):
+        specfun.kummer_u(1000.0, 1.5, 1.0)
 
 
 @pytest.mark.parametrize("a z".split(), ((0.0, 1.0), (-0.5, 1.0),
