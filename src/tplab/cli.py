@@ -236,9 +236,9 @@ def _figure1_rows(rc):
     argument: s=0.5, lambda=0.5, alpha = H + 1/2 with H = 0.75."""
     p = FracOUParams(1.25, 0.5)
     s = 0.5
-    rows = []
-    for t in np.linspace(0.0, 10.0, 201):
-        rows.append((float(t), K.fou_cov(p, t - s), K.tfbm_cov(p, t, s)))
+    t = np.linspace(0.0, 10.0, 201)
+    rows = zip(t.tolist(), K.fou_cov(p, t - s).tolist(),
+               K.tfbm_cov(p, t, s).tolist())
     return ("t", "fou", "tfbm"), rows
 
 

@@ -179,9 +179,18 @@ def twoindex_spectral(q: TwoIndexParams, k, variant="Y"):
 
 def twoindex_var(q: TwoIndexParams):
     """Gamma(1/(2 beta)) Gamma(alpha - 1/(2 beta)) / (2 pi beta
-    Gamma(alpha)) * lambda^(1 - 2 alpha beta)."""
+    Gamma(alpha)) * lambda^(1 - 2 alpha beta).
+
+    alpha - 1/(2 beta) is formed exactly, as the ratio of integers
+    (2 a_n b_n - a_d b_d) / (2 a_d b_n) with alpha = a_n/a_d and beta =
+    b_n/b_d, and rounded once by int division: near alpha beta = 1/2,
+    rounding 1/(2 beta) first would be magnified by 1/(2 alpha beta - 1)
+    at Gamma's pole."""
     inv2b = 0.5 / q.beta
-    return (math.gamma(inv2b) * math.gamma(q.alpha - inv2b)
+    an, ad = q.alpha.as_integer_ratio()
+    bn, bd = q.beta.as_integer_ratio()
+    return (math.gamma(inv2b) * math.gamma((2 * an * bn - ad * bd)
+                                           / (2 * ad * bn))
             / (2.0 * math.pi * q.beta * math.gamma(q.alpha))
             * q.lam ** (1.0 - 2.0 * q.alpha * q.beta))
 

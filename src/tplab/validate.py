@@ -13,8 +13,9 @@ Routes used as the second opinion, named in each record's provenance:
   * "closed-form vs quadrature oracle": kernel evaluated both from its
     Bessel/Gamma closed form and by integrating its spectral density,
     with the cosine transform rotated onto the branch cut of S(k) so
-    that it becomes a positive Laplace-type integral (no cancellation,
-    no extended precision; see _fou_cov_by_quadrature);
+    that it becomes a positive Laplace-type integral, smooth at its
+    endpoint after v = u^4 (no cancellation, no extended precision, no
+    Bessel function; see _fou_cov_by_quadrature);
   * "analytic identity": relations (scaling, duplication, reductions)
     that hold exactly in real arithmetic;
   * "dual special-function route": the same kernel through two distinct
@@ -167,22 +168,26 @@ def _fou_cov_by_quadrature(ps, taus, tols):
                  (tau/u + 1/u^2) (u^2 - lam^2)^(1 - alpha) du,
 
     sinc(x) = sin(pi x)/(pi x); at alpha = 1 this is e^(-lam tau)/(2 lam)
-    exactly.  With u = lam + v/tau and x = lam tau,
+    exactly.  With u = lam + v/tau, x = lam tau and then v = u^4
+    (a new u), w = x + u^4,
 
         C(tau) = 1/2 sinc(1 - alpha) e^(-x) tau^(2 alpha - 1)
-                 int_0^inf e^(-v) (v (2x + v))^(1 - alpha)
-                 (1/(x + v) + 1/(x + v)^2) dv,
+                 int_0^inf 4 u^(7 - 4 alpha) e^(-u^4) (x + w)^(1 - alpha)
+                 (1/w + 1/w^2) du,
 
     a positive, exponentially decaying integrand: nothing cancels, so
     float64 adaptive quadrature meets tol with no extended precision.
-    The route shares nothing with specfun.bessel_k, which sums Temme's
-    series and recurs upward in the order (x <= 2) or sums a trapezoid
-    rule on equal steps of a cosh integral (x > 2): here no series or
-    recurrence is summed; the integrand is algebraic with an endpoint
-    singularity v^(1-alpha), the rule is adaptive 15/7-point
-    Gauss-Legendre, and the half-line is covered by geometric panels
-    with tail extrapolation.  suite_specfun's 30-digit K pins use no
-    quadrature.
+    In v the integrand has an endpoint singularity v^(1 - alpha), which
+    the rule resolves only by bisecting towards 0 (6-52 subdivisions a
+    cell); u^(7 - 4 alpha) vanishes at 0 for alpha < 7/4, so the
+    integrand is bounded and smooth there at every alpha of the suite
+    (5-13 a cell).  The route shares nothing with specfun.bessel_k,
+    which sums Temme's series and recurs upward in the order (x <= 2) or
+    sums a trapezoid rule on equal steps of a cosh integral (x > 2):
+    here no series or recurrence is summed; the integrand is algebraic
+    times e^(-u^4), the rule is adaptive 15/7-point Gauss-Legendre, and
+    the half-line is covered by geometric panels with tail
+    extrapolation.  suite_specfun's 30-digit K pins use no quadrature.
     One cell per (p, tau, tol) of the lists ps, taus and tols, all in
     one quad.integrate_batch.  Returns a list with a QuadResult for C at
     each cell; the first NonConvergence propagates.
@@ -196,10 +201,12 @@ def _fou_cov_by_quadrature(ps, taus, tols):
         pref.append(0.5 * sinc * math.exp(-x[-1])
                     * tau ** (2.0 * p.alpha - 1.0))
     s, x = np.array(s), np.array(x)
+    e = 3.0 + 4.0 * s  # 7 - 4 alpha
 
-    def f(v, k):
+    def f(u, k):
+        v = u ** 4
         w = x[k] + v
-        return (np.exp(-v) * (v * (x[k] + w)) ** s[k]
+        return (4.0 * np.exp(-v) * u ** e[k] * (x[k] + w) ** s[k]
                 * (1.0 / w + 1.0 / (w * w)))
 
     out = []
@@ -291,23 +298,27 @@ def suite_identities(seed, n_paths):
 
 def suite_scaling(seed, n_paths):
     del seed, n_paths
+    lam, tau, t, s = 1.0, 0.8, 2.1, 0.9
+    cells = [(r, alpha) for r in (0.5, 2.0, 7.0) for alpha in (0.6, 1.25)]
+    # both sides of each cell, the left at (alpha, lam) with its lags
+    # scaled by r and the right at (alpha, r lam): every C in one call and
+    # every D, at t, s and t - s, in another
+    alphas, lams, rs = (np.array(v) for v in zip(*(
+        (alpha, lam_, r_) for r, alpha in cells
+        for lam_, r_ in ((lam, r), (r * lam, 1.0)))))
+    cov = K.fou.cov_alpha_grid(alphas, lams, rs * tau).tolist()
+    d_t, d_s, d_lag = K.fou.structure_alpha_grid(
+        np.tile(alphas, 3), np.tile(lams, 3),
+        np.concatenate((rs * t, rs * s, rs * t - rs * s))).reshape(3, -1)
+    tfbm = ((d_t + d_s) - d_lag).tolist()
     checks = []
-    for r in (0.5, 2.0, 7.0):
-        for alpha in (0.6, 1.25):
-            lam, tau = 1.0, 0.8
-            lhs = K.fou_cov(FracOUParams(alpha, lam), r * tau)
-            rhs = r ** (2.0 * alpha - 1.0) * K.fou_cov(
-                FracOUParams(alpha, r * lam), tau)
+    for (r, alpha), c_l, c_r, b_l, b_r in zip(
+            cells, cov[::2], cov[1::2], tfbm[::2], tfbm[1::2]):
+        scale = r ** (2.0 * alpha - 1.0)
+        for kind, lhs, rhs in (("fou", c_l, c_r), ("tfbm", b_l, b_r)):
             checks.append(_check(
-                "scaling/fou/r=%g/alpha=%g" % (r, alpha), lhs, rhs,
-                1e-12 * abs(lhs), _IDENT))
-            t, s = 2.1, 0.9
-            lhs2 = K.tfbm_cov(FracOUParams(alpha, lam), r * t, r * s)
-            rhs2 = r ** (2.0 * alpha - 1.0) * K.tfbm_cov(
-                FracOUParams(alpha, r * lam), t, s)
-            checks.append(_check(
-                "scaling/tfbm/r=%g/alpha=%g" % (r, alpha), lhs2, rhs2,
-                1e-12 * abs(lhs2), _IDENT))
+                "scaling/%s/r=%g/alpha=%g" % (kind, r, alpha), lhs,
+                scale * rhs, 1e-12 * abs(lhs), _IDENT))
     return checks
 
 
@@ -354,8 +365,8 @@ def suite_asymptotics(seed, n_paths):
         "asymptotics/ct-small-lag-limit/alpha=1.25", lim, ct,
         5e-3 * abs(lim), _LIMIT))
     # variance pinch sigma^2 <= var(t) <= 2 sigma^2 once lam t is large
-    for lamt in (20.0, 40.0, 100.0):
-        v = K.tfbm_var(p, lamt / p.lam)
+    lamts = (20.0, 40.0, 100.0)
+    for lamt, v in zip(lamts, K.tfbm_var(p, np.divide(lamts, p.lam))):
         checks.append(_check(
             "asymptotics/variance-pinch/lamt=%g" % lamt, 2.0 * sig2, v,
             1e-6 * sig2 if lamt >= 40.0 else 2e-4 * sig2, _LIMIT))

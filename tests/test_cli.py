@@ -64,6 +64,19 @@ def test_figure1_curves(tmp_path, capsys):
     assert abs(at_s[1] - 1.0787052023767583) <= 1e-14
 
 
+def test_figure1_is_bitwise_the_per_row_scalar_calls(tmp_path, capsys):
+    assert cli.main(["cov", "--figure1", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    p = FracOUParams(1.25, 0.5)
+    ref = io.StringIO(newline="")
+    w = csv.writer(ref)
+    w.writerow(("t", "fou", "tfbm"))
+    for t in np.linspace(0.0, 10.0, 201):
+        w.writerow((float(t), kernels.fou_cov(p, t - 0.5),
+                    kernels.tfbm_cov(p, t, 0.5)))
+    assert (tmp_path / "figure1.csv").read_bytes() == ref.getvalue().encode()
+
+
 def test_cov_curve_matches_kernel(tmp_path, capsys):
     rcode = cli.main(["cov", "--process", "fou", "--alpha", "0.75",
                       "--lambda", "1.0", "--t0", "0.0", "--dt", "0.5",

@@ -7,6 +7,7 @@ increment law) against frozen high-precision constants.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,6 +22,19 @@ from tplab.kernels import FracOUParams, TwoIndexParams, twoindex
 def test_variance_frozen_value():
     got = K.twoindex_var(TwoIndexParams(0.9, 0.8, 1.0))
     assert abs(got - 0.87556708932579985) <= 1e-14 * got
+
+
+@pytest.mark.parametrize("alpha, beta", ((5.0001, 0.1), (10.01, 0.05),
+                                         (3.0001, 0.1667)))
+def test_variance_near_unit_half_product_matches_mpmath(alpha, beta):
+    # Gamma(alpha - 1/(2 beta)) sits next to its pole: 1/(2 beta) rounded
+    # first put the variance 2.8e-12, 5.7e-14 and 2.4e-13 off here
+    got = K.twoindex_var(TwoIndexParams(alpha, beta, 1.0))
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        ref = (mpmath.gamma(1 / (2 * b)) * mpmath.gamma(a - 1 / (2 * b))
+               / (2 * mpmath.pi * b * mpmath.gamma(a)))
+        assert abs(got - ref) <= 4e-15 * ref
 
 
 @pytest.mark.parametrize("alpha", (0.6, 0.9, 1.2, 1.4))

@@ -47,6 +47,35 @@ def test_fast_suites_pass_with_absolute_tolerance_semantics(suite):
         assert c.tolerance >= 0.0
 
 
+def _id_values(check_id):
+    return [float(v.split("=")[1]) for v in check_id.split("/")[2:]]
+
+
+def test_scaling_batch_is_bitwise_the_scalar_kernel_calls():
+    checks = validate.suite_scaling(validate.DEFAULT_SEED, 0)
+    assert len(checks) == 12
+    lam, tau, t, s = 1.0, 0.8, 2.1, 0.9
+    for c in checks:
+        r, alpha = _id_values(c.check_id)
+        p, p_r = FracOUParams(alpha, lam), FracOUParams(alpha, r * lam)
+        if c.check_id.startswith("scaling/fou/"):
+            lhs, rhs = K.fou_cov(p, r * tau), K.fou_cov(p_r, tau)
+        else:
+            lhs, rhs = K.tfbm_cov(p, r * t, r * s), K.tfbm_cov(p_r, t, s)
+        assert c.expected == lhs
+        assert c.actual == r ** (2.0 * alpha - 1.0) * rhs
+
+
+def test_variance_pinch_batch_is_bitwise_the_scalar_calls():
+    p = FracOUParams(0.75, 0.5)
+    pinch = [c for c in validate.suite_asymptotics(validate.DEFAULT_SEED, 0)
+             if c.check_id.startswith("asymptotics/variance-pinch/")]
+    assert len(pinch) == 3
+    for c in pinch:
+        lamt, = _id_values(c.check_id)
+        assert c.actual == K.tfbm_var(p, lamt / p.lam)
+
+
 def test_asymptotics_suite_makes_no_lobe_sum(monkeypatch):
     # the small-time coefficient is a closed form, not a cosine transform
     def fourier_cos_halfline(*args, **kwargs):
@@ -151,43 +180,72 @@ def test_oracle_suite_evaluates_its_closed_forms_in_one_bessel_batch(
     assert len(sizes) <= 2 and sizes[0] == 75
     cells = [c for c in checks if c.check_id.startswith("oracle/fou/")]
     for c in cells[::7]:
-        alpha, lam, tau = (float(v.split("=")[1])
-                           for v in c.check_id.split("/")[2:])
+        alpha, lam, tau = _id_values(c.check_id)
         assert c.expected == K.fou_cov(FracOUParams(alpha, lam), tau)
 
 
 # subdivisions of each oracle cell at the suite's tolerance, in the
 # suite's order (alpha, then lam, then tau); evaluating a batch of panels
-# in one integrand call must not move them
+# in one integrand call must not move them.  The singular integrand in
+# v = u^4 took 6-52 a cell (2,042 in all)
 _ORACLE_SUBDIVISIONS = (
     # alpha = 0.6: lam = 0.25, 1, 4 by rows, tau across
-    26, 23, 21, 19, 19,
-    24, 22, 20, 19, 19,
-    23, 20, 19, 19, 19,
+    9, 8, 7, 7, 7,
+    9, 8, 7, 7, 7,
+    8, 7, 7, 7, 7,
     # alpha = 0.75
-    29, 26, 23, 21, 21,
-    27, 24, 22, 21, 21,
-    25, 22, 21, 21, 21,
+    8, 8, 8, 6, 7,
+    9, 8, 6, 7, 7,
+    8, 7, 7, 7, 7,
     # alpha = 1
-    14, 11, 8, 6, 6,
-    12, 9, 6, 6, 6,
-    11, 8, 6, 6, 6,
+    7, 7, 7, 6, 6,
+    7, 7, 6, 6, 7,
+    7, 7, 6, 7, 7,
     # alpha = 1.25
-    43, 40, 38, 36, 36,
-    41, 38, 36, 35, 35,
-    39, 37, 35, 35, 35,
+    6, 7, 7, 6, 6,
+    8, 7, 6, 6, 6,
+    6, 5, 6, 6, 6,
     # alpha = 1.4
-    52, 50, 46, 46, 45,
-    51, 48, 46, 45, 45,
-    49, 47, 45, 45, 45,
+    13, 13, 11, 10, 11,
+    12, 12, 10, 11, 11,
+    12, 11, 11, 11, 11,
 )
+# lockstep rounds (integrand calls) of the 75-cell batch, one per
+# subdivision (panel or bisection) of its deepest cell; the singular
+# integrand took 52
+_ORACLE_ROUNDS = 13
+
+
+def _oracle_tol(p, tau):
+    return max(1e-300, 1e-8 * abs(K.fou_cov(p, tau)))
 
 
 def test_oracle_subdivisions_are_pinned():
     got = []
     for alpha, lam, tau in _ORACLE_CELLS:
         p = FracOUParams(alpha, lam)
-        tol = max(1e-300, 1e-8 * abs(K.fou_cov(p, tau)))
-        r, = validate._fou_cov_by_quadrature([p], [tau], [tol])
+        r, = validate._fou_cov_by_quadrature([p], [tau], [_oracle_tol(p, tau)])
         got.append(r.subdivisions)
     assert tuple(got) == _ORACLE_SUBDIVISIONS
+
+
+def test_oracle_batch_is_its_cells_alone_in_pinned_rounds(monkeypatch):
+    ps, taus = zip(*((FracOUParams(alpha, lam), tau)
+                     for alpha, lam, tau in _ORACLE_CELLS))
+    tols = [_oracle_tol(p, tau) for p, tau in zip(ps, taus)]
+    singles = [validate._fou_cov_by_quadrature([p], [tau], [tol])[0]
+               for p, tau, tol in zip(ps, taus, tols)]
+    rounds = []
+    real = quad.integrate_batch
+
+    def counting(f, *args):
+        def g(x, k):
+            rounds.append(x.size)
+            return f(x, k)
+        return real(g, *args)
+
+    monkeypatch.setattr(quad, "integrate_batch", counting)
+    batch = validate._fou_cov_by_quadrature(ps, taus, tols)
+    assert batch == singles
+    assert [r.subdivisions for r in batch] == list(_ORACLE_SUBDIVISIONS)
+    assert len(rounds) == _ORACLE_ROUNDS
