@@ -61,8 +61,8 @@ class TwoIndexParams:
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "lam", float(self.lam))
-        if not self.alpha > 0.0:
-            raise DomainError("alpha must be positive, got %g" % self.alpha)
+        if not 0.0 < self.alpha < math.inf:
+            raise DomainError("alpha must be finite > 0, got %g" % self.alpha)
         if not 0.0 < self.beta <= 1.0:
             raise DomainError("beta must lie in (0, 1], got %g" % self.beta)
         if not 0.0 < self.lam < math.inf:

@@ -791,6 +791,13 @@ def test_infinite_tempering_rate_exits_2_naming_lambda(tmp_path, capsys,
     assert "lambda must be finite > 0, got inf" in capsys.readouterr().err
 
 
+def test_infinite_two_index_alpha_exits_2_naming_alpha(tmp_path, capsys):
+    argv = ["cov", "--process", "tfbm2", "--alpha", "inf", "--beta", "0.9",
+            "--lambda", "1", "--n", "4", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    assert "alpha must be finite > 0, got inf" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", (
     ["--process", "tfbm", "--alpha", "0.75"],
     ["--process", "tmbm", "--profile", "ramp:0.8,0.1"],

@@ -153,6 +153,7 @@ def test_branch_cut_error_estimate_covers_the_true_error():
         cf = K.fou_cov(p, tau)
         r, = validate._fou_cov_by_quadrature([p], [tau], [1e-8 * cf])
         assert r.abs_error_estimate >= abs(r.value - cf)
+        assert abs(r.value - cf) <= 1e-9 * cf
 
 
 def test_oracle_suite_never_needs_mpmath(monkeypatch):
@@ -186,8 +187,8 @@ def test_oracle_suite_evaluates_its_closed_forms_in_one_bessel_batch(
 
 # subdivisions of each oracle cell at the suite's tolerance, in the
 # suite's order (alpha, then lam, then tau); evaluating a batch of panels
-# in one integrand call must not move them.  The singular integrand in
-# v = u^4 took 6-52 a cell (2,042 in all)
+# in one integrand call must not move them.  The integrand in v, before
+# v = u^4, is singular at 0 and took 6-52 a cell (2,042 in all)
 _ORACLE_SUBDIVISIONS = (
     # alpha = 0.6: lam = 0.25, 1, 4 by rows, tau across
     9, 8, 7, 7, 7,
