@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 validation failure, 2 usage or config error,
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -437,7 +438,12 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _parser():
+    """The argparse tree, built from _OPTIONS once per process on first
+    use: a rebuild per command costs 1-3 ms, and a build at import would
+    tax every start-up.  Choices hold the live sampler tables, and a
+    parse leaves no state in the parsers."""
     ap = argparse.ArgumentParser(
         prog="tplab",
         description="Tempered fractional Gaussian process laboratory")

@@ -74,17 +74,25 @@ def tfbm_ct_coefficient(p: FracOUParams, t):
         raise DomainError(
             "c_t needs lambda*|t| >= 1e-06 (its two terms cancel below "
             "it), got %g" % np.min(p.lam * t))
+    out = ct_from_besselk(p, t, specfun.besselk_grid(p.hurst, p.lam * t))
+    return float(out) if out.ndim == 0 else out
+
+
+def ct_from_besselk(p: FracOUParams, t, bes):
+    """c_t at the lags |t| from bes = K_H(lambda |t|): the arithmetic of
+    tfbm_ct_coefficient after its Bessel call, for a caller that takes
+    the Bessel values of several parameter sets in one batch.  The lags
+    must be in tfbm_ct_coefficient's domain; they are not checked here.
+    """
     h = p.hurst
-    x = 2.0 * p.lam * t
+    x = 2.0 * p.lam * np.abs(t)
     # np.power, not **: a numpy scalar's ** is libm's pow, which can
     # differ in the last bit from the array loop
     lead = (2.0 * math.gamma(2.0 * h)
             / (math.gamma(h + 0.5) ** 2 * np.power(x, 2.0 * h)))
-    bes = specfun.besselk_grid(h, p.lam * t)
     tail = (2.0 / (math.sqrt(math.pi) * math.gamma(h + 0.5))
             * np.power(x, -h) * bes)
-    out = lead - tail
-    return float(out) if out.ndim == 0 else out
+    return lead - tail
 
 
 def tfbm_cov_from_ct(p: FracOUParams, t, s):

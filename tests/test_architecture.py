@@ -1,6 +1,7 @@
 """The adaptive quadrature engine serves only the validation oracle: no
 kernel or special function runs it, so the oracle's second opinion
-shares no rule with the code it checks."""
+shares no rule with the code it checks.  And no module imports what it
+does not use, so each module's imports are its real dependencies."""
 
 import ast
 import pathlib
@@ -39,3 +40,39 @@ def test_the_scan_sees_every_form_of_reference(tmp_path):
                       "quad.integrate_batch(f, 0, 1)\n"
                       "integrate_adaptive(f, 0, 1)\n")
     assert _engine_references(module) == [2, 3, 4]
+
+
+def _unused_imports(path):
+    """Names bound by the module's top-level imports that no expression
+    in the module reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def test_no_module_has_an_unused_import():
+    # a package __init__ imports to re-export
+    unused = {path.relative_to(SRC).as_posix(): _unused_imports(path)
+              for path in sorted(SRC.rglob("*.py"))
+              if path.name != "__init__.py"}
+    assert {name: found for name, found in unused.items() if found} == {}
+
+
+def test_the_import_scan_sees_every_form_of_binding(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import os.path\n"
+                      "import numpy as np\n"
+                      "from . import quad, specfun\n"
+                      "from .errors import DomainError as Bad\n"
+                      "specfun.besselk_grid(np.ones(2), 1.0)\n"
+                      "def f():\n"
+                      "    import math\n"
+                      "    raise Bad(os.sep)\n")
+    assert _unused_imports(module) == [(3, "quad")]

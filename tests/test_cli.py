@@ -734,6 +734,40 @@ def test_an_unread_flag_shows_the_subcommand_usage(tmp_path, capsys, argv):
                         % (command, " ".join(argv[-2:])))
 
 
+def test_import_builds_no_parser(child_env):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import tplab.cli; print(tplab.cli._parser.cache_info().currsize)"],
+        capture_output=True, text=True, timeout=120, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def test_successive_commands_share_one_parser_and_leak_nothing(tmp_path,
+                                                               capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite=scaling\nseed=99\n")
+    argv = ["validate", "--config", str(cfg), "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    first = (tmp_path / "report-scaling.json").read_text()
+    assert cli.main(["validate", "--suite", "specfun"]) == 0
+    assert cli.main(_sample_args(tmp_path / "s")) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cov", "--figure1", "--bogus", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tplab cov [-h] [--config CONFIG]")
+    assert err.endswith("tplab cov: error: unrecognized arguments: "
+                        "--bogus\n")
+    assert cli.main(argv) == 0
+    again = json.loads((tmp_path / "report-scaling.json").read_text())
+    assert list(again["config"].items()) == list(
+        json.loads(first)["config"].items()) == [
+        ("suite", "scaling"), ("seed", 99), ("out", str(tmp_path))]
+    assert cli._parser() is cli._parser()
+
+
 @pytest.mark.parametrize("command key".split(), (
     ("cov", "suite"), ("sample", "estimator"), ("estimate", "seed"),
     ("validate", "family"),

@@ -4,6 +4,7 @@ used for cross-run comparison; plus the accuracy, error estimate and
 float64-only evaluation of the oracle suite's branch-cut route.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -74,6 +75,68 @@ def test_variance_pinch_batch_is_bitwise_the_scalar_calls():
     for c in pinch:
         lamt, = _id_values(c.check_id)
         assert c.actual == K.tfbm_var(p, lamt / p.lam)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_identities_batch_is_bitwise_the_per_set_calls():
+    ts, ss = np.meshgrid(np.linspace(0.15, 4.2, 10),
+                         np.linspace(0.2, 3.8, 10), indexing="ij")
+    routes = validate._ct_routes(ts, ss)
+    assert len(routes) == len(validate._CT_PARAM_SETS)
+    for (alpha, lam), (direct, from_ct) in zip(validate._CT_PARAM_SETS,
+                                               routes):
+        p = FracOUParams(alpha, lam)
+        assert _same_bits(direct, K.tfbm_cov(p, ts, ss))
+        assert _same_bits(from_ct, K.tfbm_cov_from_ct(p, ts, ss))
+
+
+def test_identities_half_order_checks_are_bitwise_bessel_k():
+    checks = [c for c in validate.suite_identities(validate.DEFAULT_SEED, 0)
+              if "/besselk-" in c.check_id]
+    assert len(checks) == 8
+    for c in checks:
+        x, = _id_values(c.check_id)
+        nu = 0.5 if "/besselk-half-order/" in c.check_id else 1.5
+        assert _same_bits(c.actual, specfun.bessel_k(nu, x).value)
+
+
+def test_tail_series_checks_are_bitwise_the_scalar_twoindex_calls():
+    checks = [c for c in validate.suite_asymptotics(validate.DEFAULT_SEED, 0)
+              if c.check_id.startswith("asymptotics/tail-series/")]
+    assert len(checks) == 6
+    for c in checks:
+        alpha, beta, lamtau = _id_values(c.check_id)
+        q = K.TwoIndexParams(alpha, beta, 1.0)
+        tau = lamtau / q.lam
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DivergenceWarning)
+            series = K.twoindex_cov_tail_series(q, tau, 12)
+        assert _same_bits(c.actual, series / K.twoindex_cov(q, tau).value)
+
+
+_KERNEL_SUITES = ("specfun", "oracle", "identities", "scaling", "asymptotics",
+                  "tmbm-equivalence")
+
+
+@pytest.mark.parametrize("suite", _KERNEL_SUITES)
+def test_to_json_is_the_asdict_serialization(suite):
+    rep = validate.run_suite(suite, seed=11, config_echo={
+        "suite": suite, "seed": 11, "out": "reports", "figure1": False})
+    assert rep.to_json() == json.dumps(dataclasses.asdict(rep),
+                                       indent=2) + "\n"
+
+
+def test_to_json_of_a_failed_check_is_the_asdict_serialization():
+    bad = validate.CheckRecord("synthetic", 1.0, 2.0, 0.5, False,
+                               "analytic identity")
+    rep = validate.ValidationReport("scaling", {}, (bad,), False, 0.25)
+    assert rep.to_json() == json.dumps(dataclasses.asdict(rep),
+                                       indent=2) + "\n"
+    assert json.loads(rep.to_json())["checks"][0]["passed"] is False
 
 
 def test_asymptotics_suite_makes_no_lobe_sum(monkeypatch):
