@@ -232,7 +232,7 @@ def _write_csv(dest, header, rows):
 # --- cov -----------------------------------------------------------------
 
 
-def _figure1_rows(rc):
+def _figure1_rows():
     """FOU and reduced covariance against time at a fixed second
     argument: s=0.5, lambda=0.5, alpha = H + 1/2 with H = 0.75."""
     p = FracOUParams(1.25, 0.5)
@@ -245,7 +245,7 @@ def _figure1_rows(rc):
 
 def cmd_cov(rc):
     if rc.figure1:
-        header, rows = _figure1_rows(rc)
+        header, rows = _figure1_rows()
         dest = _out_path(rc, "figure1.csv")
     else:
         desc = _build_descriptor(rc)
@@ -373,7 +373,7 @@ def cmd_estimate(rc):
     name = rc.estimator
     rows = []
     if name == "variogram":
-        lags = grid.dt * np.arange(1, 9)
+        lags = grid.dt * np.arange(1, estimators.N_LAGS + 1)
         est = estimators.variogram(paths, lags)
         header = ("lag", "gamma_hat", "fitted")
         anchor = math.log(est.gamma_hat[0]) - est.slope * math.log(
@@ -476,8 +476,8 @@ def main(argv=None):
         "warning: %s\n" % message if issubclass(category, _WARNINGS)
         else shown(message, category, *where))
     try:
-        rc = _build_config(args)
-        return _COMMANDS[args.command][0](rc)
+        with np.errstate(all="ignore"):  # non-finite: refused, not warned
+            return _COMMANDS[args.command][0](_build_config(args))
     except (DomainError, InsufficientData, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ MIN_PATHS = 100
 # dt * lambda above which tempering bleeds into the smallest lags and
 # the variogram slope no longer reads 2H
 LOCAL_REGIME_LIMIT = 0.01
+N_LAGS = 8  # every local fit takes the lags of 1, ..., N_LAGS grid steps
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ def _check_regime(dt, lam):
             RegimeWarning)
 
 
-def hurst_local(paths, n_lags=8, lam=None):
+def hurst_local(paths, lam=None):
     """Local Hurst exponent H_hat = slope/2 from the smallest lags.
 
     Scale-invariant: rescaling every path by a constant shifts the
@@ -148,12 +149,12 @@ def hurst_local(paths, n_lags=8, lam=None):
     """
     grid = paths[0].grid
     _check_regime(grid.dt, _tempering_rate(paths, lam))
-    lag_set = grid.dt * np.arange(1, n_lags + 1)
+    lag_set = grid.dt * np.arange(1, N_LAGS + 1)
     est = variogram(paths, lag_set)
     return 0.5 * est.slope, 0.5 * est.slope_stderr
 
 
-def hurst_local_windowed(paths, lam=None, window_points=None, n_lags=8):
+def hurst_local_windowed(paths, lam=None, window_points=None):
     """Sliding-window H_hat(t) for time-varying-index paths.
 
     Window width defaults to time 1/(4 lambda), capped at n/8 grid
@@ -170,10 +171,10 @@ def hurst_local_windowed(paths, lam=None, window_points=None, n_lags=8):
                 "need lam (or paths with parameters) to size windows")
         window_points = int(round(1.0 / (4.0 * rate * grid.dt)))
     wpts = int(min(window_points, grid.n // 8))
-    wpts = max(wpts, 2 * n_lags)
+    wpts = max(wpts, 2 * N_LAGS)
     if wpts > grid.n:
         raise InsufficientData("grid too short for one window")
-    ks = np.arange(1, n_lags + 1)
+    ks = np.arange(1, N_LAGS + 1)
     lags = grid.dt * ks
     centers, hs, ses = [], [], []
     for start in range(0, grid.n - wpts + 1, max(1, wpts // 2)):
@@ -186,9 +187,9 @@ def hurst_local_windowed(paths, lam=None, window_points=None, n_lags=8):
     return np.array(centers), np.array(hs), np.array(ses)
 
 
-def fractal_dimension(paths, n_lags=8, lam=None):
+def fractal_dimension(paths, lam=None):
     """Graph dimension D_hat = 2 - H_hat (variation method)."""
-    h, se = hurst_local(paths, n_lags=n_lags, lam=lam)
+    h, se = hurst_local(paths, lam=lam)
     return 2.0 - h, se
 
 

@@ -34,8 +34,22 @@ _X_UNDERFLOW = 700.0
 
 
 def _gammas(a):  # math.gamma of each element, in a's shape
-    return np.fromiter(map(math.gamma, a.ravel().tolist()), float,
-                       a.size).reshape(a.shape)
+    try:
+        return np.fromiter(map(math.gamma, a.ravel().tolist()), float,
+                           a.size).reshape(a.shape)
+    except OverflowError:
+        raise DomainError("alpha is too large: Gamma(%g) overflows" % a.max())
+
+
+def _finite(out, what, alpha, lam):
+    """out, or a DomainError naming alpha and lambda at a NaN or inf."""
+    bad = ~np.isfinite(out)
+    if bad.any():
+        alpha, lam = (np.broadcast_to(v, bad.shape)[bad][0]
+                      for v in (alpha, lam))
+        raise DomainError("%s is not finite in double precision at "
+                          "alpha=%g, lambda=%g" % (what, alpha, lam))
+    return out
 
 
 def _power(base, exponent):
@@ -54,12 +68,16 @@ def _sigma2(alpha, lam, gam):  # gam is Gamma(alpha)
     return _gammas(a2) / (gam ** 2 * _power(2.0 * lam, a2))
 
 
-def _alpha_grid(alpha, lam, tau, structure):
-    """sigma^2 - C(tau) if structure, else C(tau), elementwise
-    (broadcast): Gamma once per element of alpha at its own shape, C only
-    at 0 < lambda |tau| <= 700, and sigma^2 only where it is used: once
-    at broadcast(alpha, lambda) for the difference, at the tau = 0 cells
-    for C."""
+def var_alpha_grid(alpha, lam):
+    """sigma^2 with elementwise alpha and lambda (broadcast)."""
+    alpha = np.asarray(alpha, dtype=float)
+    return _sigma2(alpha, lam, _gammas(alpha))
+
+
+def cov_alpha_grid(alpha, lam, tau):
+    """C(tau) with elementwise alpha, lambda and tau (broadcast): sigma^2
+    at tau = 0, 0 where K underflows, a non-finite lag or C refused, and
+    Gamma once per element of alpha at its own shape."""
     alpha = np.asarray(alpha, dtype=float)
     lam = np.asarray(lam, dtype=float)
     tau = np.abs(np.asarray(tau, dtype=float))
@@ -68,13 +86,10 @@ def _alpha_grid(alpha, lam, tau, structure):
     gam = _gammas(alpha)
     alpha_b, lam_b, tau_b, gam_b = np.broadcast_arrays(alpha, lam, tau, gam)
     at_zero = tau_b == 0.0
-    if structure:  # 0 at tau = 0, sigma^2 where K underflows
-        out = np.where(at_zero, 0.0, _sigma2(alpha, lam, gam))
-    else:
-        out = np.zeros(at_zero.shape)
-        if at_zero.any():
-            out[at_zero] = _sigma2(alpha_b[at_zero], lam_b[at_zero],
-                                   gam_b[at_zero])
+    out = np.zeros(at_zero.shape)
+    if at_zero.any():
+        out[at_zero] = _sigma2(alpha_b[at_zero], lam_b[at_zero],
+                               gam_b[at_zero])
     live = ~at_zero & (lam_b * tau_b <= _X_UNDERFLOW)
     if live.any():
         # a shared lambda stays a scalar: no array of it beside the lags
@@ -84,22 +99,9 @@ def _alpha_grid(alpha, lam, tau, structure):
         bes = specfun.besselk_grid(nu, lam_l * tau_l)
         # a power, not exp(nu log(.)): the exponential would amplify the
         # rounding of its argument, nu |log(tau / 2 lambda)| ulps
-        c = (_power(tau_l / (2.0 * lam_l), nu) * bes
-             / (math.sqrt(math.pi) * gam_b[live]))
-        out[live] = out[live] - c if structure else c
-    return out
-
-
-def var_alpha_grid(alpha, lam):
-    """sigma^2 with elementwise alpha and lambda (broadcast)."""
-    alpha = np.asarray(alpha, dtype=float)
-    return _sigma2(alpha, lam, _gammas(alpha))
-
-
-def cov_alpha_grid(alpha, lam, tau):
-    """C(tau) with elementwise alpha, lambda and tau (broadcast): sigma^2
-    at tau = 0, 0 where K underflows, and a non-finite lag refused."""
-    return _alpha_grid(alpha, lam, tau, structure=False)
+        out[live] = (_power(tau_l / (2.0 * lam_l), nu) * bes
+                     / (math.sqrt(math.pi) * gam_b[live]))
+    return _finite(out, "the covariance", alpha, lam)
 
 
 # D's routes, with x = lambda |tau| and nu = alpha - 1/2 = n + mu,
@@ -187,27 +189,28 @@ def structure_alpha_grid(alpha, lam, tau):
     cancels, Temme's form lambda^(-2 nu) G_nu(x) / (sqrt(pi) Gamma(alpha))
     (specfun.besselk_deficit).  Neither subtracts, so D keeps its
     relative accuracy down to the smallest positive lag.  Beyond, D =
-    sigma^2 - C(tau), sigma^2 where K underflows.  A non-finite lag, or
-    alpha - 1/2 beyond the Bessel K box at 0 < x <= 700, is a
-    DomainError.
+    sigma^2 - C(tau), sigma^2 where K underflows.  A non-finite lag,
+    alpha - 1/2 beyond the Bessel K box at tau > 0 and x <= 700, or a D
+    that double precision cannot hold is a DomainError.
     """
     alpha = np.asarray(alpha, dtype=float)
     lam = np.asarray(lam, dtype=float)
     tau = np.abs(np.asarray(tau, dtype=float))
     if not np.isfinite(tau).all():
         raise DomainError("covariance lags must be finite")
-    nu = alpha - 0.5
     x = lam * tau
-    if (nu > specfun.BESSEL_NU_MAX).any():
-        bad = (nu > specfun.BESSEL_NU_MAX) & (x > 0.0) & (x <= _X_UNDERFLOW)
-        if bad.any():
-            raise DomainError(
-                "the structure function needs alpha - 1/2 <= %g, got "
-                "alpha=%g" % (specfun.BESSEL_NU_MAX,
-                              np.broadcast_to(alpha, bad.shape)[bad][0]))
+    # past the box the series serves only D(0) = 0, at alpha clipped to it
+    boxed = np.minimum(alpha, specfun.BESSEL_NU_MAX + 0.5)
+    bad = (boxed < alpha) & (tau > 0.0) & (x <= _X_UNDERFLOW)
+    if bad.any():
+        raise DomainError(
+            "the structure function needs alpha - 1/2 <= %g, got alpha=%g"
+            % (specfun.BESSEL_NU_MAX,
+               np.broadcast_to(alpha, bad.shape)[bad][0]))
+    nu = boxed - 0.5
     n = np.round(nu)
     mu = nu - n
-    rg = specfun.rgamma(np.stack((alpha, nu + 1.0, 1.0 - mu)))
+    rg = specfun.rgamma(np.stack((boxed, nu + 1.0, 1.0 - mu)))
     small = x <= _X_SMALL
     tau_s = np.where(small, tau, 0.0)
     x_s = np.where(small, x, 0.0)
@@ -226,11 +229,11 @@ def structure_alpha_grid(alpha, lam, tau):
                       * np.broadcast_to(rg[0], temme.shape)[temme]
                       * specfun.besselk_deficit(nu_t, x_t))
     if not small.all():
-        out = np.where(small, out, _alpha_grid(alpha, lam, tau - tau_s,
-                                               structure=True))
+        out = np.where(small, out, var_alpha_grid(alpha, lam)
+                       - cov_alpha_grid(alpha, lam, tau - tau_s))
     # -0.0, from a negative prefactor at tau = 0 or an underflow, + 0.0
     # is +0.0; any other value is unchanged
-    return out + 0.0
+    return _finite(out + 0.0, "the structure function", alpha, lam)
 
 
 def fou_var(p: FracOUParams):
@@ -252,7 +255,7 @@ def fou_spectral(p: FracOUParams, k):
     return float(out) if out.ndim == 0 else out
 
 
-def fou_local_expansion(p: FracOUParams, tau=0.0):
+def fou_local_expansion(p: FracOUParams):
     """Leading coefficients of C(tau) near tau = 0.
 
     C(tau) = sigma^2 + |tau|^(2 alpha - 1) / (2 Gamma(2 alpha)

@@ -4,12 +4,12 @@ process: B(t) = X(t) - X(0) for X with the fou kernel, so
     C(t,s) = D(t) + D(s) - D(t-s),   D(tau) = sigma^2 - C_fou(tau)
 
 with D the structure function (fou.structure_alpha_grid), the route of
-every reduced law here; the lag-dependent coefficient decomposition
+every reduced law here.  The lag-dependent coefficient decomposition
 
     C(t,s) = (c_t |t|^(2H) + c_s |s|^(2H) - c_(t-s) |t-s|^(2H)) / 2
 
-is kept as a secondary route for identity testing only, since it has a
-removable singularity at zero lag.
+is the identities suite's independent side, through ct_from_besselk;
+tfbm_cov_from_ct, with its removable singularity at 0, serves tests.
 """
 
 import math
@@ -20,10 +20,6 @@ from .. import specfun
 from ..errors import DomainError
 from . import fou
 from .params import FracOUParams
-
-
-def _structure(p: FracOUParams, tau):
-    return fou.structure_alpha_grid(p.alpha, p.lam, tau)
 
 
 def _stacked(fn, *args):
@@ -38,7 +34,8 @@ def tfbm_cov(p: FracOUParams, t, s):
     """D(t) + D(s) - D(t-s): 0 whenever t or s is 0, bitwise symmetric.
     Broadcasts over arrays of t and s; scalars give a float."""
     t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
-    d_t, d_s, d_lag = _stacked(lambda u: _structure(p, u), t, s, t - s)
+    d_t, d_s, d_lag = _stacked(
+        lambda u: fou.structure_alpha_grid(p.alpha, p.lam, u), t, s, t - s)
     out = (d_t + d_s) - d_lag
     return float(out) if out.ndim == 0 else out
 
@@ -46,7 +43,7 @@ def tfbm_cov(p: FracOUParams, t, s):
 def tfbm_var(p: FracOUParams, t):
     """Variance 2 D(t); 0 at t=0, to 2 sigma^2 at infinity, crossing
     sigma^2 where C_fou(t) = sigma^2/2.  Broadcasts like tfbm_cov."""
-    out = 2.0 * _structure(p, t)
+    out = 2.0 * fou.structure_alpha_grid(p.alpha, p.lam, t)
     return float(out) if out.ndim == 0 else out
 
 
@@ -121,8 +118,9 @@ def tfbm_increment_cov(p: FracOUParams, lag_tau, t_minus_s):
     increment variance 2 D(tau).  Broadcasts like tfbm_cov.
     """
     tau, d = np.broadcast_arrays(lag_tau, t_minus_s)
-    d_plus, d_minus, d_mid = _stacked(lambda u: _structure(p, u),
-                                      d + tau, d - tau, d)
+    d_plus, d_minus, d_mid = _stacked(
+        lambda u: fou.structure_alpha_grid(p.alpha, p.lam, u),
+        d + tau, d - tau, d)
     out = (d_plus + d_minus) - 2.0 * d_mid
     return float(out) if out.ndim == 0 else out
 

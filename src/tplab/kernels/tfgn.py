@@ -63,8 +63,9 @@ def tfgn_cov_values(alpha, lam, taus):
         raise DomainError(
             "the noise covariance decomposition needs alpha > 1, got %g"
             % alpha)
-    if not lam > 0.0:
-        raise DomainError("lambda must be positive, got %g" % lam)
+    if not (lam > 0.0 and math.isfinite(lam * lam)):
+        raise DomainError("lambda must be positive with a finite square, "
+                          "got %g" % lam)
     return (fou.cov_alpha_grid(alpha - 1.0, lam, taus)
             - lam * lam * fou.cov_alpha_grid(alpha, lam, taus))
 

@@ -185,14 +185,21 @@ def twoindex_var(q: TwoIndexParams):
     (2 a_n b_n - a_d b_d) / (2 a_d b_n) with alpha = a_n/a_d and beta =
     b_n/b_d, and rounded once by int division: near alpha beta = 1/2,
     rounding 1/(2 beta) first would be magnified by 1/(2 alpha beta - 1)
-    at Gamma's pole."""
+    at Gamma's pole.  A variance past double precision is a DomainError."""
     inv2b = 0.5 / q.beta
     an, ad = q.alpha.as_integer_ratio()
     bn, bd = q.beta.as_integer_ratio()
-    return (math.gamma(inv2b) * math.gamma((2 * an * bn - ad * bd)
-                                           / (2 * ad * bn))
-            / (2.0 * math.pi * q.beta * math.gamma(q.alpha))
-            * q.lam ** (1.0 - 2.0 * q.alpha * q.beta))
+    try:
+        var = (math.gamma(inv2b) * math.gamma((2 * an * bn - ad * bd)
+                                              / (2 * ad * bn))
+               / (2.0 * math.pi * q.beta * math.gamma(q.alpha))
+               * q.lam ** (1.0 - 2.0 * q.alpha * q.beta))
+        if math.isfinite(var):
+            return var
+    except OverflowError:
+        pass
+    raise DomainError("the variance overflows double precision at alpha=%g, "
+                      "beta=%g, lambda=%g" % (q.alpha, q.beta, q.lam))
 
 
 def _lags(fn, q: TwoIndexParams, tau):
@@ -280,7 +287,7 @@ def twoindex_cov_tail_series(q: TwoIndexParams, tau, n_terms):
     return total
 
 
-def twoindex_smalltime_incvar(q: TwoIndexParams, t=0.0):
+def twoindex_smalltime_incvar(q: TwoIndexParams):
     """Small-time law of the increment variance: var(Y(t+dt) - Y(t)) ~
     leading_coeff * |dt|^exponent with exponent = 2 alpha beta - 1 and
 

@@ -143,12 +143,6 @@ def _toeplitz(row):
     return np.lib.stride_tricks.sliding_window_view(ext, n)[::-1]
 
 
-def _stationary_gram(cov_of_lag, grid):
-    """Toeplitz Gram from a vectorized lag-covariance function."""
-    lags = grid.dt * np.arange(grid.n)
-    return _toeplitz(np.asarray(cov_of_lag(lags), dtype=float)).copy()
-
-
 # Gram rows per block where a mixture adds its later parts
 _ROWS = 64
 
@@ -231,7 +225,8 @@ def build_gram(process: ProcessDescriptor, grid: TimeGrid):
         return _reduced_gram(fam.parts(p), grid)
     if fam.lag is None:
         return fam.gram(p, grid)
-    return _stationary_gram(lambda lags: fam.lag(p, lags), grid)
+    lags = grid.dt * np.arange(grid.n)
+    return _toeplitz(np.asarray(fam.lag(p, lags), dtype=float)).copy()
 
 
 # columns per panel of the in-place Cholesky factorization
@@ -358,6 +353,8 @@ def _cholesky_paths(process, grid, subs):
             "exact sampling is capped at n = %d points, got %d"
             % (MAX_EXACT_N, grid.n))
     gram = build_gram(process, grid)
+    if not np.isfinite(np.diagonal(gram)).all():
+        raise DomainError("the grid's variance overflows double precision")
     live = np.flatnonzero(np.diagonal(gram) > 0.0)
     factor, jit = _cholesky_with_jitter(_live_front(gram, live))
     n_live = len(live)
@@ -447,6 +444,8 @@ def _spectral_paths(process, grid, seeds):
     r = sum(b * b * tfbm.tfbm_increment_cov(c, grid.dt,
                                             grid.dt * np.arange(m))
             for b, c in parts(_params(process)))
+    if not np.isfinite(r).all():
+        raise DomainError("the grid's increments overflow double precision")
     eig = None
     if m >= 2:  # one increment or none needs no circulant
         try:

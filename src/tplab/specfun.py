@@ -294,16 +294,6 @@ def check_estimate(fn, err, bound, **args):
                           for k, v in args.items()), err[i], bound[i]))
 
 
-def _check_box(nonpositive, inside):
-    # inside is false for a NaN, so no NaN value or estimate escapes
-    if nonpositive:
-        raise DomainError("bessel_k requires x > 0")
-    if not inside:
-        raise DomainError(
-            "bessel_k supported box is |nu| <= %g, %g <= x <= %g"
-            % (BESSEL_NU_MAX, BESSEL_X_MIN, BESSEL_X_MAX))
-
-
 def _besselk_block(nu, x):
     """K_nu(x) and its absolute error estimate for nu >= 0 and 0 < x <= 2,
     both floats or both 1d arrays.
@@ -371,23 +361,29 @@ def _batched(block, nu, x, rows):
 
 
 def _besselk_array(nu, x):
-    """K_nu(x) and its absolute error estimate over matching 1d arrays,
-    in blocks of _BLOCK elements: Temme's method at x <= 2, batched, and
-    the trapezoid rule above, _TRAP_BLOCK elements at a time."""
-    nu = np.abs(np.asarray(nu, dtype=float).ravel())
-    x = np.asarray(x, dtype=float).ravel()
-    inside = (nu <= BESSEL_NU_MAX) & (x >= BESSEL_X_MIN) & (x <= BESSEL_X_MAX)
-    _check_box((x <= 0.0).any(), inside.all())
+    """K_nu(x) and its absolute error estimate over 1d arrays in one
+    pass, Temme's method at x <= 2 (_batched) and the trapezoid rule above
+    (_TRAP_BLOCK elements at a time), checked against the box and the
+    box-wide accuracy contract."""
+    nu, x = (np.asarray(v, dtype=float).ravel() for v in (nu, x))
+    order = np.abs(nu)
+    if (x <= 0.0).any():
+        raise DomainError("bessel_k requires x > 0")
+    # false for a NaN, so no NaN value or estimate escapes
+    if not ((order <= BESSEL_NU_MAX) & (x >= BESSEL_X_MIN)
+            & (x <= BESSEL_X_MAX)).all():
+        raise DomainError(
+            "bessel_k supported box is |nu| <= %g, %g <= x <= %g"
+            % (BESSEL_NU_MAX, BESSEL_X_MIN, BESSEL_X_MAX))
     out = np.empty((2, x.size))
-    for lo in range(0, x.size, _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        n, z, part = nu[blk], x[blk], out[:, blk]
-        series = z <= 2.0
-        part[:, series] = _batched(_besselk_block, n[series], z[series], 2)
-        above = np.flatnonzero(~series)
-        for k in range(0, above.size, _TRAP_BLOCK):
-            at = above[k:k + _TRAP_BLOCK]
-            part[:, at] = _trapezoid_block(n[at], z[at])
+    series = x <= 2.0
+    out[:, series] = _batched(_besselk_block, order[series], x[series], 2)
+    above = np.flatnonzero(~series)
+    for k in range(0, above.size, _TRAP_BLOCK):
+        at = above[k:k + _TRAP_BLOCK]
+        out[:, at] = _trapezoid_block(order[at], x[at])
+    check_estimate("bessel_k", out[1], TOL_BOX * np.maximum(
+        1.0, np.abs(out[0])), nu=nu, x=x)
     return out
 
 
@@ -399,12 +395,8 @@ def besselk_grid(nu, x):
     depends on its own (nu, x) only: it is bitwise the same in any
     batch, in any order, and from bessel_k.
     """
-    nu_b, x_b = np.broadcast_arrays(np.asarray(nu, float),
-                                    np.asarray(x, float))
-    value, err = _besselk_array(nu_b.ravel(), x_b.ravel())
-    check_estimate("bessel_k", err, TOL_BOX * np.maximum(1.0, np.abs(value)),
-                   nu=nu_b.ravel(), x=x_b.ravel())
-    return value.reshape(nu_b.shape)
+    nu_b, x_b = np.broadcast_arrays(nu, x)
+    return _besselk_array(nu_b, x_b)[0].reshape(nu_b.shape)
 
 
 def bessel_k(nu, x):
@@ -414,8 +406,6 @@ def bessel_k(nu, x):
     |nu| is used.  Returns SpecFunResult.
     """
     value, err = _besselk_array([nu], [x])
-    check_estimate("bessel_k", err, TOL_BOX * np.maximum(1.0, np.abs(value)),
-                   nu=[nu], x=[x])
     return SpecFunResult(float(value[0]), float(err[0]))
 
 
@@ -440,7 +430,7 @@ def each(fn, *args):
     return np.array([fn(*v) for v in zip(*(x.tolist() for x in args))])
 
 
-def row_sums(terms, spread=0.0):
+def row_sums(terms, spread):
     """Trapezoid sums T_h along the rows of terms, whose first column is
     an even node, and the estimates |T_h - T_2h| (T_2h is twice the even
     columns) plus the rounding of each term, _ROUND and eps times spread

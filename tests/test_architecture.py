@@ -1,7 +1,9 @@
 """The adaptive quadrature engine serves only the validation oracle: no
 kernel or special function runs it, so the oracle's second opinion
-shares no rule with the code it checks.  And no module imports what it
-does not use, so each module's imports are its real dependencies."""
+shares no rule with the code it checks.  No module imports what it does
+not use, so each module's imports are its real dependencies.  And no
+function takes a parameter it never reads, so each signature is the
+input the function really uses."""
 
 import ast
 import pathlib
@@ -76,3 +78,56 @@ def test_the_import_scan_sees_every_form_of_binding(tmp_path):
                       "    import math\n"
                       "    raise Bad(os.sep)\n")
     assert _unused_imports(module) == [(3, "quad")]
+
+
+def _iterate_callbacks(tree):
+    """Names passed as _iterate's step and done: they take the whole
+    iteration state by protocol, whatever parts of it they read."""
+    return {arg.id for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_iterate"
+            for arg in node.args[:2] if isinstance(arg, ast.Name)}
+
+
+def _unread_parameters(path):
+    """(line, function.parameter) for each parameter of a function in the
+    module that no expression of the function's body names."""
+    tree = ast.parse(path.read_text(), str(path))
+    exempt = _iterate_callbacks(tree)
+    found = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or node.name in exempt):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            p for p in (a.vararg, a.kwarg) if p is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name)}
+        found += [(node.lineno, "%s.%s" % (node.name, p.arg))
+                  for p in params if p.arg not in read]
+    return sorted(found)
+
+
+def test_no_function_has_a_parameter_it_never_reads():
+    unread = {path.relative_to(SRC).as_posix(): _unread_parameters(path)
+              for path in sorted(SRC.rglob("*.py"))}
+    assert {name: found for name, found in unread.items() if found} == {}
+
+
+def test_the_parameter_scan_sees_unread_parameters(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def _iterate(step, done, state):\n"
+                      "    return step(state), done(state)\n"
+                      "def _step(i, a, b):\n"
+                      "    return i\n"
+                      "def f(x, y=0.0, *rest, z, **kw):\n"
+                      "    def g(u):\n"
+                      "        return x + u\n"
+                      "    del rest\n"
+                      "    return _iterate(_step, lambda i: i, g(kw))\n"
+                      "class A:\n"
+                      "    def m(self, t):\n"
+                      "        return t\n")
+    assert _unread_parameters(module) == [(5, "f.y"), (5, "f.z"),
+                                          (11, "m.self")]

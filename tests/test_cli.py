@@ -894,6 +894,60 @@ def test_reduced_process_below_the_lag_floor_exits_2(tmp_path, capsys,
         assert abs(v - ref) <= 2e-13 * abs(ref) + 16.0 * 2.0 ** -52 * terms
 
 
+# One input per way a cov or sample run at the float64 edges failed,
+# with a traceback or with NaN or +-inf written at exit 0:
+# - Gamma(2 alpha - 1) overflowed;
+# - D's series indexed past its terms at alpha >= 16, though every lag
+#   is 0 or past K's underflow, where D = sigma^2 is a double: it runs;
+# - the two-index variance's power of lambda overflowed;
+# - D took Temme's form lambda^(-2 nu) G_nu, which overflows at alpha =
+#   1.49 although D is a double there: refused, as D cannot be formed;
+# - D itself overflowed;
+# - tfgn's lambda^2 sigma^2_alpha was inf * 0.
+@pytest.mark.parametrize("command", ("cov", "sample"))
+@pytest.mark.parametrize("argv code".split(), (
+    (["--process", "fou", "--alpha", "87", "--lambda", "1"], 2),
+    (["--process", "tfbm", "--alpha", "16", "--lambda", "1e8"], 0),
+    (["--process", "tfbm2", "--alpha", "30", "--beta", "1",
+      "--lambda", "1e-40"], 2),
+    (["--process", "tfbm", "--alpha", "1.49", "--lambda", "1e-300"], 2),
+    (["--process", "tfbm", "--alpha", "5.4", "--lambda", "1e-40"], 2),
+    (["--process", "tfgn", "--alpha", "3", "--lambda", "1e300"], 2),
+), ids=("gamma-overflow", "series-past-its-terms", "two-index-variance",
+        "temme-overflow", "structure-overflow", "tfgn-inf-times-zero"))
+def test_float64_edges_exit_in_one_line_and_write_finite_values(
+        tmp_path, capsys, command, argv, code):
+    extra = ["--paths", "2"] if command == "sample" else []
+    assert cli.main([command, *argv, *extra, "--dt", "0.1", "--n", "8",
+                     "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err.splitlines()
+    written = list(tmp_path.iterdir())
+    if code:
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not written
+        return
+    (dest,) = written
+    values = ([float(v) for row in _read_csv(dest)[1] for v in row]
+              if command == "cov" else
+              [v for row in _values(tmp_path) for v in row])
+    assert len(values) == 16   # 8 rows of (t, value), or 2 paths of 8
+    assert all(map(math.isfinite, values)), values
+
+
+@pytest.mark.parametrize("method", ("exact", "spectral"))
+def test_a_grid_variance_past_float64_is_refused(tmp_path, capsys, method):
+    # D = 1.07e308 past K's underflow is a double, but the Gram's 2 D(t)
+    # and the increments' D + D are not: exact paths came out inf and
+    # spectral ones NaN, with exit 0
+    argv = ["sample", "--process", "tfbm", "--alpha", "1.2", "--lambda",
+            "4.9e-221", "--dt", "1e230", "--n", "8", "--paths", "2",
+            "--method", method, "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the grid's"), err
+    assert not list(tmp_path.iterdir())
+
+
 def test_tfbm_grid_past_the_old_jitter_cap_samples(tmp_path):
     # exited 3 ("the kernel Gram matrix is not positive semidefinite")
     # while D subtracted sigma^2 - C(tau)

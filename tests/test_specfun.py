@@ -366,6 +366,19 @@ def test_kummer_far_corners_meet_the_contract(a, b, z):
     assert r.abs_error_estimate <= 1e-12 * abs(ref)
 
 
+@pytest.mark.parametrize("a b z".split(), ((2.0, 3.0, 1e5),
+                                          (6.0, -4.5, 700.0)))
+def test_kummer_keeps_its_relative_accuracy_below_one(a, b, z):
+    # the contract, TOL_BOX * max(1, |U|), is absolute below |U| = 1 and
+    # passes a tiny value with no correct digit: an adaptive route once
+    # returned these two 100 % and 52 % off, inside it.  The fixed rule
+    # holds them to 2e-14 relative
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ref = float(mpmath.hyperu(a, b, z))
+    assert abs(specfun.kummer_u(a, b, z).value - ref) <= 2e-14 * abs(ref)
+
+
 def test_kummer_is_bitwise_the_same_in_any_batch():
     # rows of different lengths and steps, permuted and split
     rng = np.random.default_rng(11)
