@@ -65,18 +65,37 @@ def _power(base, exponent):
 
 def _sigma2(alpha, lam, gam):  # gam is Gamma(alpha)
     a2 = 2.0 * alpha - 1.0
-    return _gammas(a2) / (gam ** 2 * _power(2.0 * lam, a2))
+    # an underflowed or overflowed power is left to the caller's _finite
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _gammas(a2) / (gam ** 2 * _power(2.0 * lam, a2))
 
 
 def var_alpha_grid(alpha, lam):
-    """sigma^2 with elementwise alpha and lambda (broadcast)."""
+    """sigma^2 with elementwise alpha and lambda (broadcast); a sigma^2
+    that double precision cannot hold is a DomainError."""
     alpha = np.asarray(alpha, dtype=float)
-    return _sigma2(alpha, lam, _gammas(alpha))
+    return _finite(_sigma2(alpha, lam, _gammas(alpha)), "the variance",
+                   alpha, lam)
+
+
+def require_bessel_lags(alpha, lam, tau):
+    """DomainError, naming alpha, lambda and the lag, at a positive lag
+    tau whose lambda |tau| is below Bessel K's box, 0 where it underflows
+    (arguments broadcast)."""
+    alpha, lam, tau = np.broadcast_arrays(alpha, lam, np.abs(tau))
+    lost = (lam * tau < specfun.BESSEL_X_MIN) & (tau > 0.0)
+    if lost.any():
+        a, l, t = (v[lost][0] for v in (alpha, lam, tau))
+        raise DomainError(
+            "the covariance needs lambda*|tau| >= %g at a positive lag, got "
+            "%g at alpha=%g, lambda=%g, tau=%g"
+            % (specfun.BESSEL_X_MIN, l * t, a, l, t))
 
 
 def cov_alpha_grid(alpha, lam, tau):
     """C(tau) with elementwise alpha, lambda and tau (broadcast): sigma^2
-    at tau = 0, 0 where K underflows, a non-finite lag or C refused, and
+    at tau = 0, 0 where K underflows, a non-finite lag or C refused, as
+    is a positive lag below Bessel K's box (require_bessel_lags), and
     Gamma once per element of alpha at its own shape."""
     alpha = np.asarray(alpha, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -90,6 +109,7 @@ def cov_alpha_grid(alpha, lam, tau):
     if at_zero.any():
         out[at_zero] = _sigma2(alpha_b[at_zero], lam_b[at_zero],
                                gam_b[at_zero])
+    require_bessel_lags(alpha_b, lam_b, tau_b)
     live = ~at_zero & (lam_b * tau_b <= _X_UNDERFLOW)
     if live.any():
         # a shared lambda stays a scalar: no array of it beside the lags
@@ -229,7 +249,7 @@ def structure_alpha_grid(alpha, lam, tau):
                       * np.broadcast_to(rg[0], temme.shape)[temme]
                       * specfun.besselk_deficit(nu_t, x_t))
     if not small.all():
-        out = np.where(small, out, var_alpha_grid(alpha, lam)
+        out = np.where(small, out, _sigma2(alpha, lam, _gammas(alpha))
                        - cov_alpha_grid(alpha, lam, tau - tau_s))
     # -0.0, from a negative prefactor at tau = 0 or an underflow, + 0.0
     # is +0.0; any other value is unchanged

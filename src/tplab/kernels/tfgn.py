@@ -66,6 +66,7 @@ def tfgn_cov_values(alpha, lam, taus):
     if not (lam > 0.0 and math.isfinite(lam * lam)):
         raise DomainError("lambda must be positive with a finite square, "
                           "got %g" % lam)
+    fou.require_bessel_lags(alpha, lam, taus)
     return (fou.cov_alpha_grid(alpha - 1.0, lam, taus)
             - lam * lam * fou.cov_alpha_grid(alpha, lam, taus))
 

@@ -9,9 +9,6 @@ Public entry points:
         tail extrapolation).  Every error indicator carries QUADPACK's
         rounding floor, so no result claims more than float64 certifies.
 
-    integrate_batch(f, a, b, tol)
-        many such integrals in lockstep, the k-th of f(x, k) on [a[k], b[k]].
-
     fourier_cos_halfline(g, tau, tol, decay_p)
         I(tau) = int_0^inf g(k) cos(k tau) dk for a nonnegative amplitude
         g decaying like k^(-decay_p), decay_p > 1.  The half-line is cut at
@@ -25,19 +22,13 @@ NonConvergence with the partial.  No kernel calls it: the kernels use
 closed forms or rotate such transforms onto the imaginary axis, where
 they are Laplace integrals, and the lobe sum is the independent
 reference that tests hold them against.  The kernels sum those Laplace
-integrals by fixed trapezoid rules, so the adaptive engine serves only
-the lobe sum and the validation oracle.
+integrals by fixed trapezoid rules, and the validation oracle sums its
+own, so no module of the library calls this one: tests hold the
+kernels against it as a second opinion.
 
-Integrands take a 1-d float64 array of nodes, batch integrands also an
-integer array k naming each node's integral, and return their values
-there as an array of the same shape.  Each round, every unfinished
-integral bisects its worst panel, and all the halves (or all initial
-panels) are evaluated in one call, so a numpy integrand pays the
-interpreter once per round, not per node or per integral.  Each integral
-keeps its own panel sums (array reductions in an order fixed per panel),
-rounding floor, settled panels, heap order and tie-breaks, failure tests
-and cap: when f at a node depends on (x, k) alone, its result is bitwise
-what it gets alone, whatever else shares its batch.
+Integrands take a 1-d float64 array of nodes and return their values
+there as an array of the same shape; each bisection evaluates both
+halves of a panel in one call.
 
 All routines are pure, reentrant and float64 throughout.
 """
@@ -46,7 +37,6 @@ import math
 import sys
 from dataclasses import dataclass
 from heapq import heappush, heappop
-from itertools import islice
 
 import numpy as np
 
@@ -77,10 +67,9 @@ class QuadResult:
     subdivisions: int
 
 
-def _rule_pairs(f, lo, hi, k):
-    """Arrays of the 15-point value, error indicator and floor flag on
-    each panel [lo[i], hi[i]] of integral k[i], with one call f(x, k) on
-    all their nodes.
+def _rule_pairs(f, lo, hi):
+    """Lists of the 15-point value, error indicator and floor flag on
+    each panel [lo[i], hi[i]], with one call of f on all their nodes.
 
     The indicator is |15pt - 7pt|, raised to the panel's rounding floor
     ROUNDING_FLOOR * h * sum |w_i f(x_i)|; the flag says it sits there,
@@ -94,29 +83,26 @@ def _rule_pairs(f, lo, hi, k):
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     h = 0.5 * (hi - lo)
     nodes = (0.5 * (lo + hi))[:, None] + h[:, None] * _NODES
-    fx = f(nodes.ravel(), np.repeat(k, _NODES.size)).reshape(nodes.shape)
+    fx = f(nodes.ravel()).reshape(nodes.shape)
     terms15 = _W15 * fx[:, :15]
     i15 = h * terms15.sum(axis=1)
     i7 = h * (_W7 * fx[:, 15:]).sum(axis=1)
     floor = ROUNDING_FLOOR * np.abs(h) * np.abs(terms15).sum(axis=1)
     diff = np.abs(i15 - i7)
-    return i15, np.maximum(diff, floor), diff <= floor
+    return [v.tolist() for v in (i15, np.maximum(diff, floor), diff <= floor)]
 
 
-def _bisect(edges, tol, cap):
-    """One integral by globally adaptive bisection of the panel between
-    edges = (a, b) under the error budget tol, as a generator: it yields
-    the edges of the panels it needs, edges first and then (lo, mid, hi)
-    for each bisection, and is sent a list of their _rule_pairs (value,
-    indicator, flag).  Panels whose indicator sits at its rounding floor
-    are settled and never bisected.  Returns (value, err, n_intervals);
-    raises NonConvergence past cap, or as soon as the settled panels
+def _bisect(f, a, b, tol, cap):
+    """The integral of f over [a, b] by globally adaptive bisection
+    under the error budget tol: each step evaluates both halves of the
+    panel with the largest indicator in one call of f.  Panels whose
+    indicator sits at its rounding floor are settled and never bisected.
+    Raises NonConvergence past cap, or as soon as the settled panels
     alone exceed tol and the open ones add no more than that again.
     """
     # max-heap of the open panels on the error indicator; the counter
     # breaks ties deterministically
-    a, b = edges
-    (total, total_err, settled), = yield edges
+    (total,), (total_err,), (settled,) = _rule_pairs(f, [a], [b])
     done, heap, floor_err = [], [], 0.0
     if settled:
         done, floor_err = [total], total_err
@@ -144,7 +130,7 @@ def _bisect(edges, tol, cap):
             heappush(heap, (neg_e, tick, lo, hi, v, e))
             raise failure("interval at floating resolution with err=%g > "
                           "tol=%g" % (total_err, tol))
-        (v1, e1, s1), (v2, e2, s2) = yield lo, mid, hi
+        (v1, v2), (e1, e2), (s1, s2) = _rule_pairs(f, [lo, mid], [mid, hi])
         total += v1 + v2 - v
         total_err += e1 + e2 - e
         for vi, ei, si, lo_i, hi_i in ((v1, e1, s1, lo, mid),
@@ -156,12 +142,13 @@ def _bisect(edges, tol, cap):
                 heappush(heap, (-ei, tick, lo_i, hi_i, vi, ei))
             tick += 1
         nseg += 1
-    return math.fsum(done + [seg[4] for seg in heap]), total_err, nseg
+    return QuadResult(math.fsum(done + [seg[4] for seg in heap]), total_err,
+                      nseg)
 
 
-def _to_inf(a, tol, cap):
-    """[a, inf) by doubling panels with geometric tail extrapolation, as
-    a generator like _bisect, whose runs on the panels it delegates to.
+def _to_inf(f, a, tol, cap):
+    """The integral of f over [a, inf) by doubling panels, each bisected
+    by _bisect, with geometric tail extrapolation.
 
     Stops when the extrapolated remainder (ratio of the last two panel
     integrals, assumed to keep contracting) drops below tol/2.  A panel
@@ -170,35 +157,34 @@ def _to_inf(a, tol, cap):
     partial over the whole half-line.
     """
     k0 = max(1.0, abs(a) + 1.0)
-    vals, errs = [], []
-    nseg = 0
+    parts = []
     failure = None  # message of the first panel that missed its tol
 
     def panel(lo, hi, panel_tol):
-        nonlocal nseg, failure
+        nonlocal failure
         try:
-            v, e, n = yield from _bisect((lo, hi), panel_tol, cap - nseg)
+            r = _bisect(f, lo, hi, panel_tol,
+                        cap - sum(p.subdivisions for p in parts))
         except NonConvergence as exc:
             failure = failure or str(exc)
-            v, e, n = (exc.partial.value, exc.partial.abs_error_estimate,
-                       exc.partial.subdivisions)
-        vals.append(v)
-        errs.append(e)
-        nseg += n
-        return v
+            r = exc.partial
+        parts.append(r)
+        return r.value
 
     def finish(remainder):
-        partial = QuadResult(math.fsum(vals), math.fsum(errs) + remainder,
-                             nseg)
+        partial = QuadResult(
+            math.fsum(p.value for p in parts),
+            math.fsum(p.abs_error_estimate for p in parts) + remainder,
+            sum(p.subdivisions for p in parts))
         if failure is not None:
             raise NonConvergence(failure, partial=partial)
-        return partial.value, partial.abs_error_estimate, nseg
+        return partial
 
-    yield from panel(a, k0, 0.25 * tol)
+    panel(a, k0, 0.25 * tol)
     lo, hi = k0, 2.0 * k0
     prev = None
     for j in range(200):
-        v = yield from panel(lo, hi, 0.25 * tol / ((j + 2) * (j + 2)))
+        v = panel(lo, hi, 0.25 * tol / ((j + 2) * (j + 2)))
         if prev is not None and abs(prev) > 0.0:
             r = abs(v) / abs(prev)
             if r < 0.95:
@@ -214,64 +200,15 @@ def _to_inf(a, tol, cap):
     return finish(abs(v))
 
 
-def _lockstep(f, runs):
-    """Run integrals in lockstep.  runs maps k to a _bisect or _to_inf
-    generator of the k-th integral of the batch integrand f; each round
-    evaluates the panels every unfinished one asks for in one call of f.
-    Returns k -> QuadResult, or the NonConvergence that k raised."""
-    out, replies = {}, dict.fromkeys(runs)
-    while True:
-        asks = {}
-        for k, reply in replies.items():
-            try:
-                asks[k] = runs[k].send(reply)
-            except StopIteration as stop:
-                out[k] = QuadResult(*stop.value)
-            except NonConvergence as exc:
-                out[k] = exc
-        if not asks:
-            return out
-        lo, hi, ks = zip(*[(x, y, k) for k, e in asks.items()
-                           for x, y in zip(e[:-1], e[1:])])
-        pairs = iter(zip(*(a.tolist() for a in _rule_pairs(f, lo, hi, ks))))
-        replies = {k: list(islice(pairs, len(e) - 1)) for k, e in asks.items()}
-
-
-def integrate_batch(f, a, b, tol=1e-10):
-    """Integrate f(x, k) over [a[k], b[k]] for every k, in lockstep.
-
-    a, b and tol broadcast.  Each integral keeps integrate_adaptive's
-    contract; a DomainError raises before f is called.  Returns, per
-    integral, its QuadResult or the NonConvergence (with partial) it
-    raises alone.
-    """
-    a, b, tol = (v.ravel().tolist() for v in np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (a, b, tol))))
-    runs = {}
-    for k, (lo, hi, tk) in enumerate(zip(a, b, tol)):
-        if not tk > 0.0:
-            raise DomainError("tol must be positive")
-        if not math.isfinite(lo):
-            raise DomainError("lower limit must be finite, got %g" % lo)
-        if not lo <= hi:
-            raise DomainError("limits must satisfy a <= b, got a=%g, b=%g"
-                              % (lo, hi))
-        if hi == lo:
-            continue
-        runs[k] = (_to_inf(lo, tk, SUBDIVISION_CAP) if math.isinf(hi)
-                   else _bisect((lo, hi), tk, SUBDIVISION_CAP))
-    out = _lockstep(f, runs)
-    return [out.get(k, QuadResult(0.0, 0.0, 0)) for k in range(len(a))]
-
-
 def integrate_adaptive(f, a, b, tol=1e-10):
     """Integrate f over [a, b], a finite and a <= b <= math.inf.
 
-    f maps an array of nodes to its values there (see the module
-    docstring).  It must be finite on the open interval; integrable
-    endpoint singularities are tolerated because the rules are open, but
-    the caller is responsible for substituting away anything stronger.
-    Limits outside that contract, NaN included, raise DomainError.
+    f maps a 1-d float64 array of nodes to its values there, as an array
+    of the same shape.  It must be finite on the open interval;
+    integrable endpoint singularities are tolerated because the rules
+    are open, but the caller is responsible for substituting away
+    anything stronger.  Limits outside that contract, NaN included, and
+    a tol that is not positive raise DomainError before f is called.
 
     For b = inf the tail is extrapolated from two doubling panels, which
     assumes it keeps one sign.
@@ -283,13 +220,20 @@ def integrate_adaptive(f, a, b, tol=1e-10):
     second case gives up as soon as the panels at their floor alone
     exceed tol and the others add at most as much again, far short of
     the cap.
-
-    This is integrate_batch with one integral.
     """
-    r, = integrate_batch(lambda x, k: f(x), a, b, tol)
-    if isinstance(r, NonConvergence):
-        raise r
-    return r
+    a, b, tol = float(a), float(b), float(tol)
+    if not tol > 0.0:
+        raise DomainError("tol must be positive")
+    if not math.isfinite(a):
+        raise DomainError("lower limit must be finite, got %g" % a)
+    if not a <= b:
+        raise DomainError("limits must satisfy a <= b, got a=%g, b=%g"
+                          % (a, b))
+    if b == a:
+        return QuadResult(0.0, 0.0, 0)
+    if math.isinf(b):
+        return _to_inf(f, a, tol, SUBDIVISION_CAP)
+    return _bisect(f, a, b, tol, SUBDIVISION_CAP)
 
 
 # --- oscillatory half-line transform -----------------------------------
@@ -334,9 +278,11 @@ def _cos_lobes_float(g, tau, tol, decay_p, max_lobes):
         # anyway.  A lobe that stops at its own floor still yields a
         # usable partial and the caller's cancellation logic takes over
         lobe_tol = max(tol / (8.0 * (m + 2.0) ** 1.2), ROUNDING_FLOOR * amp)
-        r = _lockstep(lambda x, k: g(x) * np.cos(x * tau),
-                      {0: _bisect((lo, hi), lobe_tol, 512)})[0]
-        r = r.partial if isinstance(r, NonConvergence) else r
+        try:
+            r = _bisect(lambda x: g(x) * np.cos(x * tau), lo, hi, lobe_tol,
+                        512)
+        except NonConvergence as exc:
+            r = exc.partial
         v, e, n = r.value, r.abs_error_estimate, r.subdivisions
         nseg += n
         errs.append(e)

@@ -948,6 +948,24 @@ def test_a_grid_variance_past_float64_is_refused(tmp_path, capsys, method):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", (
+    ["cov", "--process", "fou", "--alpha", "0.75"],
+    ["cov", "--process", "tfgn", "--alpha", "1.6"],
+    ["sample", "--process", "fou", "--alpha", "0.75", "--paths", "2"],
+), ids=("cov-fou", "cov-tfgn", "sample-fou"))
+def test_a_lag_whose_lambda_tau_underflows_is_refused_in_the_users_terms(
+        tmp_path, capsys, argv):
+    # each exited 2 with "error: bessel_k requires x > 0"
+    argv = argv + ["--lambda", "1e-300", "--t0", "0", "--dt", "1e-300",
+                   "--n", "3", "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: the covariance needs lambda*|tau| >= 1e-15 at a "
+                   "positive lag, got 0 at alpha=%s, lambda=1e-300, "
+                   "tau=1e-300" % argv[4]], err
+    assert not list(tmp_path.iterdir())
+
+
 def test_tfbm_grid_past_the_old_jitter_cap_samples(tmp_path):
     # exited 3 ("the kernel Gram matrix is not positive semidefinite")
     # while D subtracted sigma^2 - C(tau)

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,28 @@ def test_non_finite_lag_is_a_domain_error(lag):
         K.fou_cov(p, lag)
     with pytest.raises(DomainError, match="lags must be finite"):
         K.tfbm_cov(p, 0.05, lag)
+
+
+def test_a_variance_past_float64_is_a_domain_error_with_no_warning():
+    # (2 lambda)^(2 alpha - 1) underflows: fou_var read inf, with a numpy
+    # divide-by-zero RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="alpha=3, lambda=1e-300"):
+            K.fou_var(FracOUParams(3.0, 1e-300))
+
+
+@pytest.mark.parametrize("lam tau x".split(), (
+    (1e-300, 1e-300, "0"), (1e-300, 0.1, "1e-301"), (1e-8, 1e-8, "1e-16")))
+def test_a_positive_lag_below_the_bessel_box_is_refused(lam, tau, x):
+    # bessel_k refused lambda |tau| = 0, or below its box, in its own
+    # terms; the lag 0 still gives the variance
+    p = FracOUParams(0.75, lam)
+    with pytest.raises(DomainError, match=r"lambda\*\|tau\| >= 1e-15 at a "
+                       "positive lag, got %s at alpha=0.75, lambda=%g, "
+                       "tau=%g$" % (x, lam, tau)):
+        K.fou_cov(p, [0.0, tau, 2.0 * tau])
+    assert K.fou_cov(p, 0.0) == K.fou_var(p)
 
 
 @given(st.floats(min_value=0.55, max_value=1.45),

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -96,8 +97,8 @@ def test_batched_panels_equal_single_panels_bitwise(f, edges):
               for lo, hi in (base[i] for i in rng.integers(len(base),
                                                            size=64))]
     lo, hi = np.array(base + pieces).T
-    single = [list(zip(*(a.tolist() for a in quad._rule_pairs(
-        lambda x, k: f(x), [a], [b], [0])))) for a, b in zip(lo, hi)]
+    single = [list(zip(*quad._rule_pairs(f, [a], [b])))
+              for a, b in zip(lo, hi)]
     for n in (1, 2, 33, 64):
         calls = []
 
@@ -106,11 +107,9 @@ def test_batched_panels_equal_single_panels_bitwise(f, edges):
             return f(x)
 
         pick = rng.permutation(lo.size)[:n]
-        batch = quad._rule_pairs(lambda x, k: counted(x), lo[pick], hi[pick],
-                                 np.zeros(n, dtype=int))
+        batch = quad._rule_pairs(counted, lo[pick], hi[pick])
         assert calls == [22 * n]
-        assert list(zip(*(a.tolist() for a in batch))) == [
-            single[i][0] for i in pick]
+        assert list(zip(*batch)) == [single[i][0] for i in pick]
 
 
 @pytest.mark.parametrize("f lo_range".split(), (
@@ -124,8 +123,7 @@ def test_panel_sums_stay_within_half_the_rounding_floor(f, lo_range):
     rng = np.random.default_rng(7)
     lo = rng.uniform(*lo_range, size=500)
     hi = lo + 10.0 ** rng.uniform(-6.0, 0.7, size=500)
-    i15 = quad._rule_pairs(lambda x, k: f(x), lo, hi,
-                           np.zeros(lo.size, dtype=int))[0]
+    i15 = quad._rule_pairs(f, lo, hi)[0]
     h = 0.5 * (hi - lo)
     nodes = (0.5 * (lo + hi))[:, None] + h[:, None] * quad._X15
     terms = quad._W15 * f(nodes)
@@ -134,96 +132,77 @@ def test_panel_sums_stay_within_half_the_rounding_floor(f, lo_range):
         assert abs(v - hk * math.fsum(t)) <= bound
 
 
-# --- many integrals in lockstep ---------------------------------------------
+# --- pinned results ---------------------------------------------------------
 
-# (f, a, b, tol): finite and half-line, an endpoint singularity, an
-# oscillation, a tiny scale, an empty interval, and two that cannot meet
-# tol: the float64 floor on [0, 1] and on [0, inf)
+_CAP_HIT = "subdivision cap 40 hit on [0, %s]"
+_FLOOR_HIT = "tol=%s is below float64 resolution on [0, 1]: rounding floor %s"
+
+# (f, a, b, tol, pinned): finite and half-line, an endpoint singularity,
+# an oscillation, a tiny scale, an empty interval, and two that cannot
+# meet tol: the float64 floor on [0, 1] and on [0, inf).  pinned is the
+# (value, abs_error_estimate, subdivisions) of the result, or of the
+# partial after the NonConvergence message, bit for bit
 _MIXED = (
-    (np.exp, 0.0, 1.0, 1e-13),
-    (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 1e-10),
-    (lambda x: np.sin(40.0 * x) / (1.0 + x), 0.0, 7.5, 1e-9),
-    (lambda x: np.exp(-x), 0.0, math.inf, 1e-12),
-    (lambda x: 1.0 / (1.0 + x * x), 0.5, math.inf, 1e-10),
-    (np.exp, 2.0, 2.0, 1e-10),
-    (np.exp, 0.0, 1.0, 1e-25),
-    (lambda x: np.exp(-x), 0.0, math.inf, 1e-25),
-    (lambda x: 1e-30 * np.exp(x), -1.0, 1.0, 1e-42),
+    (np.exp, 0.0, 1.0, 1e-13,
+     (1.718281828459045, 1.9076760487502454e-14, 1)),
+    (lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, 1e-10,
+     (1.999999999926009, 8.752557334926787e-11, 60)),
+    (lambda x: np.sin(40.0 * x) / (1.0 + x), 0.0, 7.5, 1e-9,
+     (0.025042617016809633, 2.0249069079003872e-10, 64)),
+    (lambda x: np.exp(-x), 0.0, math.inf, 1e-12,
+     (0.9999999999999998, 2.0687475914665257e-14, 10)),
+    (lambda x: 1.0 / (1.0 + x * x), 0.5, math.inf, 1e-10,
+     (1.1071487177552854, 4.981598022982607e-11, 44)),
+    (np.exp, 2.0, 2.0, 1e-10, (0.0, 0.0, 0)),
+    (np.exp, 0.0, 1.0, 1e-25,
+     (_FLOOR_HIT % ("1e-25", "1.90768e-14"),
+      1.718281828459045, 1.9076760487502454e-14, 1)),
+    (lambda x: np.exp(-x), 0.0, math.inf, 1e-25,
+     (_FLOOR_HIT % ("2.5e-26", "7.01795e-15"),
+      0.9999999999999998, 1.1102230631751573e-14, 24)),
+    (lambda x: 1e-30 * np.exp(x), -1.0, 1.0, 1e-42,
+     (2.3504023872876024e-30, 2.6094708475006304e-44, 1)),
 )
 
 
-def _alone(f, a, b, tol):
+def _outcome(f, a, b, tol):
+    # the result as a tuple, or the failure's message and then its partial
     try:
-        return quad.integrate_adaptive(f, a, b, tol)
+        return astuple(quad.integrate_adaptive(f, a, b, tol))
     except NonConvergence as exc:
-        return exc
+        assert type(exc) is NonConvergence
+        return (str(exc),) + astuple(exc.partial)
 
 
-def _same(got, want):
-    # a failure must match in type, reason and partial, bit for bit
-    if isinstance(want, NonConvergence):
-        assert type(got) is type(want) and str(got) == str(want)
-        got, want = got.partial, want.partial
-    assert got == want
+@pytest.mark.parametrize("case", _MIXED, ids=(
+    "exp", "inverse-sqrt", "sin40", "exp-halfline", "lorentzian-tail",
+    "empty", "exp-floor", "halfline-floor", "tiny-scale"))
+def test_mixed_results_are_pinned(case):
+    *args, pinned = case
+    assert _outcome(*args) == pinned
 
 
-def _batch(cases):
-    calls = []
-
-    def f(x, k):
-        calls.append(x.size)
-        out = np.empty_like(x)
-        for j, case in enumerate(cases):
-            sel = k == j
-            out[sel] = case[0](x[sel])
-        return out
-
-    res = quad.integrate_batch(
-        f, [c[1] for c in cases], [c[2] for c in cases],
-        [c[3] for c in cases])
-    return res, calls
-
-
-@pytest.mark.parametrize("order", ("forward", "reversed", "odd-first"))
-def test_batch_results_equal_single_integrals_bitwise(order):
-    cases = list(_MIXED)
-    if order == "reversed":
-        cases.reverse()
-    elif order == "odd-first":
-        cases = cases[1::2] + cases[::2]
-    res, calls = _batch(cases)
-    assert len(res) == len(cases)
-    for got, case in zip(res, cases):
-        _same(got, _alone(*case))
-    assert sum(isinstance(r, NonConvergence) for r in res) == 2
-    # one integrand call per round, not one per integral
-    assert len(calls) < sum(
-        (r.partial if isinstance(r, NonConvergence) else r).subdivisions
-        for r in res)
-
-
-def test_batch_member_at_the_cap_keeps_its_partial_alone(monkeypatch):
-    # a cap hit stops only its own integral, whose partial matches the
-    # single call's, and the rest of the batch is untouched
+def test_cap_hit_keeps_its_pinned_partial(monkeypatch):
+    # a cap hit stops with its partial; integrals within the cap are
+    # untouched by it
     monkeypatch.setattr(quad, "SUBDIVISION_CAP", 40)
     wiggle = (lambda x: np.sin(300.0 * x) / (1.0 + x), 0.0, 30.0, 1e-12)
-    cases = [_MIXED[0], wiggle, _MIXED[3], _MIXED[2]]
-    res, _ = _batch(cases)
-    assert "cap 40" in str(res[1])
-    assert res[1].partial.subdivisions == 40
-    for got, case in zip(res, cases):
-        _same(got, _alone(*case))
-    assert not any(isinstance(r, NonConvergence) for r in res[::2])
+    assert _outcome(*wiggle) == (
+        _CAP_HIT % 30, 0.1922159195531665, 0.13536132971466258, 40)
+    assert _outcome(*_MIXED[2][:4]) == (
+        _CAP_HIT % 7.5, 0.025042617016809692, 1.289510085195891e-06, 40)
+    for case in (_MIXED[0], _MIXED[3]):
+        assert _outcome(*case[:4]) == case[4]
 
 
-def test_batch_domain_errors_raise_before_any_evaluation():
-    def f(x, k):
+def test_domain_errors_raise_before_any_evaluation():
+    def f(x):
         raise AssertionError("integrand called")
 
     with pytest.raises(DomainError):
-        quad.integrate_batch(f, [0.0, 0.0], [1.0, math.nan], 1e-10)
+        quad.integrate_adaptive(f, 0.0, math.nan, 1e-10)
     with pytest.raises(DomainError, match="tol must be positive"):
-        quad.integrate_batch(f, 0.0, [1.0, math.inf], [1e-10, 0.0])
+        quad.integrate_adaptive(f, 0.0, math.inf, 0.0)
 
 
 def test_unattainable_tolerance_keeps_partial():

@@ -15,7 +15,7 @@ import pytest
 
 from tplab import quad, specfun, validate
 from tplab import kernels as K
-from tplab.errors import DivergenceWarning, DomainError
+from tplab.errors import AccuracyError, DivergenceWarning, DomainError
 from tplab.kernels import FracOUParams
 
 
@@ -248,68 +248,52 @@ def test_oracle_suite_evaluates_its_closed_forms_in_one_bessel_batch(
         assert c.expected == K.fou_cov(FracOUParams(alpha, lam), tau)
 
 
-# subdivisions of each oracle cell at the suite's tolerance, in the
-# suite's order (alpha, then lam, then tau); evaluating a batch of panels
-# in one integrand call must not move them.  The integrand in v, before
-# v = u^4, is singular at 0 and took 6-52 a cell (2,042 in all)
-_ORACLE_SUBDIVISIONS = (
-    # alpha = 0.6: lam = 0.25, 1, 4 by rows, tau across
-    9, 8, 7, 7, 7,
-    9, 8, 7, 7, 7,
-    8, 7, 7, 7, 7,
-    # alpha = 0.75
-    8, 8, 8, 6, 7,
-    9, 8, 6, 7, 7,
-    8, 7, 7, 7, 7,
-    # alpha = 1
-    7, 7, 7, 6, 6,
-    7, 7, 6, 6, 7,
-    7, 7, 6, 7, 7,
-    # alpha = 1.25
-    6, 7, 7, 6, 6,
-    8, 7, 6, 6, 6,
-    6, 5, 6, 6, 6,
-    # alpha = 1.4
-    13, 13, 11, 10, 11,
-    12, 12, 10, 11, 11,
-    12, 11, 11, 11, 11,
-)
-# lockstep rounds (integrand calls) of the 75-cell batch, one per
-# subdivision (panel or bisection) of its deepest cell; the singular
-# integrand took 52
-_ORACLE_ROUNDS = 13
-
-
 def _oracle_tol(p, tau):
     return max(1e-300, 1e-8 * abs(K.fou_cov(p, tau)))
 
 
-def test_oracle_subdivisions_are_pinned():
-    got = []
-    for alpha, lam, tau in _ORACLE_CELLS:
-        p = FracOUParams(alpha, lam)
-        r, = validate._fou_cov_by_quadrature([p], [tau], [_oracle_tol(p, tau)])
-        got.append(r.subdivisions)
-    assert tuple(got) == _ORACLE_SUBDIVISIONS
-
-
-def test_oracle_batch_is_its_cells_alone_in_pinned_rounds(monkeypatch):
+def _oracle_cells():
     ps, taus = zip(*((FracOUParams(alpha, lam), tau)
                      for alpha, lam, tau in _ORACLE_CELLS))
-    tols = [_oracle_tol(p, tau) for p, tau in zip(ps, taus)]
+    return ps, taus, [_oracle_tol(p, tau) for p, tau in zip(ps, taus)]
+
+
+def test_oracle_subdivisions_are_pinned():
+    # the fixed rule's node count, reported as each cell's subdivisions:
+    # exp(pi/2 sinh s) on s = -4.5 + j/80, j = 0..616
+    for p, tau, tol in zip(*_oracle_cells()):
+        r, = validate._fou_cov_by_quadrature([p], [tau], [tol])
+        assert r.subdivisions == 617
+
+
+def test_oracle_batch_is_its_cells_alone():
+    ps, taus, tols = _oracle_cells()
     singles = [validate._fou_cov_by_quadrature([p], [tau], [tol])[0]
                for p, tau, tol in zip(ps, taus, tols)]
-    rounds = []
-    real = quad.integrate_batch
+    assert validate._fou_cov_by_quadrature(ps, taus, tols) == singles
 
-    def counting(f, *args):
-        def g(x, k):
-            rounds.append(x.size)
-            return f(x, k)
-        return real(g, *args)
 
-    monkeypatch.setattr(quad, "integrate_batch", counting)
-    batch = validate._fou_cov_by_quadrature(ps, taus, tols)
-    assert batch == singles
-    assert [r.subdivisions for r in batch] == list(_ORACLE_SUBDIVISIONS)
-    assert len(rounds) == _ORACLE_ROUNDS
+def test_oracle_refuses_a_tolerance_below_its_estimate():
+    # each estimate sits within the suite's 1e-8 |C|; asked for less than
+    # it, the cell is refused
+    ps, taus, tols = _oracle_cells()
+    for p, tau, tol, r in zip(ps, taus, tols,
+                              validate._fou_cov_by_quadrature(ps, taus, tols)):
+        assert r.abs_error_estimate <= tol
+        with pytest.raises(AccuracyError, match="alpha=%g, lambda=%g, tau=%g"
+                           % (p.alpha, p.lam, tau)):
+            validate._fou_cov_by_quadrature([p], [tau],
+                                            [0.5 * r.abs_error_estimate])
+
+
+def test_oracle_shares_no_special_function_or_sum_with_the_kernels(
+        monkeypatch):
+    # the second opinion calls no Bessel function and sums its own rule,
+    # so a defect in specfun's shared summation cannot hide on both sides
+    def refuse(*args, **kwargs):
+        raise AssertionError("specfun called")
+
+    ps, taus, tols = _oracle_cells()
+    for name in ("besselk_grid", "bessel_k", "row_sums"):
+        monkeypatch.setattr(specfun, name, refuse)
+    assert len(validate._fou_cov_by_quadrature(ps, taus, tols)) == 75
