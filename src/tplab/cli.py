@@ -251,12 +251,10 @@ def cmd_cov(rc):
         desc = _build_descriptor(rc)
         fam = sampler.FAMILIES[rc.family]
         times = sampler.TimeGrid(rc.t0, rc.dt, rc.n).times()
-        if fam.lag is not None:
-            vals = fam.lag(desc.params, times)
-        else:
-            if not math.isfinite(rc.s):
-                raise DomainError("s must be finite, got %g" % rc.s)
-            vals = [fam.cov(desc.params, t, rc.s) for t in times]
+        if fam.lag is None and not math.isfinite(rc.s):
+            raise DomainError("s must be finite, got %g" % rc.s)
+        vals = (fam.lag(desc.params, times) if fam.lag is not None
+                else fam.cov(desc.params, times, rc.s))
         header = ("t", "value")
         rows = [(float(t), float(v)) for t, v in zip(times, vals)]
         dest = _out_path(rc, "cov.csv")

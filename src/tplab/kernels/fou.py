@@ -94,9 +94,9 @@ def require_bessel_lags(alpha, lam, tau):
 
 def cov_alpha_grid(alpha, lam, tau):
     """C(tau) with elementwise alpha, lambda and tau (broadcast): sigma^2
-    at tau = 0, 0 where K underflows, a non-finite lag or C refused, as
-    is a positive lag below Bessel K's box (require_bessel_lags), and
-    Gamma once per element of alpha at its own shape."""
+    at tau = 0, sigma^2 - D below Bessel K's box (refused at alpha <= 1/2,
+    require_bessel_lags), 0 where K underflows, a non-finite lag or C
+    refused, and Gamma once per element of alpha at its own shape."""
     alpha = np.asarray(alpha, dtype=float)
     lam = np.asarray(lam, dtype=float)
     tau = np.abs(np.asarray(tau, dtype=float))
@@ -109,8 +109,13 @@ def cov_alpha_grid(alpha, lam, tau):
     if at_zero.any():
         out[at_zero] = _sigma2(alpha_b[at_zero], lam_b[at_zero],
                                gam_b[at_zero])
-    require_bessel_lags(alpha_b, lam_b, tau_b)
     live = ~at_zero & (lam_b * tau_b <= _X_UNDERFLOW)
+    low = live & (lam_b * tau_b < specfun.BESSEL_X_MIN) & (alpha_b > 0.5)
+    if low.any():
+        a, lm, t = alpha_b[low], lam_b[low], tau_b[low]
+        out[low] = _sigma2(a, lm, gam_b[low]) - structure_alpha_grid(a, lm, t)
+        live &= ~low
+    require_bessel_lags(*(v[live] for v in (alpha_b, lam_b, tau_b)))
     if live.any():
         # a shared lambda stays a scalar: no array of it beside the lags
         lam_l = lam if lam.ndim == 0 else lam_b[live]

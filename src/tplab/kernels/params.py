@@ -157,15 +157,12 @@ class HurstProfile:
                 % (t, v, self.alpha_min, self.alpha_max))
         return v
 
-    def alpha_plus(self, t, s):
-        return 0.5 * (self.alpha(t) + self.alpha(s))
-
     def spot_check(self, ts):
-        """Bounds plus the declared Holder modulus on a grid of times."""
+        """Bounds and declared Holder modulus at ts; returns alpha(ts)."""
         ts = np.asarray(ts, dtype=float)
-        vals = np.array([self.alpha(t) for t in ts])
+        alphas = np.array([self.alpha(t) for t in ts])
         order = np.argsort(ts)
-        ts, vals = ts[order], vals[order]
+        ts, vals = ts[order], alphas[order]
         for stride in (1, max(1, len(ts) // 3)):
             dt = np.abs(ts[stride:] - ts[:-stride])
             dv = np.abs(vals[stride:] - vals[:-stride])
@@ -176,7 +173,7 @@ class HurstProfile:
                 raise DomainError(
                     "profile violates declared Holder modulus between "
                     "t=%g and t=%g" % (ts[i], ts[i + stride]))
-        return self
+        return alphas
 
     @classmethod
     def constant(cls, alpha):

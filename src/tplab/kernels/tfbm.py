@@ -24,10 +24,12 @@ from .params import FracOUParams
 
 def _stacked(fn, *args):
     """fn over the arrays args raveled into one, split back into their
-    own shapes: one Bessel batch, each argument at its own size."""
+    own shapes (and fn's trailing axes): one Bessel batch, each argument
+    at its own size."""
     flat = fn(np.concatenate([a.ravel() for a in args]))
     ends = np.cumsum([a.size for a in args])[:-1]
-    return [v.reshape(a.shape) for v, a in zip(np.split(flat, ends), args)]
+    return [v.reshape(a.shape + v.shape[1:])
+            for v, a in zip(np.split(flat, ends), args)]
 
 
 def tfbm_cov(p: FracOUParams, t, s):

@@ -9,8 +9,9 @@ covariance is two fou kernels:
 
 which requires alpha > 1 for C_(alpha-1) to exist at tau != 0, and
 alpha > 3/2 for the pointwise variance sigma^2_(alpha-1) - lambda^2
-sigma^2_alpha.  Both kernels are evaluated in fou's Bessel box,
-alpha - 1/2 <= 5.
+sigma^2_alpha.  tfgn_cov takes any lag array, 0 included; it refuses a
+positive lag below Bessel K's box only at alpha <= 3/2, where C_(alpha-1)
+has no sigma^2 - D form.
 
 The moving-average construction gives the same covariance as four
 blocks of the cross-covariance
@@ -50,12 +51,14 @@ def tfgn_cross_cov(mu, nu, lam, tau):
     return specfun.shaped(shape, pre * u / specfun.each(math.gamma, mu))
 
 
-def tfgn_cov_values(alpha, lam, taus):
-    """C_(alpha-1)(tau) - lambda^2 C_alpha(tau) over a lag array; even
-    in tau, and the pointwise variance at tau = 0."""
+def tfgn_cov(alpha, lam, tau):
+    """C_(alpha-1)(tau) - lambda^2 C_alpha(tau): even in tau, and the
+    pointwise variance at tau = 0, which exists only for alpha > 3/2.
+    Requires alpha > 1.  Broadcasts over an array of lags; a scalar lag
+    gives a float."""
     alpha = float(alpha)
-    taus = np.asarray(taus, dtype=float)
-    if not alpha > 1.5 and (taus == 0.0).any():
+    tau = np.asarray(tau, dtype=float)
+    if not alpha > 1.5 and (tau == 0.0).any():
         raise DomainError(
             "the noise has a pointwise variance only for alpha > 3/2, "
             "got %g" % alpha)
@@ -66,19 +69,8 @@ def tfgn_cov_values(alpha, lam, taus):
     if not (lam > 0.0 and math.isfinite(lam * lam)):
         raise DomainError("lambda must be positive with a finite square, "
                           "got %g" % lam)
-    fou.require_bessel_lags(alpha, lam, taus)
-    return (fou.cov_alpha_grid(alpha - 1.0, lam, taus)
-            - lam * lam * fou.cov_alpha_grid(alpha, lam, taus))
-
-
-def tfgn_var(alpha, lam):
-    """Pointwise variance of the noise, finite only for alpha > 3/2."""
-    return float(tfgn_cov_values(alpha, lam, 0.0))
-
-
-def tfgn_cov(alpha, lam, tau):
-    """Covariance of the stationary noise at lag tau != 0 (the noise has
-    no pointwise variance for alpha < 3/2).  Requires alpha > 1."""
-    if float(tau) == 0.0:
-        raise DomainError("the noise covariance is evaluated at tau != 0")
-    return float(tfgn_cov_values(alpha, lam, tau))
+    if not alpha > 1.5:  # below K's box C_(alpha-1) has no sigma^2 - D
+        fou.require_bessel_lags(alpha, lam, tau)
+    out = (fou.cov_alpha_grid(alpha - 1.0, lam, tau)
+           - lam * lam * fou.cov_alpha_grid(alpha, lam, tau))
+    return float(out) if out.ndim == 0 else out

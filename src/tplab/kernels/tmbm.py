@@ -1,11 +1,12 @@
 """Tempered multifractional Brownian motion: the reduced process with a
 deterministic time-varying index alpha(t).
 
-Pairwise structure is governed by the averaged index alpha_plus(s,t) =
-(alpha(t)+alpha(s))/2: the covariance is D(t) + D(s) - D(t-s), the
-structure function D of the reduced process evaluated at
-alpha_plus(s,t), which reduces exactly to the constant-index process
-when the profile is flat and pins the process to 0 at t=0.
+Pairwise structure is governed by the averaged index (alpha(t) +
+alpha(s))/2: the covariance is D(t) + D(s) - D(t-s), the structure
+function D of the reduced process at that index, formed by one pair
+kernel for tmbm_cov (the variance is tmbm_cov(h, lam, t, t)) and for
+tmbm_gram.  It reduces exactly to the constant-index process when the
+profile is flat and pins the process to 0 at t=0.
 
 The underlying moving-average stationary pair has two independent
 closed forms, one through Kummer U and one through Whittaker W; their
@@ -19,8 +20,8 @@ import numpy as np
 
 from .. import specfun
 from ..errors import DomainError
-from . import fou, tfbm, tfgn
-from .params import FracOUParams, HurstProfile
+from . import fou, tfgn
+from .params import HurstProfile
 
 
 def tmbm_mou_cov(h: HurstProfile, lam, t, s, route="kummer"):
@@ -61,14 +62,24 @@ def tmbm_mou_cov(h: HurstProfile, lam, t, s, route="kummer"):
     return specfun.shaped(shape, pre * w)
 
 
+def _pair_cov(lam, a_t, a_s, t, s):
+    """(D(t) + D(s)) - D(t - s) at the averaged index (a_t + a_s)/2, in
+    one D call over the stacked pairs (arrays of one shape)."""
+    d_lag, d_t, d_s = fou.structure_alpha_grid(
+        0.5 * (a_t + a_s), lam, np.stack((t - s, t, s)))
+    return (d_t + d_s) - d_lag
+
+
 def tmbm_cov(h: HurstProfile, lam, t, s):
-    """D(t) + D(s) - D(t-s) at the averaged index alpha_plus(s,t)."""
-    return tfbm.tfbm_cov(FracOUParams(h.alpha_plus(t, s), lam), t, s)
-
-
-def tmbm_var(h: HurstProfile, lam, t):
-    """Variance at the local index alpha(t); 0 at t = 0."""
-    return tfbm.tfbm_var(FracOUParams(h.alpha(t), lam), t)
+    """The pair kernel over t and s broadcast, alpha evaluated once per
+    element of each; 0 when t or s is 0, and scalars give a float."""
+    if not 0.0 < lam < math.inf:
+        raise DomainError("lambda must be finite > 0, got %g" % lam)
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+    a_t, a_s = (specfun.each(h.alpha, u.ravel()).reshape(u.shape)
+                for u in (t, s))
+    out = _pair_cov(lam, *np.broadcast_arrays(a_t, a_s, t, s))
+    return float(out) if out.ndim == 0 else out
 
 
 def _pair_block(n):
@@ -90,8 +101,7 @@ def tmbm_gram(h: HurstProfile, lam, times):
     a row and column at the origin are D(t_j) - D(t_j) = 0.  Each D value
     depends on its own arguments only, so the blocks do not change bits."""
     times = np.asarray(times, dtype=float)
-    h.spot_check(times)
-    al = np.array([h.alpha(t) for t in times])
+    al = h.spot_check(times)
     n = len(times)
     # pair k of the row-major upper triangle is (i, i + k - first[i]),
     # made a block at a time: no n^2 index arrays
@@ -103,8 +113,6 @@ def tmbm_gram(h: HurstProfile, lam, times):
         k = np.arange(lo, min(lo + block, pairs))
         i = np.searchsorted(first, k, side="right") - 1
         j = i + (k - first[i])
-        d_lag, d_i, d_j = fou.structure_alpha_grid(
-            0.5 * (al[i] + al[j]), lam,
-            np.stack((times[i] - times[j], times[i], times[j])))
-        out[i, j] = out[j, i] = (d_i + d_j) - d_lag
+        out[i, j] = out[j, i] = _pair_cov(lam, al[i], al[j], times[i],
+                                          times[j])
     return out

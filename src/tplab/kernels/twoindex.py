@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .. import quad, specfun
+from .. import specfun
 from ..errors import DivergenceWarning, DomainError
 from . import fou
 from .params import FracOUParams, TwoIndexParams
@@ -236,8 +236,8 @@ def twoindex_cov(q: TwoIndexParams, tau):
     specfun.check_estimate("twoindex_cov", err, np.maximum(
         _TOL_C * np.abs(value), _TINY), tau=tau)
     if not shape:
-        return quad.QuadResult(float(value[0]), float(err[0]), int(nodes[0]))
-    return quad.QuadResult(*(v.reshape(shape) for v in (value, err, nodes)))
+        return specfun.QuadResult(value.item(0), err.item(0), nodes.item(0))
+    return specfun.QuadResult(*(v.reshape(shape) for v in (value, err, nodes)))
 
 
 def twoindex_cov_tail_series(q: TwoIndexParams, tau, n_terms):

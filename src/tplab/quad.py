@@ -18,13 +18,10 @@ Public entry points:
 Tempered amplitudes make I(tau) exponentially small in tau while the
 individual lobe integrals stay polynomially large, so for large tau the
 lobe sum cancels; a tolerance below its rounding floor raises
-NonConvergence with the partial.  No kernel calls it: the kernels use
-closed forms or rotate such transforms onto the imaginary axis, where
-they are Laplace integrals, and the lobe sum is the independent
-reference that tests hold them against.  The kernels sum those Laplace
-integrals by fixed trapezoid rules, and the validation oracle sums its
-own, so no module of the library calls this one: tests hold the
-kernels against it as a second opinion.
+NonConvergence with the partial.  No library module imports this one:
+the kernels use closed forms or fixed trapezoid rules on such transforms
+rotated onto Laplace integrals, the validation oracle sums its own
+rule, and tests hold them against this engine as a second opinion.
 
 Integrands take a 1-d float64 array of nodes and return their values
 there as an array of the same shape; each bisection evaluates both
@@ -35,12 +32,12 @@ All routines are pure, reentrant and float64 throughout.
 
 import math
 import sys
-from dataclasses import dataclass
 from heapq import heappush, heappop
 
 import numpy as np
 
 from .errors import DomainError, NonConvergence, SlowDecay
+from .specfun import QuadResult
 
 SUBDIVISION_CAP = 10_000
 
@@ -58,13 +55,6 @@ _X7, _W7 = np.polynomial.legendre.leggauss(7)
 _X15, _W15 = np.polynomial.legendre.leggauss(15)
 _NODES = np.concatenate((_X15, _X7))
 _NODES.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class QuadResult:
-    value: float
-    abs_error_estimate: float
-    subdivisions: int
 
 
 def _rule_pairs(f, lo, hi):

@@ -206,8 +206,7 @@ FAMILIES = {
                                                        grid.times()),
                    cov=lambda p, t, s: tmbm.tmbm_cov(p.profile, p.lam, t, s)),
     "tfgn": Family(FracOUParams, ("alpha", "lam"),
-                   lag=lambda p, lags: tfgn.tfgn_cov_values(
-                       p.alpha, p.lam, lags)),
+                   lag=lambda p, lags: tfgn.tfgn_cov(p.alpha, p.lam, lags)),
 }
 
 

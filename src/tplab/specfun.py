@@ -58,6 +58,13 @@ class SpecFunResult:
     abs_error_estimate: float
 
 
+@dataclass(frozen=True)
+class QuadResult:
+    value: float
+    abs_error_estimate: float
+    subdivisions: int
+
+
 def gamma_fn(x):
     """Gamma(x) for real x, poles at 0, -1, -2, ... raise PoleError."""
     x = float(x)

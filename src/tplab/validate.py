@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quad, sampler, specfun
+from . import sampler, specfun
 from .errors import AccuracyError, DivergenceWarning, DomainError
 from . import kernels as K
 from .kernels.params import (
@@ -160,6 +160,8 @@ def suite_specfun(seed, n_paths):
 _ORACLE_ALPHAS = (0.6, 0.75, 1.0, 1.25, 1.4)
 _ORACLE_LAMS = (0.25, 1.0, 4.0)
 _ORACLE_TAUS = (0.01, 0.1, 1.0, 5.0, 10.0)
+# QUADPACK's qk15 rounding floor, eps times 50 sum |terms|
+_ORACLE_FLOOR = 50.0 * np.finfo(float).eps
 
 
 def _fou_cov_by_quadrature(ps, taus, tols):
@@ -215,7 +217,7 @@ def _fou_cov_by_quadrature(ps, taus, tols):
                  * (1.0 / w + 1.0 / (w * w)))
         t_h = terms.sum()
         err = (max(abs(t_h - 2.0 * terms[::2].sum()),
-                   quad.ROUNDING_FLOOR * np.abs(terms).sum())
+                   _ORACLE_FLOOR * np.abs(terms).sum())
                + abs(terms[0]) + abs(terms[-1]))
         value, err = float(pref * t_h), float(pref * err)
         if not err <= tol:
@@ -223,7 +225,7 @@ def _fou_cov_by_quadrature(ps, taus, tols):
                 "the branch-cut oracle's estimate %g exceeds tol=%g at "
                 "alpha=%g, lambda=%g, tau=%g" % (err, tol, p.alpha, p.lam,
                                                  tau))
-        out.append(quad.QuadResult(value, err, terms.size))
+        out.append(specfun.QuadResult(value, err, terms.size))
     return out
 
 
@@ -453,31 +455,30 @@ def _emp_second_moment(values):
     return values.T @ values / n
 
 
+def _scored_pairs(n):
+    """(i, j, k): every _MC_STRIDE-th entry (i, j) of each diagonal j - i
+    = _MC_DIAGS[k] of an n x n matrix, from i = 0, diagonal by diagonal."""
+    d = np.array(_MC_DIAGS)
+    k, c = np.nonzero(_MC_STRIDE * np.arange(n) + d[:, None] < n)
+    return _MC_STRIDE * c, _MC_STRIDE * c + d[k], k
+
+
 def _max_cov_z(emp, gram, n_paths):
-    n = gram.shape[0]
-    worst = 0.0
-    for d in _MC_DIAGS:
-        for i in range(0, n - d, _MC_STRIDE):
-            j = i + d
-            # a pinned (zero-variance) point is deterministic: its row
-            # carries no sampling error, only cancellation residue
-            if gram[i, i] == 0.0 or gram[j, j] == 0.0:
-                continue
-            se = math.sqrt((gram[i, i] * gram[j, j] + gram[i, j] ** 2)
-                           / n_paths)
-            worst = max(worst, abs(emp[i, j] - gram[i, j]) / se)
-    return worst
+    i, j, _ = _scored_pairs(gram.shape[0])
+    var = np.diagonal(gram)
+    # a pinned (zero-variance) point is deterministic: its row carries no
+    # sampling error, only cancellation residue
+    live = (var[i] != 0.0) & (var[j] != 0.0)
+    i, j = i[live], j[live]
+    se = np.sqrt((var[i] * var[j] + gram[i, j] ** 2) / n_paths)
+    return np.max(np.abs(emp[i, j] - gram[i, j]) / se, initial=0.0)
 
 
 def _max_mean_z(values, gram):
-    n_paths = values.shape[0]
-    mu = values.mean(axis=0)
-    worst = 0.0
-    for i in range(gram.shape[0]):
-        if gram[i, i] == 0.0:
-            continue
-        worst = max(worst, abs(mu[i]) / math.sqrt(gram[i, i] / n_paths))
-    return worst
+    var = np.diagonal(gram)
+    live = var != 0.0
+    z = np.abs(values.mean(axis=0)[live]) / np.sqrt(var[live] / len(values))
+    return np.max(z, initial=0.0)
 
 
 def _stack(paths):
@@ -518,13 +519,11 @@ def suite_mc(seed, n_paths):
     emp_inc = _emp_second_moment(inc)
     refs = K.tfbm_increment_cov(p, grid.dt, grid.dt * np.array(_MC_DIAGS))
     var0 = refs[_MC_DIAGS.index(0)]
-    worst = 0.0
-    for d, ref in zip(_MC_DIAGS, refs):
-        se = math.sqrt((var0 ** 2 + ref ** 2) / n_paths)
-        for i in range(0, emp_inc.shape[0] - d, _MC_STRIDE):
-            worst = max(worst, abs(emp_inc[i, i + d] - ref) / se)
+    i, j, k = _scored_pairs(emp_inc.shape[0])
+    se = np.sqrt((var0 ** 2 + refs[k] ** 2) / n_paths)
     checks.append(_check(
-        "mc/tfbm/increment-toeplitz-max-z", 0.0, worst, 4.0, _MC))
+        "mc/tfbm/increment-toeplitz-max-z", 0.0,
+        np.max(np.abs(emp_inc[i, j] - refs[k]) / se), 4.0, _MC))
     # the circulant-embedding route must agree with the closed form
     spec_seed = _family_seed(seed, 17)
     spv = _stack(sampler.sample_spectral(tfbm, grid, spec_seed, n_paths))

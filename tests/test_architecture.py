@@ -1,12 +1,15 @@
 """The adaptive quadrature engine serves only tests: no kernel, special
-function or oracle of the library runs it, so the tests' second opinion
-shares no rule with the code it checks.  No module imports what it does
+function or oracle of the library runs it, or even imports its module,
+so the tests' second opinion shares no rule with the code it checks and
+no command pays for loading it.  No module imports what it does
 not use, so each module's imports are its real dependencies.  And no
 function takes a parameter it never reads, so each signature is the
 input the function really uses."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "tplab"
 ENGINE = {"integrate_adaptive", "fourier_cos_halfline", "_bisect"}
@@ -42,6 +45,53 @@ def test_the_scan_sees_every_form_of_reference(tmp_path):
                       "integrate_adaptive(f, 0, 1)\n"
                       "quad._bisect(f, 0, 1, 1e-10, 9)\n")
     assert _engine_references(module) == [2, 3, 4, 5]
+
+
+def _quad_imports(path):
+    """Line numbers where the module imports tplab.quad, absolutely or
+    relatively, as a module or a name from it."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            hit = any(alias.name == "tplab.quad" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = (module.split(".")[-1] == "quad"
+                   or module in ("", "tplab") and any(
+                       alias.name == "quad" for alias in node.names))
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_but_quad_imports_quad():
+    users = {path.relative_to(SRC).as_posix(): _quad_imports(path)
+             for path in sorted(SRC.rglob("*.py")) if path.name != "quad.py"}
+    assert {name: lines for name, lines in users.items() if lines} == {}
+
+
+def test_the_quad_import_scan_sees_every_form(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import tplab.quad\n"
+                      "from tplab import quad\n"
+                      "from . import quad as q\n"
+                      "from .. import quad, specfun\n"
+                      "from .quad import QuadResult\n"
+                      "from tplab.quad import ROUNDING_FLOOR\n"
+                      "from . import specfun\n"
+                      "import quadpy\n")
+    assert _quad_imports(module) == [1, 2, 3, 4, 5, 6]
+
+
+def test_the_cli_loads_neither_quad_nor_numpy_polynomial(child_env):
+    # quad's rule pair is built by numpy.polynomial at import
+    code = ("import sys, tplab.cli; print(sorted(m for m in sys.modules if "
+            "m == 'tplab.quad' or m.startswith('numpy.polynomial')))")
+    out = subprocess.run([sys.executable, "-c", code], env=child_env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def _unused_imports(path):

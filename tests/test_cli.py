@@ -29,7 +29,7 @@ from tplab import cli, estimators, kernels, sampler, validate
 from tplab.errors import (AccuracyError, DivergenceWarning, EmbeddingFailure,
                           EmbeddingWarning, NonConvergence, NotPSD,
                           RegimeWarning, SlowDecay)
-from tplab.kernels import FracOUParams
+from tplab.kernels import FracOUParams, fou
 
 
 def _read_csv(path):
@@ -97,7 +97,7 @@ def test_cov_tfgn_reads_the_variance_at_lag_zero(tmp_path, capsys):
     assert cli.main(argv) == 0
     _, rows = _read_csv(capsys.readouterr().out.strip())
     vals = [float(r[1]) for r in rows]
-    assert vals[0] == kernels.tfgn_var(1.8, 1.0)
+    assert vals[0] == kernels.tfgn_cov(1.8, 1.0, 0.0)
     assert vals[1:] == [kernels.tfgn_cov(1.8, 1.0, t) for t in (0.5, 1.0)]
 
 
@@ -161,6 +161,27 @@ def test_cov_runs_for_every_family(tmp_path, capsys, family):
     header, rows = _read_csv(capsys.readouterr().out.strip())
     assert header == ["t", "value"] and len(rows) == 4
     assert all(math.isfinite(float(r[1])) for r in rows)
+
+
+@pytest.mark.parametrize("family", ("tfbm", "mixed", "tmbm"))
+def test_cov_makes_one_structure_function_call_per_curve(tmp_path, capsys,
+                                                         monkeypatch, family):
+    # the curve was one kernel call, so one D call, per time point
+    calls = []
+    real = fou.structure_alpha_grid
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fou, "structure_alpha_grid", counted)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(COV_CONFIG[family])
+    argv = ["cov", "--process", family, "--config", str(cfg), "--dt", "0.05",
+            "--n", "64", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_process_choices_are_the_family_table():
@@ -955,15 +976,29 @@ def test_a_grid_variance_past_float64_is_refused(tmp_path, capsys, method):
 ), ids=("cov-fou", "cov-tfgn", "sample-fou"))
 def test_a_lag_whose_lambda_tau_underflows_is_refused_in_the_users_terms(
         tmp_path, capsys, argv):
-    # each exited 2 with "error: bessel_k requires x > 0"
+    # each exited 2 with "error: bessel_k requires x > 0", and then with a
+    # refusal of lambda*|tau| < 1e-15.  Below Bessel K's box C is now
+    # sigma^2 - D, so fou writes finite values; tfgn's sigma^2 at alpha =
+    # 1.6 overflows at lambda = 1e-300, which is refused in one line
     argv = argv + ["--lambda", "1e-300", "--t0", "0", "--dt", "1e-300",
                    "--n", "3", "--out", str(tmp_path)]
-    assert cli.main(argv) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error: the covariance needs lambda*|tau| >= 1e-15 at a "
-                   "positive lag, got 0 at alpha=%s, lambda=1e-300, "
-                   "tau=1e-300" % argv[4]], err
-    assert not list(tmp_path.iterdir())
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    if argv[2] == "tfgn":
+        assert code == 2
+        assert err.splitlines() == [
+            "error: the covariance is not finite in double precision at "
+            "alpha=1.6, lambda=1e-300"], err
+        assert not list(tmp_path.iterdir())
+        return
+    assert code == 0 and err == "", err
+    written, = tmp_path.iterdir()
+    assert out.splitlines() == [str(written)]
+    values = ([float(r[1]) for r in _read_csv(str(written))[1]]
+              if argv[0] == "cov" else
+              [v for row in _values(tmp_path) for v in row])
+    assert len(values) == 3 * (1 if argv[0] == "cov" else 2)
+    assert all(map(math.isfinite, values)), values
 
 
 def test_tfbm_grid_past_the_old_jitter_cap_samples(tmp_path):

@@ -72,17 +72,27 @@ def test_a_variance_past_float64_is_a_domain_error_with_no_warning():
             K.fou_var(FracOUParams(3.0, 1e-300))
 
 
-@pytest.mark.parametrize("lam tau x".split(), (
-    (1e-300, 1e-300, "0"), (1e-300, 0.1, "1e-301"), (1e-8, 1e-8, "1e-16")))
-def test_a_positive_lag_below_the_bessel_box_is_refused(lam, tau, x):
-    # bessel_k refused lambda |tau| = 0, or below its box, in its own
-    # terms; the lag 0 still gives the variance
-    p = FracOUParams(0.75, lam)
-    with pytest.raises(DomainError, match=r"lambda\*\|tau\| >= 1e-15 at a "
-                       "positive lag, got %s at alpha=0.75, lambda=%g, "
-                       "tau=%g$" % (x, lam, tau)):
-        K.fou_cov(p, [0.0, tau, 2.0 * tau])
-    assert K.fou_cov(p, 0.0) == K.fou_var(p)
+@pytest.mark.parametrize("alpha lam tau".split(), (
+    (0.75, 1e-300, 1e-300), (0.75, 1e-300, 0.1), (0.75, 1e-8, 1e-8),
+    (0.51, 1e-8, 1e-8), (1.0, 1.0, 5e-324), (2.5, 1e-8, 1e-8),
+    (5.5, 1.0, 1e-16)))
+def test_a_positive_lag_below_the_bessel_box_is_sigma2_minus_d(alpha, lam,
+                                                               tau):
+    # lambda |tau| below Bessel K's box, 0 included, was refused; C is
+    # sigma^2 - D there, held to 50-digit mpmath, and the lag 0 still
+    # gives the variance
+    mpmath = pytest.importorskip("mpmath")
+    p = FracOUParams(alpha, lam)
+    got = K.fou_cov(p, [0.0, tau, 2.0 * tau])
+    assert got[0] == K.fou_var(p)
+    with mpmath.workdps(50):
+        a, lm = mpmath.mpf(alpha), mpmath.mpf(lam)
+        for c, t in zip(got[1:], (tau, 2.0 * tau)):
+            t = mpmath.mpf(t)
+            ref = ((t / (2 * lm)) ** (a - 0.5)
+                   * mpmath.besselk(a - 0.5, lm * t)
+                   / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(a)))
+            assert abs(c - ref) <= 2e-15 * ref, (t, c)
 
 
 @given(st.floats(min_value=0.55, max_value=1.45),

@@ -278,7 +278,7 @@ def _reduced_grams(times):
     grid = sampler.TimeGrid(times[0], times[1] - times[0], len(times))
     yield K.tfbm_gram(p, times)
     yield K.tfbm_cov(p, times[:, None], times[None, :])
-    yield K.mixed_gram(_mixture(), times)
+    yield K.mixed_cov(_mixture(), times[:, None], times[None, :])
     yield K.tmbm_gram(RAMP, 1.0, times)
     yield np.array([[K.tmbm_cov(RAMP, 1.0, t, s) for s in times]
                     for t in times])
@@ -390,13 +390,13 @@ def test_mixture_is_weighted_sum_of_components():
     ref = sum(b * b * K.tfbm_cov(p, t, s) for b, p in m.components)
     assert abs(K.mixed_cov(m, t, s) - ref) <= 1e-15
     ref_v = sum(b * b * K.tfbm_var(p, t) for b, p in m.components)
-    assert abs(K.mixed_var(m, t) - ref_v) <= 1e-15
+    assert abs(K.mixed_cov(m, t, t) - ref_v) <= 1e-15
 
 
 def test_mixture_gram_matches_pointwise():
     m = _mixture()
     times = np.linspace(0.0, 2.0, 9)
-    g = K.mixed_gram(m, times)
+    g = K.mixed_cov(m, times[:, None], times[None, :])
     assert abs(g[3, 5] - K.mixed_cov(m, times[3], times[5])) <= 1e-13
     assert g[0, 0] == 0.0
 

@@ -107,13 +107,20 @@ def test_cov_constant_profile_reduces_to_single_index():
 
 def test_var_uses_local_index():
     t = 2.0
-    assert K.tmbm_var(RAMP, 1.0, t) == K.tfbm_var(
+    assert K.tmbm_cov(RAMP, 1.0, t, t) == K.tfbm_var(
         FracOUParams(RAMP.alpha(t), 1.0), t)
 
 
 def test_pinned_at_origin():
-    assert K.tmbm_var(RAMP, 1.0, 0.0) == 0.0
+    assert K.tmbm_cov(RAMP, 1.0, 0.0, 0.0) == 0.0
     assert abs(K.tmbm_cov(RAMP, 1.0, 3.0, 0.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", (0.0, -1.0, math.inf, math.nan))
+def test_cov_refuses_a_lambda_that_is_not_finite_and_positive(lam):
+    # as building FracOUParams at the averaged index did
+    with pytest.raises(DomainError, match="lambda must be finite > 0"):
+        K.tmbm_cov(RAMP, lam, [1.0, 2.0], 0.5)
 
 
 def test_gram_matches_pointwise_and_is_symmetric():
@@ -268,14 +275,14 @@ def test_cross_cov_diagonal_is_stationary_kernel():
 
 
 def test_var_frozen_value():
-    got = K.tfgn_var(1.7, 1.0)
+    got = K.tfgn_cov(1.7, 1.0, 0.0)
     assert abs(got - 0.7126336651619607) <= 1e-12 * got
 
 
 def test_cov_continuous_to_var_at_small_lag():
     # Holder continuity at rate tau^(2 alpha - 3): slow, so the window
     # is loose but the gap must shrink toward zero
-    var = K.tfgn_var(1.7, 1.0)
+    var = K.tfgn_cov(1.7, 1.0, 0.0)
     near = K.tfgn_cov(1.7, 1.0, 1e-6)
     far = K.tfgn_cov(1.7, 1.0, 1e-3)
     assert abs(near - var) <= 1e-2 * var
@@ -298,11 +305,24 @@ def test_noise_domain_errors():
     with pytest.raises(DomainError):
         K.tfgn_cov(1.2, 1.0, 0.0)
     with pytest.raises(DomainError):
-        K.tfgn_var(1.5, 1.0)
+        K.tfgn_cov(1.5, 1.0, 0.0)
     with pytest.raises(DomainError):
         K.tfgn_cross_cov(0.0, 1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         K.tfgn_cross_cov(1.0, 1.0, 1.0, -2.0)
+
+
+def test_noise_below_the_bessel_box_is_refused_only_where_alpha_le_3_2():
+    # C_(alpha-1) has a sigma^2 - D form only for alpha - 1 > 1/2; the
+    # refusal names the noise's own alpha, not alpha - 1
+    with pytest.raises(DomainError, match=r"got 1e-16 at alpha=1.2, "
+                       r"lambda=1e-08, tau=1e-08$"):
+        K.tfgn_cov(1.2, 1e-8, [1e-8, 1.0])
+    lam = 1e-8
+    got = K.tfgn_cov(1.8, lam, 1e-8)
+    ref = (K.fou_cov(FracOUParams(0.8, lam), 1e-8)
+           - lam * lam * K.fou_cov(FracOUParams(1.8, lam), 1e-8))
+    assert got == ref and math.isfinite(got)
 
 
 def _four_block_cov(alpha, lam, tau):
@@ -336,7 +356,7 @@ def test_cov_matches_the_four_block_route(alpha, lam):
         assert abs(K.tfgn_cov(alpha, lam, tau) - r) <= 1e-11 * scale
     if alpha > 1.5:
         var = _four_block_var(alpha, lam)
-        assert abs(K.tfgn_var(alpha, lam) - var) <= 1e-13 * abs(var)
+        assert abs(K.tfgn_cov(alpha, lam, 0.0) - var) <= 1e-13 * abs(var)
 
 
 def test_gram_matches_the_four_block_route_lag_by_lag():
@@ -360,5 +380,5 @@ def test_noise_makes_no_kummer_call(monkeypatch):
     gram = sampler.build_gram(
         sampler.ProcessDescriptor("tfgn", FracOUParams(1.8, 1.0)),
         sampler.TimeGrid(0.0, 0.25, 4))
-    assert gram[0, 0] == K.tfgn_var(1.8, 1.0)
+    assert gram[0, 0] == K.tfgn_cov(1.8, 1.0, 0.0)
     assert gram[0, 2] == K.tfgn_cov(1.8, 1.0, 0.5)

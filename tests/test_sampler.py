@@ -161,6 +161,33 @@ MIX = MixtureParams(((1.0, FracOUParams(0.7, 1.0)),
                      (0.7, FracOUParams(1.3, 0.5))))
 
 
+# one admissible point per family
+FAMILY_PARAMS = {
+    "fou": FracOUParams(0.75, 1.0),
+    "tfbm": FracOUParams(1.25, 0.5),
+    "mixed": MIX,
+    "tfbm2": TwoIndexParams(0.9, 0.8, 1.0),
+    "tmbm": TmbmParams(HurstProfile.saturating_ramp(0.8, 0.1), 1.0),
+    "tfgn": FracOUParams(1.8, 1.0),
+}
+
+
+@pytest.mark.parametrize("family", tuple(sampler.FAMILIES))
+def test_an_array_covariance_call_is_bitwise_its_scalar_calls(family):
+    # the lag row, or the two-time matrix, in one call; each scalar call
+    # gives a float
+    fam, p = sampler.FAMILIES[family], FAMILY_PARAMS[family]
+    times = np.array([0.0, 0.05, 0.3, 1.7, 4.0])
+    if fam.lag is not None:
+        got = fam.lag(p, times)
+        each = [fam.lag(p, t) for t in times]
+    else:
+        got = fam.cov(p, times[:, None], times[None, :])
+        each = [fam.cov(p, t, s) for t in times for s in times]
+    assert all(type(v) is float for v in each)
+    assert np.array_equal(got, np.reshape(each, np.shape(got)))
+
+
 @pytest.mark.parametrize("n", (1, 2, 257))
 @pytest.mark.parametrize("t0", (0.0, 0.37))
 def test_structural_reduced_grams_match_kernel_grams(t0, n):
@@ -169,7 +196,8 @@ def test_structural_reduced_grams_match_kernel_grams(t0, n):
     for desc, ref in (
             (ProcessDescriptor("tfbm", p), K.tfbm_gram(p, grid.times())),
             (ProcessDescriptor("mixed", MIX),
-             K.mixed_gram(MIX, grid.times()))):
+             K.mixed_cov(MIX, grid.times()[:, None],
+                         grid.times()[None, :]))):
         got = sampler.build_gram(desc, grid)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         assert np.array_equal(got, got.T)

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from tplab import quad, specfun, validate
+from tplab import quad, sampler, specfun, validate
 from tplab import kernels as K
 from tplab.errors import AccuracyError, DivergenceWarning, DomainError
 from tplab.kernels import FracOUParams
@@ -297,3 +297,59 @@ def test_oracle_shares_no_special_function_or_sum_with_the_kernels(
     for name in ("besselk_grid", "bessel_k", "row_sums"):
         monkeypatch.setattr(specfun, name, refuse)
     assert len(validate._fou_cov_by_quadrature(ps, taus, tols)) == 75
+
+
+# --- mc: the array reductions against the per-entry loops they replaced ----
+
+def _loop_cov_z(emp, gram, n_paths):
+    worst = 0.0
+    for d in validate._MC_DIAGS:
+        for i in range(0, gram.shape[0] - d, validate._MC_STRIDE):
+            j = i + d
+            if gram[i, i] == 0.0 or gram[j, j] == 0.0:
+                continue
+            se = math.sqrt((gram[i, i] * gram[j, j] + gram[i, j] ** 2)
+                           / n_paths)
+            worst = max(worst, abs(emp[i, j] - gram[i, j]) / se)
+    return worst
+
+
+def _loop_mean_z(values, gram):
+    mu = values.mean(axis=0)
+    worst = 0.0
+    for i in range(gram.shape[0]):
+        if gram[i, i] != 0.0:
+            worst = max(worst, abs(mu[i]) / math.sqrt(gram[i, i]
+                                                      / values.shape[0]))
+    return worst
+
+
+def _loop_toeplitz_z(emp, refs, n_paths):
+    var0 = refs[validate._MC_DIAGS.index(0)]
+    worst = 0.0
+    for d, ref in zip(validate._MC_DIAGS, refs):
+        se = math.sqrt((var0 ** 2 + ref ** 2) / n_paths)
+        for i in range(0, emp.shape[0] - d, validate._MC_STRIDE):
+            worst = max(worst, abs(emp[i, i + d] - ref) / se)
+    return worst
+
+
+def test_mc_scores_are_bitwise_the_per_entry_loops():
+    # the suite's tfbm is its second family; its grid pins the origin,
+    # which both routes skip
+    seed, n_paths = validate.DEFAULT_SEED, 300
+    got = {c.check_id: c.actual for c in validate.suite_mc(seed, n_paths)}
+    p = FracOUParams(1.25, 0.5)
+    desc = sampler.ProcessDescriptor("tfbm", p)
+    grid = sampler.TimeGrid(0.0, 0.05, validate._MC_N)
+    vals = np.stack([path.values for path in sampler.sample_exact(
+        desc, grid, validate._family_seed(seed, 1), n_paths)])
+    gram = sampler.build_gram(desc, grid)
+    emp = validate._emp_second_moment(vals)
+    assert got["mc/tfbm/covariance-max-z"] == _loop_cov_z(emp, gram, n_paths)
+    assert got["mc/tfbm/mean-max-z"] == _loop_mean_z(vals, gram)
+    refs = K.tfbm_increment_cov(p, grid.dt,
+                                grid.dt * np.array(validate._MC_DIAGS))
+    emp_inc = validate._emp_second_moment(np.diff(vals, axis=1))
+    assert (got["mc/tfbm/increment-toeplitz-max-z"]
+            == _loop_toeplitz_z(emp_inc, refs, n_paths))
