@@ -367,12 +367,10 @@ def _plateau_rows(rc, paths):
 
 def cmd_estimate(rc):
     paths = _load_paths(rc.paths_file)
-    grid = paths[0].grid
     name = rc.estimator
     rows = []
     if name == "variogram":
-        lags = grid.dt * np.arange(1, estimators.N_LAGS + 1)
-        est = estimators.variogram(paths, lags)
+        est = estimators.variogram(paths)
         header = ("lag", "gamma_hat", "fitted")
         anchor = math.log(est.gamma_hat[0]) - est.slope * math.log(
             est.lags[0])

@@ -101,29 +101,26 @@ def fit_loglog(lags, gamma_hat):
     return slope, stderr
 
 
-def _fit_window(lags):
-    """Smallest decade [L, 10L] of the lag set holding >= 6 points."""
-    lags = np.asarray(lags, dtype=float)
-    for low in lags:
-        inside = (lags >= low) & (lags <= 10.0 * low * (1.0 + 1e-12))
-        if inside.sum() >= 6:
-            return inside
-    raise InsufficientData(
-        "no decade of lags contains 6 points; got lags %s" % (lags,))
-
-
-def variogram(paths, lag_set):
-    """Mean squared increment over paths and time, with the small-lag
-    log-log slope fitted over the smallest decade holding >= 6 lags."""
-    grid, values = _as_matrix(paths)
-    lags = np.asarray(lag_set, dtype=float)
-    if np.any(np.diff(lags) <= 0.0):
-        raise DomainError("lag_set must increase strictly")
-    ks = _lag_steps(lags, grid.dt, grid.n)
+def _local_fit(values, dt):
+    """(lags, gamma_hat, slope, stderr): the log-log fit of the mean
+    squared increment at the lags of 1, ..., N_LAGS grid steps, the one
+    fit behind every Hurst estimate."""
+    n = values.shape[1]
+    if n <= N_LAGS:
+        raise InsufficientData(
+            "a local fit needs more than %d grid points, got %d"
+            % (N_LAGS, n))
+    ks = np.arange(1, N_LAGS + 1)
+    lags = dt * ks
     gamma_hat = _mean_sq_increments(values, ks)
-    window = _fit_window(lags)
-    slope, stderr = fit_loglog(lags[window], gamma_hat[window])
-    return VariogramEstimate(lags, gamma_hat, slope, stderr)
+    return (lags, gamma_hat) + fit_loglog(lags, gamma_hat)
+
+
+def variogram(paths):
+    """Mean squared increment over paths and time at the lags of 1, ...,
+    N_LAGS grid steps, with its log-log slope over all of them."""
+    grid, values = _as_matrix(paths)
+    return VariogramEstimate(*_local_fit(values, grid.dt))
 
 
 def _tempering_rate(paths, lam):
@@ -147,40 +144,33 @@ def hurst_local(paths, lam=None):
     Scale-invariant: rescaling every path by a constant shifts the
     log-variogram vertically and leaves the slope unchanged.
     """
-    grid = paths[0].grid
-    _check_regime(grid.dt, _tempering_rate(paths, lam))
-    lag_set = grid.dt * np.arange(1, N_LAGS + 1)
-    est = variogram(paths, lag_set)
+    _check_regime(paths[0].grid.dt, _tempering_rate(paths, lam))
+    est = variogram(paths)
     return 0.5 * est.slope, 0.5 * est.slope_stderr
 
 
-def hurst_local_windowed(paths, lam=None, window_points=None):
+def hurst_local_windowed(paths, lam=None):
     """Sliding-window H_hat(t) for time-varying-index paths.
 
-    Window width defaults to time 1/(4 lambda), capped at n/8 grid
-    points: wide enough to tame variance, narrow enough that the index
-    profile is nearly constant across it.  Returns (centers, h_hat,
-    stderr) arrays over half-overlapping windows.
+    The window spans time 1/(4 lambda), capped at n/8 grid points and
+    held to at least 2 N_LAGS: wide enough to tame variance, narrow
+    enough that the index profile is nearly constant across it.  Returns
+    (centers, h_hat, stderr) arrays over half-overlapping windows.
     """
     grid, values = _as_matrix(paths)
     rate = _tempering_rate(paths, lam)
+    if rate is None:
+        raise DomainError(
+            "need lam (or paths with parameters) to size windows")
     _check_regime(grid.dt, rate)
-    if window_points is None:
-        if rate is None:
-            raise DomainError(
-                "need lam (or paths with parameters) to size windows")
-        window_points = int(round(1.0 / (4.0 * rate * grid.dt)))
-    wpts = int(min(window_points, grid.n // 8))
+    wpts = min(int(round(1.0 / (4.0 * rate * grid.dt))), grid.n // 8)
     wpts = max(wpts, 2 * N_LAGS)
     if wpts > grid.n:
         raise InsufficientData("grid too short for one window")
-    ks = np.arange(1, N_LAGS + 1)
-    lags = grid.dt * ks
     centers, hs, ses = [], [], []
     for start in range(0, grid.n - wpts + 1, max(1, wpts // 2)):
-        seg = values[:, start:start + wpts]
-        gamma_hat = _mean_sq_increments(seg, ks)
-        slope, stderr = fit_loglog(lags, gamma_hat)
+        _, _, slope, stderr = _local_fit(
+            values[:, start:start + wpts], grid.dt)
         centers.append(grid.t0 + (start + 0.5 * wpts) * grid.dt)
         hs.append(0.5 * slope)
         ses.append(0.5 * stderr)

@@ -35,8 +35,8 @@ _WIDTH = 1.3
 _DIP = 0.7
 _GROW = 1.0
 _LAST = 10
-# an estimate above _TOL_C of |C| or _TOL_D of D raises AccuracyError; a
-# subnormal value is held to the least normal float instead
+# an estimate above _TOL_C of |C| or _TOL_D of D raises AccuracyError
+# (specfun.check_estimate)
 _TOL_C = 1e-7
 _TOL_D = 1e-10
 _TINY = np.finfo(float).tiny
@@ -233,8 +233,7 @@ def twoindex_cov(q: TwoIndexParams, tau):
     out = np.array([[var], [abs(var) * 1e-15], [0.0]]).repeat(c.size, 1)
     out[:, c > 0.0] = _trapezoid(q, c[c > 0.0], False)
     value, err, nodes = out[0], out[1], out[2].astype(int)
-    specfun.check_estimate("twoindex_cov", err, np.maximum(
-        _TOL_C * np.abs(value), _TINY), tau=tau)
+    specfun.check_estimate("twoindex_cov", value, err, _TOL_C, tau=tau)
     if not shape:
         return specfun.QuadResult(value.item(0), err.item(0), nodes.item(0))
     return specfun.QuadResult(*(v.reshape(shape) for v in (value, err, nodes)))
@@ -315,6 +314,5 @@ def twoindex_increment_var(q: TwoIndexParams, t):
     shape, t, c = _lags("twoindex_increment_var", q, t)
     d, err = np.zeros((2, c.size))
     d[c > 0.0], err[c > 0.0], _ = _trapezoid(q, c[c > 0.0], True)
-    specfun.check_estimate("twoindex_increment_var", err, np.maximum(
-        _TOL_D * d, _TINY), t=t)
+    specfun.check_estimate("twoindex_increment_var", d, err, _TOL_D, t=t)
     return specfun.shaped(shape, 2.0 * d)

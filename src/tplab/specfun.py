@@ -48,8 +48,9 @@ BESSEL_NU_MAX = 5.0
 BESSEL_X_MIN = 1e-15
 BESSEL_X_MAX = 700.0
 
-# abs_error_estimate must stay below TOL_BOX * max(1, |value|)
+# abs_error_estimate must stay below TOL_BOX * |value| (check_estimate)
 TOL_BOX = 1e-10
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -290,9 +291,11 @@ def _recur_done(i, n, mu, x, lo, hi, elo, ehi):
     return n <= i
 
 
-def check_estimate(fn, err, bound, **args):
-    """AccuracyError at the first element whose estimate err is not within
-    bound, a NaN estimate included; args name its arguments, 1d each."""
+def check_estimate(fn, value, err, rtol, **args):
+    """AccuracyError at the first element whose estimate err is above
+    rtol * |value|, or above the least normal double where that is
+    smaller, a NaN included; args name its arguments, 1d each."""
+    bound = np.maximum(rtol * np.abs(value), _TINY)
     bad = ~(err <= bound)
     if bad.any():
         i = bad.argmax()
@@ -389,8 +392,7 @@ def _besselk_array(nu, x):
     for k in range(0, above.size, _TRAP_BLOCK):
         at = above[k:k + _TRAP_BLOCK]
         out[:, at] = _trapezoid_block(order[at], x[at])
-    check_estimate("bessel_k", out[1], TOL_BOX * np.maximum(
-        1.0, np.abs(out[0])), nu=nu, x=x)
+    check_estimate("bessel_k", out[0], out[1], TOL_BOX, nu=nu, x=x)
     return out
 
 
@@ -532,8 +534,7 @@ def kummer_u(a, b, z):
             err[i] += (np.exp(au + np.maximum(0.0, bi - ai - 1.0)
                               * math.log(2.0)) / ai)[:, 0]
     value, err = pref * value, pref * err
-    check_estimate("kummer_u", err, TOL_BOX * np.maximum(1.0, np.abs(value)),
-                   a=a, b=b, z=z)
+    check_estimate("kummer_u", value, err, TOL_BOX, a=a, b=b, z=z)
     return SpecFunResult(shaped(shape, value), shaped(shape, err))
 
 

@@ -398,7 +398,7 @@ def test_estimate_all_fits_one_variogram(tmp_path, capsys, monkeypatch):
     paths = cli._load_paths(paths_file)
     h, se = estimators.hurst_local(paths, lam=0.05)
     d, d_se = estimators.fractal_dimension(paths, lam=0.05)
-    est = estimators.variogram(paths, 0.1 * np.arange(1, 9))
+    est = estimators.variogram(paths)
     want = [["hurst", repr(h), repr(se)], ["dimension", repr(d), repr(d_se)],
             ["variogram_slope", repr(est.slope), repr(est.slope_stderr)]]
     fits = []
@@ -821,6 +821,39 @@ def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, config,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config argv message".split(), (
+    ("", ["cov", "--process", "tmbm", "--profile", "ramp:0.8", "--lambda",
+          "1"], "ramp profile needs base,gain, got 'ramp:0.8'"),
+    ("", ["cov", "--process", "tmbm", "--profile", "{tmp}/none.csv",
+          "--lambda", "1"], "cannot read profile file: "),
+    ("family=mixed\ncomponents=1.0:0.7\n", ["cov"],
+     "component '1.0:0.7' must be weight:alpha:lambda"),
+    ("", ["cov", "--alpha", "0.75", "--lambda", "1"],
+     "a process family is required (--process)"),
+    ("", ["cov", "--process", "tfbm", "--alpha", "6", "--lambda", "1",
+          "--dt", "0.1", "--n", "5"],
+     "the structure function needs alpha - 1/2 <= 5, got alpha=6"),
+    ("family=mixed\ncomponents=1.0:6:1\n", ["cov", "--dt", "0.1", "--n",
+                                            "5"],
+     "the structure function needs alpha - 1/2 <= 5, got alpha=6"),
+    ("", ["estimate", "{tmp}/empty.jsonl"],
+     "{tmp}/empty.jsonl holds no path records"),
+), ids=("ramp-one-number", "profile-file-unreadable", "component-not-triple",
+        "no-process", "tfbm-alpha-past-the-box", "mixed-alpha-past-the-box",
+        "paths-file-empty"))
+def test_an_input_outside_the_domain_exits_2_in_one_line(tmp_path, capsys,
+                                                         config, argv,
+                                                         message):
+    (tmp_path / "empty.jsonl").write_text("")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(tmp=tmp_path)), err
+    assert err.endswith("\n") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("field", ("t0", "dt"))
 @pytest.mark.parametrize("text", ("nan", "inf", "-inf"))
 def test_non_finite_grid_field_exits_2_naming_it(tmp_path, capsys, field,
@@ -1057,6 +1090,23 @@ def test_a_warning_stays_a_python_warning(tmp_path, capsys):
         assert cli.main(_FALLBACK + ["--out", str(tmp_path)]) == 0
     assert warnings.formatwarning is shown
     capsys.readouterr()
+
+
+def test_main_formats_a_library_warning_as_its_one_line(tmp_path, capsys,
+                                                       monkeypatch):
+    # pytest records a warning before it is formatted; shown through
+    # warnings.formatwarning here, as outside pytest, it is the line the
+    # subprocess test reads
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename,
+                                                lineno, line))
+    monkeypatch.setattr(warnings, "showwarning", show)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert cli.main(_FALLBACK + ["--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "warning: circulant embedding failed ("), lines
 
 
 # the library's runtime needs numpy only: mpmath is a test dependency

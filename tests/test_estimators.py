@@ -64,40 +64,36 @@ def test_fit_loglog_validation():
 def test_variogram_linear_paths_have_slope_two():
     # X_i(t) = a_i t gives gamma(k dt) = mean(a^2) (k dt)^2 exactly
     paths = _synthetic(lambda i, ts: (0.1 + 0.01 * i) * ts)
-    est = E.variogram(paths, 0.5 * np.arange(1, 9))
+    est = E.variogram(paths)
+    assert np.array_equal(est.lags, 0.5 * np.arange(1, E.N_LAGS + 1))
     assert abs(est.slope - 2.0) <= 1e-10
     assert est.slope_stderr <= 1e-10
     ref = np.mean([(0.1 + 0.01 * i) ** 2 for i in range(120)])
     assert abs(est.gamma_hat[0] - ref * 0.25) <= 1e-12
 
 
-def test_variogram_lag_validation():
-    paths = _synthetic(lambda i, ts: (1.0 + i) * ts)
-    with pytest.raises(InsufficientData):
-        E.variogram(paths, [0.3, 0.6, 0.9, 1.2, 1.5, 1.8])
-    with pytest.raises(InsufficientData):
-        E.variogram(paths, [0.5, 1.0, 1.5, 2.0, 2.5, 50.0])
-    with pytest.raises(DomainError):
-        E.variogram(paths, [1.0, 0.5, 1.5, 2.0, 2.5, 3.0])
-
-
-def test_variogram_needs_a_decade_of_lags():
-    paths = _synthetic(lambda i, ts: (1.0 + i) * ts)
-    with pytest.raises(InsufficientData):
-        E.variogram(paths, [0.5, 1.0, 1.5, 2.0, 2.5])
+def test_variogram_needs_more_grid_points_than_lags():
+    # lags of 1, ..., N_LAGS steps need N_LAGS + 1 points; one fewer is
+    # refused, naming the count, by every Hurst estimator
+    short = _synthetic(lambda i, ts: (1.0 + i) * ts, n=E.N_LAGS)
+    for estimate in (E.variogram, E.hurst_local, E.fractal_dimension):
+        with pytest.raises(InsufficientData, match="got %d" % E.N_LAGS):
+            estimate(short)
+    ok = _synthetic(lambda i, ts: (1.0 + i) * ts, n=E.N_LAGS + 1)
+    assert len(E.variogram(ok).lags) == E.N_LAGS
 
 
 def test_estimators_enforce_minimum_ensemble():
     paths = _synthetic(lambda i, ts: (1.0 + i) * ts, n_paths=99)
     with pytest.raises(InsufficientData):
-        E.variogram(paths, 0.5 * np.arange(1, 9))
+        E.variogram(paths)
 
 
 def test_paths_must_share_one_grid():
     a = _synthetic(lambda i, ts: ts, n_paths=60)
     b = _synthetic(lambda i, ts: ts, n_paths=60, dt=0.25)
     with pytest.raises(DomainError):
-        E.variogram(a + b, 0.5 * np.arange(1, 9))
+        E.variogram(a + b)
 
 
 def test_variogram_estimate_container_validation():
@@ -176,7 +172,7 @@ def test_windowed_hurst_needs_window_inputs():
         E.hurst_local_windowed(paths)
     short = _synthetic(lambda i, ts: (1.0 + i) * ts, n=8)
     with pytest.raises(InsufficientData):
-        E.hurst_local_windowed(short, window_points=4)
+        E.hurst_local_windowed(short, lam=0.01)
 
 
 # --- plateau -----------------------------------------------------------------

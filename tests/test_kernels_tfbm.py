@@ -410,3 +410,13 @@ def test_mixture_rejects_duplicate_indices():
 def test_mixture_rejects_nonpositive_weight():
     with pytest.raises(DomainError):
         MixtureParams(((0.0, FracOUParams(0.8, 1.0)),))
+
+
+@pytest.mark.parametrize("components message".split(), (
+    ((), "at least one component"),
+    (((1.0, (0.8, 1.0)),), "components must be FracOUParams"),
+))
+def test_mixture_rejects_an_empty_or_foreign_component_list(components,
+                                                            message):
+    with pytest.raises(DomainError, match=message):
+        MixtureParams(components)

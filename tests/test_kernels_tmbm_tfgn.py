@@ -232,6 +232,11 @@ def test_tmbm_params_need_a_positive_finite_rate(lam):
         TmbmParams(RAMP, lam)
 
 
+def test_tmbm_params_need_a_hurst_profile():
+    with pytest.raises(DomainError, match="profile must be a HurstProfile"):
+        TmbmParams(lambda t: 0.8, 1.0)
+
+
 def test_tabulated_profile_interpolates_and_validates():
     h = HurstProfile.tabulated((0.0, 1.0, 2.0), (0.8, 1.0, 0.9))
     assert h.alpha(0.5) == 0.9

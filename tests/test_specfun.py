@@ -369,14 +369,37 @@ def test_kummer_far_corners_meet_the_contract(a, b, z):
 @pytest.mark.parametrize("a b z".split(), ((2.0, 3.0, 1e5),
                                           (6.0, -4.5, 700.0)))
 def test_kummer_keeps_its_relative_accuracy_below_one(a, b, z):
-    # the contract, TOL_BOX * max(1, |U|), is absolute below |U| = 1 and
-    # passes a tiny value with no correct digit: an adaptive route once
-    # returned these two 100 % and 52 % off, inside it.  The fixed rule
-    # holds them to 2e-14 relative
+    # an adaptive route once returned these two 100 % and 52 % off,
+    # inside the absolute contract of the time.  The fixed rule holds
+    # them to 2e-14 relative
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         ref = float(mpmath.hyperu(a, b, z))
     assert abs(specfun.kummer_u(a, b, z).value - ref) <= 2e-14 * abs(ref)
+
+
+def test_besselk_contract_is_relative_below_one(monkeypatch):
+    # a planted estimate of 1e-9 |K| at K = 1e-200 carries no correct
+    # digit of the 1e-10 contract: refused, not passed as under 1e-10
+    def planted(nu, x):
+        return np.array([[1e-200] * nu.size, [1e-209] * nu.size])
+    monkeypatch.setattr(specfun, "_trapezoid_block", planted)
+    with pytest.raises(AccuracyError, match="bessel_k\\(nu=0.5, x=5\\)"):
+        specfun.bessel_k(0.5, 5.0)
+
+
+@pytest.mark.parametrize("value err ok".split(), (
+    (1e-200, 1e-209, False), (1e-200, 1e-211, True), (-3.0, 2.9e-10, True),
+    (-3.0, 3.1e-10, False), (1e-320, 2e-308, True), (0.0, 3e-308, False),
+    (1.0, math.nan, False)))
+def test_check_estimate_bound_is_rtol_of_the_value_or_least_normal(
+        value, err, ok):
+    args = ("f", np.array([value]), np.array([err]), 1e-10)
+    if ok:
+        specfun.check_estimate(*args, x=[1.0])
+    else:
+        with pytest.raises(AccuracyError, match="f\\(x=1\\)"):
+            specfun.check_estimate(*args, x=[1.0])
 
 
 def test_kummer_is_bitwise_the_same_in_any_batch():

@@ -161,6 +161,19 @@ def test_unknown_suite_is_a_domain_error():
         validate.run_suite("bogus")
 
 
+def test_all_runs_every_suite_in_order(monkeypatch):
+    # each suite stubbed by one passing check naming it and its inputs
+    for name in validate.SUITES:
+        monkeypatch.setitem(
+            validate._SUITE_FNS, name, lambda seed, n, nm=name: [
+                validate.CheckRecord(nm, 0.0, 0.0, 1.0, True,
+                                     "%d/%d" % (seed, n))])
+    rep = validate.run_suite("all", seed=3, n_paths=7)
+    assert rep.suite == "all" and rep.passed
+    assert [c.check_id for c in rep.checks] == list(validate.SUITES)
+    assert {c.provenance for c in rep.checks} == {"3/7"}
+
+
 def test_canonical_payload_ignores_wall_clock():
     a = validate.run_suite("identities")
     b = validate.run_suite("identities")
